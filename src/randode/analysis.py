@@ -16,11 +16,12 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 
 from .exceptions import DomainError, NumericalError, ReferenceSolutionError
-from .noise import NoiseModel, derive_streams, exact_info, make_oracle
+from .noise import NoiseModel, exact_info, fill_uniform_rows, make_oracle, stream_keys
 from .problems import IvpSpec, exact_solution_A
 from .schemes import SchemeKind, Trajectory, run_scheme
 
@@ -179,7 +180,8 @@ def _chunk_errors_vectorized(problem: IvpSpec, scheme: SchemeKind, n: int,
 
     Each replication's draws come from its own streams exactly as in the
     scalar path: the tau tape from the grid stream, the noise tape from the
-    noise stream in the frozen consumption order.
+    noise stream in the frozen consumption order.  The streams' keys are
+    derived for the whole chunk at once (:func:`stream_keys`).
     """
     m = hi - lo
     h = (problem.b - problem.a) / n
@@ -188,13 +190,10 @@ def _chunk_errors_vectorized(problem: IvpSpec, scheme: SchemeKind, n: int,
     per_eval = 1 if (noise.kind in ("ee", "rk") and noise.delta > 0.0) else 0
     tape_len = lead + per_eval * evals
 
-    taus = np.empty((m, n))
-    tapes = np.empty((m, tape_len)) if tape_len else None
-    for i in range(m):
-        g, nz = derive_streams(master_seed, lo + i)
-        taus[i] = g.random(n)
-        if tape_len:
-            tapes[i] = nz.random(tape_len)
+    taus = fill_uniform_rows(stream_keys(master_seed, lo, hi, 0), np.empty((m, n)))
+    tapes = None
+    if tape_len:
+        tapes = fill_uniform_rows(stream_keys(master_seed, lo, hi, 1), np.empty((m, tape_len)))
 
     eta = float(problem.eta[0])
     w = np.full(m, eta)
@@ -237,8 +236,10 @@ def _chunk_errors_vectorized(problem: IvpSpec, scheme: SchemeKind, n: int,
 
     bad = ~np.isfinite(nodes)
     if bad.any():
-        rep = lo + int(np.argwhere(bad.any(axis=1))[0, 0])
-        raise NumericalError(f"replication {rep} produced a non-finite node", step=rep)
+        row = int(np.argmax(bad.any(axis=1)))
+        step = int(np.argmax(bad[row]))
+        raise NumericalError(f"replication {lo + row} produced a non-finite node "
+                             f"at step {step}", step=step, replication=lo + row)
     return _sup_error_kernel(nodes[:, :, None], h, ref_knots, ref_int, dt)
 
 
@@ -252,7 +253,8 @@ def _chunk_errors_scalar(problem: IvpSpec, scheme: SchemeKind, n: int,
         try:
             tr = run_scheme(oracle, scheme, n, ie_tol=ie_tol, ie_max_iter=ie_max_iter)
         except NumericalError as exc:
-            raise NumericalError(f"replication {i} failed: {exc}", step=i) from exc
+            raise NumericalError(f"replication {i} failed: {exc}", step=exc.step,
+                                 replication=i) from exc
         out[i - lo] = _sup_error_kernel(tr.nodes[None, :, :], tr.grid.h,
                                         ref_knots, ref_int, dt)[0]
     return out
@@ -562,13 +564,28 @@ def _rk4_dense_B(n_ref: int) -> np.ndarray:
     return out
 
 
+def default_ref_cache(n_ref: int = DEFAULT_REF_STEPS) -> str:
+    """The reference cache file: under $RANDODE_CACHE_DIR, else ~/.cache/randode."""
+    base = os.environ.get("RANDODE_CACHE_DIR") or os.path.join(
+        os.path.expanduser("~"), ".cache", "randode")
+    return os.path.join(base, f"refB_rk4_{n_ref}.bin")
+
+
 def _write_reference(path, header: dict, values: np.ndarray):
+    """Write the cache file atomically: readers see the old file or the whole new one."""
     payload = values.astype("<f8").tobytes()
     header = dict(header, sha256=hashlib.sha256(payload).hexdigest())
-    with open(path, "wb") as fh:
-        fh.write(REF_MAGIC)
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        fh.write(payload)
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
+                               suffix=".tmp", dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(REF_MAGIC)
+            fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _read_reference(path) -> tuple:
@@ -583,16 +600,18 @@ def _read_reference(path) -> tuple:
     return header, values
 
 
-def build_reference_B(n_ref: int = DEFAULT_REF_STEPS, cache_path="refB.bin") -> ReferenceSolution:
+def build_reference_B(n_ref: int = DEFAULT_REF_STEPS, cache_path=None) -> ReferenceSolution:
     """Dense deterministic reference for problem B, persisted to cache_path.
 
-    Recomputes (and rewrites the cache) when the file is missing, corrupt, or
-    was built with different parameters.
+    cache_path defaults to :func:`default_ref_cache`.  Recomputes (and
+    rewrites the cache) when the file is missing, corrupt, or was built with
+    different parameters.
     """
     if n_ref < 100_000:
         raise DomainError("n_ref must be >= 1e5")
+    cache_path = cache_path or default_ref_cache(n_ref)
     want = {"problem": "B", "method": "rk4", "n_ref": int(n_ref), "a": 0.0, "b": 1.0, "d": 1}
-    if cache_path is not None and os.path.exists(cache_path):
+    if os.path.exists(cache_path):
         try:
             header, values = _read_reference(cache_path)
             if all(header.get(k) == v for k, v in want.items()) and values.shape == (n_ref + 1,):
@@ -601,17 +620,14 @@ def build_reference_B(n_ref: int = DEFAULT_REF_STEPS, cache_path="refB.bin") -> 
         except (ValueError, json.JSONDecodeError, OSError):
             pass  # fall through to recompute
     values = _rk4_dense_B(n_ref)
-    if cache_path is not None:
-        os.makedirs(os.path.dirname(os.path.abspath(cache_path)), exist_ok=True)
-        _write_reference(cache_path, want, values)
-        header, values = _read_reference(cache_path)
-    else:
-        header = want
+    os.makedirs(os.path.dirname(os.path.abspath(cache_path)), exist_ok=True)
+    _write_reference(cache_path, want, values)
+    header, values = _read_reference(cache_path)
     ts = np.linspace(0.0, 1.0, n_ref + 1)
     return ReferenceSolution.cached_dense(ts, values, provenance=dict(header))
 
 
-def reference_for(problem: IvpSpec, cache_path="refB.bin",
+def reference_for(problem: IvpSpec, cache_path=None,
                   n_ref: int = DEFAULT_REF_STEPS) -> ReferenceSolution:
     """The canonical reference of a built-in test problem."""
     if problem.name == "A":
@@ -625,7 +641,7 @@ def reference_for(problem: IvpSpec, cache_path="refB.bin",
 __all__ = [
     "BatchCell", "ConfidenceBand", "ErrorBatch", "QuantileEstimate",
     "ReferenceSolution", "SlopeFit", "TailCurve", "build_reference_B",
-    "confidence_band", "convergence_slope", "derive_cell_seed",
+    "confidence_band", "convergence_slope", "default_ref_cache", "derive_cell_seed",
     "fit_loglog_slope", "order_statistic_index",
     "reference_for", "run_batch", "sup_error", "tail_curve", "wilson_interval",
     "xi_hat",

@@ -26,6 +26,7 @@ from .analysis import (
     build_reference_B,
     confidence_band,
     convergence_slope,
+    default_ref_cache,
     derive_cell_seed,
     reference_for,
     run_batch,
@@ -52,12 +53,6 @@ SLOPE_BANDS = {
 
 class UsageError(Exception):
     pass
-
-
-def _default_ref_cache(n_ref: int) -> str:
-    base = os.environ.get("RANDODE_CACHE_DIR") or os.path.join(
-        os.path.expanduser("~"), ".cache", "randode")
-    return os.path.join(base, f"refB_rk4_{n_ref}.bin")
 
 
 def _sha256(path) -> str:
@@ -99,9 +94,14 @@ def _load_config(path) -> dict:
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
+    parser.optionxform = str  # keys are case-sensitive: N (replications) is not n (steps)
     parser.read(path)
     section = "experiment" if parser.has_section("experiment") else parser.default_section
-    return dict(parser[section])
+    cfg = dict(parser[section])
+    unknown = sorted(set(cfg) - _CONFIG_KEYS)
+    if unknown:
+        raise UsageError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
+    return cfg
 
 
 _CONFIG_ALIASES = {
@@ -109,6 +109,14 @@ _CONFIG_ALIASES = {
     "out": ("output_dir",),
     "subsamples": ("subsamples_per_step",),
 }
+
+# every key some command resolves, also in its hyphenated spelling
+_CONFIG_KEYS = frozenset(
+    spelling
+    for key in ("problem", "scheme", "n", "n_list", "noise", "delta", "delta_rules",
+                "epsilon", "N", "seed", "out", "parallelism", "subsamples", "xi",
+                "grid_points", "reps", *(a for v in _CONFIG_ALIASES.values() for a in v))
+    for spelling in (key, key.replace("_", "-")))
 
 
 def _resolve(args, cfg: dict, key: str, default=None, cast=str):
@@ -175,7 +183,7 @@ def _rule_list(text: str):
 
 def _reference(problem, ref_cache, n_ref):
     if problem.name == "B":
-        return build_reference_B(n_ref=n_ref, cache_path=ref_cache or _default_ref_cache(n_ref))
+        return build_reference_B(n_ref=n_ref, cache_path=ref_cache)
     return reference_for(problem)
 
 
@@ -457,7 +465,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_build_ref(args) -> int:
-    cache = args.ref_cache or _default_ref_cache(args.ref_steps)
+    cache = args.ref_cache or default_ref_cache(args.ref_steps)
     ref = build_reference_B(n_ref=args.ref_steps, cache_path=cache)
     print(f"reference for B at {cache}: {ref.grid_ts.shape[0]} grid values, "
           f"sha256={ref.provenance.get('sha256', '')[:16]}...")

@@ -6,11 +6,16 @@ class DomainError(ValueError):
 
 
 class NumericalError(ArithmeticError):
-    """A computation produced a non-finite value."""
+    """A computation produced a non-finite value.
 
-    def __init__(self, message, step=None):
+    ``step`` is the scheme step and ``replication`` the Monte Carlo
+    replication index where it happened, when known.
+    """
+
+    def __init__(self, message, step=None, replication=None):
         super().__init__(message)
         self.step = step
+        self.replication = replication
 
 
 class ConvergenceError(RuntimeError):

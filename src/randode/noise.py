@@ -35,7 +35,7 @@ from .problems import IvpSpec, one_norm
 
 NOISE_KINDS = ("exact", "ee", "ie", "rk")
 
-#: slack for the per-call bound assertion (pure rounding headroom)
+#: slack for the per-call bound check (pure rounding headroom)
 _BOUND_RTOL = 1e-12
 
 
@@ -76,6 +76,121 @@ def derive_streams(master_seed, replication_index: int):
         return np.random.Generator(np.random.Philox(seq))
 
     return child(0), child(1)
+
+
+# ---------------------------------------------------------------------------
+# Batched streams: the keys of a whole chunk of replications at once
+#
+# Philox output is a pure function of (key, counter), and derive_streams keys
+# each child by SeedSequence(master_seed, spawn_key=(i, k)).generate_state(2,
+# uint64).  Below is a numpy port of that hash (NEP 19): the mixing of the
+# master seed into the pool does not depend on i and runs once, the two
+# spawn-key words are mixed in for all i with uint32 array operations.  The
+# constants and the word order are numpy's; tests pin the port to
+# derive_streams bit for bit.
+
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MAX_REPLICATIONS = 1 << 32  # a wider index takes two spawn-key words
+
+
+def _entropy_words(x) -> list:
+    """The uint32 words (least significant first) SeedSequence reads from x."""
+    if isinstance(x, (int, np.integer)):
+        x = int(x)
+        if x < 0:
+            raise DomainError("master seed must be nonnegative")
+        words = [x & _MASK32]
+        while x >> 32:
+            x >>= 32
+            words.append(x & _MASK32)
+        return words
+    if x is None or isinstance(x, (str, bytes, float, np.inexact)):
+        raise DomainError(f"batched streams need an integer master seed, got {x!r}")
+    return [w for v in x for w in _entropy_words(v)]
+
+
+def _hash(value, hash_const: int, mult: int):
+    """SeedSequence's word hash; value is an int or a uint32 array."""
+    value = (value ^ hash_const) & _MASK32
+    hash_const = (hash_const * mult) & _MASK32
+    value = (value * hash_const) & _MASK32
+    return value ^ (value >> 16), hash_const
+
+
+def _mix(x, y):
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _mix_into(pool: list, word, hash_const: int) -> int:
+    for dst in range(_POOL_SIZE):
+        v, hash_const = _hash(word, hash_const, _MULT_A)
+        pool[dst] = _mix(pool[dst], v)
+    return hash_const
+
+
+def stream_keys(master_seed, lo: int, hi: int, substream: int) -> np.ndarray:
+    """Philox keys, shape (hi - lo, 2), of derive_streams(master_seed, i)[substream], lo <= i < hi."""
+    if not 0 <= lo <= hi:
+        raise DomainError("replication range must satisfy 0 <= lo <= hi")
+    if hi > _MAX_REPLICATIONS:
+        raise DomainError(f"replication indices must be below 2**32, got {hi - 1}")
+    if substream not in (0, 1):
+        raise DomainError("substream must be 0 (grid) or 1 (noise)")
+    words = _entropy_words(master_seed)
+    # a spawn key pads the master seed's words to the pool size with zeros
+    words += [0] * (_POOL_SIZE - len(words))
+    hash_const = _INIT_A
+    pool = []
+    for w in words[:_POOL_SIZE]:
+        v, hash_const = _hash(w, hash_const, _MULT_A)
+        pool.append(v)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                v, hash_const = _hash(pool[src], hash_const, _MULT_A)
+                pool[dst] = _mix(pool[dst], v)
+    for w in words[_POOL_SIZE:]:
+        hash_const = _mix_into(pool, w, hash_const)
+
+    m = hi - lo
+    pool = [np.full(m, p, dtype=np.uint32) for p in pool]
+    for w in (np.arange(lo, hi, dtype=np.uint32), np.full(m, substream, dtype=np.uint32)):
+        hash_const = _mix_into(pool, w, hash_const)
+
+    hash_const = _INIT_B
+    state = []
+    for p in pool:
+        v, hash_const = _hash(p, hash_const, _MULT_B)
+        state.append(v.astype(np.uint64))
+    keys = np.empty((m, 2), dtype=np.uint64)
+    keys[:, 0] = state[0] | (state[1] << 32)
+    keys[:, 1] = state[2] | (state[3] << 32)
+    return keys
+
+
+def fill_uniform_rows(keys: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill row i of out with the leading U(0,1) draws of the Philox stream keyed by keys[i].
+
+    One native Philox is re-keyed per row with a zero counter and an empty
+    buffer, the state a freshly seeded Philox starts in, so row i equals
+    ``Generator(Philox(key=keys[i])).random(out.shape[1])``.
+    """
+    bit_gen = np.random.Philox(0)
+    gen = np.random.Generator(bit_gen)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for key, row in zip(keys, out):
+        state["state"]["key"] = key
+        bit_gen.state = state
+        gen.random(out=row)
+    return out
 
 
 def _l1_direction(rng, d: int) -> np.ndarray:
@@ -162,9 +277,10 @@ class NoisyOracle:
         if not np.all(np.isfinite(base)):
             raise NumericalError(f"rhs returned a non-finite value at t={t}")
         pert = self._perturbation(x)
-        bound = self.model.bound(x)
-        assert one_norm(pert) <= bound * (1.0 + _BOUND_RTOL) + 0.0, \
-            "emitted perturbation violates its noise-class bound"
+        size, bound = one_norm(pert), self.model.bound(x)
+        if not size <= bound * (1.0 + _BOUND_RTOL):
+            raise NumericalError(f"perturbation of one-norm {size!r} at t={t} exceeds its "
+                                 f"{self.model.kind} noise-class bound {bound!r}")
         self.eval_count += 1
         if self._record:
             self.samples.append((t, x.copy(), pert.copy()))

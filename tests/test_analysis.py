@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from randode import (
+    ClassParams,
     DomainError,
+    IvpSpec,
     NoiseModel,
+    NumericalError,
     ReferenceSolution,
     ReferenceSolutionError,
     SchemeKind,
@@ -21,7 +24,8 @@ from randode import (
     tail_curve,
     xi_hat,
 )
-from randode.analysis import order_statistic_index, wilson_interval
+from randode.analysis import default_ref_cache, order_statistic_index, wilson_interval
+from randode.noise import derive_streams
 
 from conftest import constant_field_problem, zero_field_problem
 
@@ -103,6 +107,24 @@ class TestRunBatch:
             fast = run_batch(p, ref, scheme, 11, noise, 32, 77, chunk_size=13)
             slow = run_batch(p, ref, scheme, 11, noise, 32, 77, force_scalar=True)
             assert np.array_equal(fast.errors, slow.errors)
+
+    @pytest.mark.parametrize("force_scalar", [False, True])
+    def test_non_finite_node_names_its_replication(self, force_scalar):
+        # the field is infinite beyond t = 0.9: with n = 1 a replication
+        # fails exactly when its tau exceeds 0.9
+        p = IvpSpec(a=0.0, b=1.0, d=1, eta=np.ones(1),
+                    rhs=lambda t, x: np.where(np.asarray(t) > 0.9, np.inf, 0.0 * x),
+                    class_params=ClassParams(K=1.0, L=0.0, rho=1.5), name="spike",
+                    rhs_vectorized=True)
+        ref = ReferenceSolution.analytic(np.ones_like)
+        first = next(i for i in range(64) if derive_streams(7, i)[0].random() > 0.9)
+        assert first >= 7  # lies past the first chunk
+        with pytest.raises(NumericalError) as info:
+            run_batch(p, ref, EE, 1, exact_info(), 64, 7, chunk_size=7,
+                      force_scalar=force_scalar)
+        assert info.value.replication == first
+        if not force_scalar:
+            assert info.value.step == 1
 
     def test_implicit_euler_batch(self, problem_A, ref_A):
         b = run_batch(problem_A, ref_A, IE, 64, exact_info(), 20, 11)
@@ -309,6 +331,27 @@ class TestReferenceB:
         # file was repaired
         data2 = path.read_bytes()
         assert data2[-5] != data[-5]
+
+    def test_interrupted_write_keeps_old_cache(self, tmp_path, monkeypatch):
+        from randode import analysis
+        path = tmp_path / "ref.bin"
+        build_reference_B(100_000, path)
+        before = path.read_bytes()
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(analysis.os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            build_reference_B(120_000, path)
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["ref.bin"]  # no temp file left
+
+    def test_default_cache_location(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("RANDODE_CACHE_DIR", str(tmp_path / "cache"))
+        assert default_ref_cache(100_000) == str(tmp_path / "cache" / "refB_rk4_100000.bin")
+        ref = build_reference_B(100_000)
+        assert (tmp_path / "cache" / "refB_rk4_100000.bin").is_file()
+        assert ref.provenance["n_ref"] == 100_000
 
     def test_n_ref_floor(self, tmp_path):
         with pytest.raises(DomainError):

@@ -136,12 +136,20 @@ class TestTable:
             f"out = {tmp_path / 'cfg_out'}\n")
         assert run_cli("--config", str(cfg), "table") == 0
         assert (tmp_path / "cfg_out" / "table_ee_A.csv").exists()
+        doc = json.loads((tmp_path / "cfg_out" / "manifest.json").read_text())
+        assert doc["config"]["N"] == 200
         # flag overrides the config seed: different draws, same shape
         assert run_cli("--config", str(cfg), "table", "--seed", "10",
                        "--out", str(tmp_path / "cfg_out2")) == 0
         a = read_csv(tmp_path / "cfg_out" / "table_ee_A.csv")
         b = read_csv(tmp_path / "cfg_out2" / "table_ee_A.csv")
         assert a[0] == b[0] and a[1][1] != b[1][1]
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[experiment]\nproblem = A\nreplications = 200\n")
+        assert run_cli("--config", str(cfg), "table", "--out", str(tmp_path)) == 2
+        assert "replications" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli("--config", str(tmp_path / "nope.ini"), "table") == 2

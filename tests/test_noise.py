@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randode import (
     DomainError,
     NoiseModel,
+    NumericalError,
+    SchemeKind,
+    derive_cell_seed,
     exact_info,
     make_oracle,
     one_norm,
@@ -13,6 +18,7 @@ from randode import (
     run_rk2,
     verify_noise_bound,
 )
+from randode.noise import derive_streams, fill_uniform_rows, stream_keys
 
 from conftest import zero_field_problem
 
@@ -86,6 +92,60 @@ class TestOracle:
         b = make_oracle(problem_A, NoiseModel("ee", 0.3), 9, 5)
         b.noisy_eval(0.1, [1.0])  # noise consumption must not shift taus
         assert [a.draw_tau() for _ in range(32)] == [b.draw_tau() for _ in range(32)]
+
+    def test_bound_violation_raises(self, problem_A, monkeypatch):
+        # an explicit check, not an assert, so python -O keeps it
+        o = make_oracle(problem_A, NoiseModel("rk", 0.01), 3, 0)
+        monkeypatch.setattr(o, "_perturbation", lambda x: np.array([0.0100001]))
+        with pytest.raises(NumericalError, match="noise-class bound"):
+            o.noisy_eval(0.5, [1.0])
+        assert o.eval_count == 0
+
+
+# small seeds, a derived 128-bit cell seed, one wider than 128 bits, and a
+# sequence of words (SeedSequence concatenates them)
+_SEEDS = [0, 1, 77, 12345, derive_cell_seed(12345, SchemeKind.EXPLICIT_EULER, "A", 10),
+          (1 << 200) + 987654321, [7, 1 << 40]]
+
+
+class TestChunkStreams:
+    """The batched path's chunk keys plus tape filler against derive_streams."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.sampled_from(_SEEDS) | st.integers(0, 1 << 40)
+           | st.integers(1 << 128, 1 << 300),
+           lo=st.integers(0, (1 << 32) - 1) | st.integers(0, 50),
+           count=st.integers(1, 4), k=st.sampled_from([0, 1]),
+           m=st.sampled_from([0, 1, 3, 4, 5, 100, 1001]))
+    def test_matches_derive_streams(self, seed, lo, count, k, m):
+        hi = min(lo + count, 1 << 32)
+        tapes = fill_uniform_rows(stream_keys(seed, lo, hi, k), np.empty((hi - lo, m)))
+        for i in range(lo, hi):
+            assert np.array_equal(tapes[i - lo], derive_streams(seed, i)[k].random(m))
+
+    def test_top_of_index_range(self):
+        for seed in _SEEDS:
+            lo, hi = (1 << 32) - 2, 1 << 32
+            tapes = fill_uniform_rows(stream_keys(seed, lo, hi, 1), np.empty((2, 5)))
+            for i in range(lo, hi):
+                assert np.array_equal(tapes[i - lo], derive_streams(seed, i)[1].random(5))
+
+    def test_empty_chunk(self):
+        assert stream_keys(3, 10, 10, 0).shape == (0, 2)
+        assert fill_uniform_rows(stream_keys(3, 10, 10, 0), np.empty((0, 7))).shape == (0, 7)
+
+    def test_wide_replication_index_rejected(self):
+        with pytest.raises(DomainError):
+            stream_keys(5, (1 << 32) - 1, (1 << 32) + 1, 0)
+        with pytest.raises(DomainError):
+            stream_keys(5, 1 << 32, (1 << 32) + 1, 0)
+
+    def test_bad_seed_and_substream_rejected(self):
+        for seed in (-1, None, 1.5, "7"):
+            with pytest.raises(DomainError):
+                stream_keys(seed, 0, 2, 0)
+        with pytest.raises(DomainError):
+            stream_keys(5, 0, 2, 2)
 
 
 class TestEvalCounting:
