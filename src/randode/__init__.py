@@ -58,7 +58,6 @@ from .schemes import (
     SchemeKind,
     Trajectory,
     gamma_of,
-    interpolate,
     martingale_diagnostic,
     run_explicit_euler,
     run_implicit_euler,

@@ -16,14 +16,16 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import tempfile
+import warnings
 
 import numpy as np
 
-from .exceptions import DomainError, NumericalError, ReferenceSolutionError
-from .noise import NoiseModel, exact_info, fill_uniform_rows, make_oracle, stream_keys
+from .exceptions import DomainError, ReferenceSolutionError
+from .noise import ChunkOracle, NoiseModel, exact_info, make_oracle
 from .problems import IvpSpec, exact_solution_A
-from .schemes import SchemeKind, Trajectory, run_scheme
+from .schemes import SchemeKind, Trajectory, run_scheme, write_csv
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -155,121 +157,37 @@ class ErrorBatch:
     N: int
 
     def write_csv(self, path):
-        import csv
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["rank", "error"])
-            for i, e in enumerate(self.errors, start=1):
-                w.writerow([i, repr(float(e))])
-
-
-def _noise_lead_draws(noise: NoiseModel, perturb_eta: bool) -> int:
-    """Leading draws the oracle consumes before any per-evaluation draw (d=1)."""
-    lead = 0
-    if perturb_eta and noise.delta > 0.0:
-        lead += 1
-    if noise.kind == "ie" and noise.delta > 0.0:
-        lead += 1
-    return lead
+        write_csv(path, ["rank", "error"], zip(range(1, self.N + 1), self.errors))
 
 
 def _chunk_errors_vectorized(problem: IvpSpec, scheme: SchemeKind, n: int,
                              noise: NoiseModel, master_seed, lo: int, hi: int,
-                             knots, dt, ref_knots, ref_int, perturb_eta: bool) -> np.ndarray:
-    """All replication errors in [lo, hi) at once; d = 1, vectorizable rhs only.
-
-    Each replication's draws come from its own streams exactly as in the
-    scalar path: the tau tape from the grid stream, the noise tape from the
-    noise stream in the frozen consumption order.  The streams' keys are
-    derived for the whole chunk at once (:func:`stream_keys`).
-    """
-    m = hi - lo
-    h = (problem.b - problem.a) / n
-    evals = n if scheme is SchemeKind.EXPLICIT_EULER else 2 * n
-    lead = _noise_lead_draws(noise, perturb_eta)
-    per_eval = 1 if (noise.kind in ("ee", "rk") and noise.delta > 0.0) else 0
-    tape_len = lead + per_eval * evals
-
-    taus = fill_uniform_rows(stream_keys(master_seed, lo, hi, 0), np.empty((m, n)))
-    tapes = None
-    if tape_len:
-        tapes = fill_uniform_rows(stream_keys(master_seed, lo, hi, 1), np.empty((m, tape_len)))
-
-    eta = float(problem.eta[0])
-    w = np.full(m, eta)
-    col = 0
-    if perturb_eta and noise.delta > 0.0:
-        w = eta + noise.delta * (2.0 * tapes[:, col] - 1.0)
-        col += 1
-    e0 = None
-    if noise.kind == "ie" and noise.delta > 0.0:
-        e0 = (2.0 * tapes[:, col] - 1.0) * noise.delta
-        col += 1
-
-    rhs = problem.rhs
-    delta = noise.delta
-
-    def perturbed(tvals, x):
-        nonlocal col
-        f = rhs(tvals, x)
-        if delta == 0.0 or noise.kind == "exact":
-            return f
-        if noise.kind == "ie":
-            return f + e0 * (1.0 + np.abs(x))
-        e = (2.0 * tapes[:, col] - 1.0) * delta
-        col += 1
-        if noise.kind == "ee":
-            return f + e * (1.0 + np.abs(x))
-        return f + e
-
-    nodes = np.empty((m, n + 1))
-    nodes[:, 0] = w
-    for j in range(1, n + 1):
-        tj1 = knots[j - 1]
-        theta = tj1 + taus[:, j - 1] * h
-        if scheme is SchemeKind.EXPLICIT_EULER:
-            w = w + h * perturbed(theta, w)
-        else:
-            stage = w + h * taus[:, j - 1] * perturbed(tj1, w)
-            w = w + h * perturbed(theta, stage)
-        nodes[:, j] = w
-
-    bad = ~np.isfinite(nodes)
-    if bad.any():
-        row = int(np.argmax(bad.any(axis=1)))
-        step = int(np.argmax(bad[row]))
-        raise NumericalError(f"replication {lo + row} produced a non-finite node "
-                             f"at step {step}", step=step, replication=lo + row)
-    return _sup_error_kernel(nodes[:, :, None], h, ref_knots, ref_int, dt)
+                             dt, ref_knots, ref_int, perturb_eta: bool,
+                             ie_tol: float, ie_max_iter: int) -> np.ndarray:
+    """All replication errors in [lo, hi) from one scheme run over the chunk's rows."""
+    evals = 2 * n if scheme is SchemeKind.RUNGE_KUTTA2 else n
+    tr = run_scheme(ChunkOracle(problem, noise, master_seed, lo, hi, evals, perturb_eta),
+                    scheme, n, ie_tol=ie_tol, ie_max_iter=ie_max_iter)
+    return _sup_error_kernel(tr.nodes, tr.grid.h, ref_knots, ref_int, dt)
 
 
 def _chunk_errors_scalar(problem: IvpSpec, scheme: SchemeKind, n: int,
                          noise: NoiseModel, master_seed, lo: int, hi: int,
-                         knots, dt, ref_knots, ref_int, perturb_eta: bool,
+                         dt, ref_knots, ref_int, perturb_eta: bool,
                          ie_tol: float, ie_max_iter: int) -> np.ndarray:
+    """The replication errors in [lo, hi), one scheme run per replication."""
     out = np.empty(hi - lo)
     for i in range(lo, hi):
         oracle = make_oracle(problem, noise, master_seed, i, perturb_eta=perturb_eta)
-        try:
-            tr = run_scheme(oracle, scheme, n, ie_tol=ie_tol, ie_max_iter=ie_max_iter)
-        except NumericalError as exc:
-            raise NumericalError(f"replication {i} failed: {exc}", step=exc.step,
-                                 replication=i) from exc
-        out[i - lo] = _sup_error_kernel(tr.nodes[None, :, :], tr.grid.h,
-                                        ref_knots, ref_int, dt)[0]
+        tr = run_scheme(oracle, scheme, n, ie_tol=ie_tol, ie_max_iter=ie_max_iter)
+        out[i - lo] = _sup_error_kernel(tr.nodes[None], tr.grid.h, ref_knots, ref_int, dt)[0]
     return out
 
 
 def _batch_task(args):
-    (fast, problem, scheme, n, noise, master_seed, lo, hi, knots, dt,
-     ref_knots, ref_int, perturb_eta, ie_tol, ie_max_iter) = args
-    if fast:
-        return lo, _chunk_errors_vectorized(problem, scheme, n, noise, master_seed,
-                                            lo, hi, knots, dt, ref_knots, ref_int,
-                                            perturb_eta)
-    return lo, _chunk_errors_scalar(problem, scheme, n, noise, master_seed, lo, hi,
-                                    knots, dt, ref_knots, ref_int, perturb_eta,
-                                    ie_tol, ie_max_iter)
+    batched, problem, scheme, n, noise, master_seed, lo, *rest = args
+    run = _chunk_errors_vectorized if batched else _chunk_errors_scalar
+    return lo, run(problem, scheme, n, noise, master_seed, lo, *rest)
 
 
 def run_batch(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind,
@@ -277,14 +195,18 @@ def run_batch(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind
               parallelism: int = 1, subsamples_per_step: int = 8,
               perturb_eta: bool = False, ie_tol: float = 1e-12,
               ie_max_iter: int = 100, chunk_size: int = 8192,
-              delta_label: str = "", force_scalar: bool = False) -> ErrorBatch:
+              delta_label: str = "") -> ErrorBatch:
     """N independent replications of the cell's sup-norm error, sorted.
 
     Replication i draws from streams keyed by (master_seed, i), so the result
     is bitwise-identical for fixed (cell, N, master_seed) at any parallelism
-    or chunk partition.  Explicit Euler and Runge-Kutta cells on
-    one-dimensional problems with vectorizable right-hand sides run on a
-    batched path; everything else runs replication by replication.
+    or chunk partition.  Cells on one-dimensional problems with vectorizable
+    right-hand sides run batched, a chunk of replications per scheme run,
+    except implicit Euler under fresh (``ee``/``rk``) noise, whose iterations
+    draw a varying number of values; everything else runs replication by
+    replication.  Both routes give bitwise-identical errors.  A right-hand
+    side that cannot be pickled (a lambda or closure) runs its chunks
+    serially, with a RuntimeWarning, whatever the parallelism.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
@@ -295,18 +217,25 @@ def run_batch(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind
     dt = _interior_offsets(h, subsamples_per_step)
     ref_knots, ref_int = _reference_grids(reference, knots, dt)
 
-    fast = (not force_scalar
-            and scheme in (SchemeKind.EXPLICIT_EULER, SchemeKind.RUNGE_KUTTA2)
-            and problem.d == 1 and problem.rhs_vectorized)
+    batched = (problem.d == 1 and problem.rhs_vectorized
+               and not (scheme is SchemeKind.IMPLICIT_EULER and noise.fresh))
 
     tasks = []
     for lo in range(0, N, chunk_size):
         hi = min(lo + chunk_size, N)
-        tasks.append((fast, problem, scheme, n, noise, master_seed, lo, hi, knots,
+        tasks.append((batched, problem, scheme, n, noise, master_seed, lo, hi,
                       dt, ref_knots, ref_int, perturb_eta, ie_tol, ie_max_iter))
 
     errors = np.empty(N)
-    if parallelism > 1 and len(tasks) > 1:
+    pooled = parallelism > 1 and len(tasks) > 1
+    if pooled:
+        try:
+            pickle.dumps(tasks[0])
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            warnings.warn(f"running the chunks serially: they cannot be sent to worker "
+                          f"processes ({exc})", RuntimeWarning, stacklevel=2)
+            pooled = False
+    if pooled:
         with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
             for lo, chunk in pool.map(_batch_task, tasks):
                 errors[lo:lo + chunk.shape[0]] = chunk
@@ -374,12 +303,8 @@ class TailCurve:
     wilson_high: np.ndarray
 
     def write_csv(self, path):
-        import csv
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["xi", "prob", "wilson_low", "wilson_high"])
-            for row in zip(self.xis, self.probs, self.wilson_low, self.wilson_high):
-                w.writerow([repr(float(v)) for v in row])
+        write_csv(path, ["xi", "prob", "wilson_low", "wilson_high"],
+                  zip(self.xis, self.probs, self.wilson_low, self.wilson_high))
 
 
 def tail_curve(batch: ErrorBatch, gamma: float, xi_grid) -> TailCurve:
@@ -412,20 +337,11 @@ class ConfidenceBand:
     upper: np.ndarray
 
     def write_csv(self, path):
-        import csv
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            d = self.center.shape[1]
-            cols = ["t"]
-            for tag in ("lower", "upper", "center"):
-                cols += [f"{tag}{k}" if d > 1 else tag for k in range(d)]
-            w.writerow(cols)
-            for i, t in enumerate(self.ts):
-                row = [repr(float(t))]
-                row += [repr(float(v)) for v in self.lower[i]]
-                row += [repr(float(v)) for v in self.upper[i]]
-                row += [repr(float(v)) for v in self.center[i]]
-                w.writerow(row)
+        d = self.center.shape[1]
+        cols = ["t"]
+        for tag in ("lower", "upper", "center"):
+            cols += [f"{tag}{k}" if d > 1 else tag for k in range(d)]
+        write_csv(path, cols, np.column_stack([self.ts, self.lower, self.upper, self.center]))
 
     def write_svg(self, path, reference: "ReferenceSolution" = None, title: str = ""):
         """Standalone band plot; optionally overlays a reference curve (d = 1)."""

@@ -36,7 +36,14 @@ from .analysis import (
 from .exceptions import ConvergenceError, DomainError, NumericalError, ReferenceSolutionError
 from .noise import NoiseModel, make_oracle, parse_delta_rule, verify_noise_bound
 from .problems import make_problem
-from .schemes import SchemeKind, gamma_of, martingale_diagnostic, run_scheme, scheme_from_name
+from .schemes import (
+    SchemeKind,
+    gamma_of,
+    martingale_diagnostic,
+    run_scheme,
+    scheme_from_name,
+    write_csv,
+)
 
 DEFAULT_SEED = 12345
 DEFAULT_EPSILON = 0.05
@@ -97,11 +104,7 @@ def _load_config(path) -> dict:
     parser.optionxform = str  # keys are case-sensitive: N (replications) is not n (steps)
     parser.read(path)
     section = "experiment" if parser.has_section("experiment") else parser.default_section
-    cfg = dict(parser[section])
-    unknown = sorted(set(cfg) - _CONFIG_KEYS)
-    if unknown:
-        raise UsageError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
-    return cfg
+    return dict(parser[section])
 
 
 _CONFIG_ALIASES = {
@@ -110,35 +113,28 @@ _CONFIG_ALIASES = {
     "subsamples": ("subsamples_per_step",),
 }
 
-# every key some command resolves, also in its hyphenated spelling
-_CONFIG_KEYS = frozenset(
-    spelling
-    for key in ("problem", "scheme", "n", "n_list", "noise", "delta", "delta_rules",
-                "epsilon", "N", "seed", "out", "parallelism", "subsamples", "xi",
-                "grid_points", "reps", *(a for v in _CONFIG_ALIASES.values() for a in v))
-    for spelling in (key, key.replace("_", "-")))
-
-
 def _resolve(args, cfg: dict, key: str, default=None, cast=str):
+    """The flag, else the config value, else default; removes the key's spellings from cfg."""
+    raw = None
+    for name in (key, key.replace("_", "-")) + _CONFIG_ALIASES.get(key, ()):
+        value = cfg.pop(name, None)
+        if raw is None:
+            raw = value
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
-    raw = None
-    for name in (key, key.replace("_", "-")) + _CONFIG_ALIASES.get(key, ()):
-        raw = cfg.get(name)
-        if raw is not None:
-            break
-    if raw is not None:
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise UsageError(f"bad config value {key} = {raw!r}: {exc}") from exc
-    return default
+    if raw is None:
+        return default
+    try:
+        return cast(raw)
+    except ValueError as exc:
+        raise UsageError(f"bad config value {key} = {raw!r}: {exc}") from exc
 
 
-def _ensure_out(path) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
+def _reject_unread(cfg: dict, command: str):
+    """Once a command has resolved its settings, a key left in cfg is one it does not read."""
+    if cfg:
+        raise UsageError(f"config key(s) not read by {command}: {', '.join(sorted(cfg))}")
 
 
 def _resolve_problem(name: str):
@@ -181,12 +177,6 @@ def _rule_list(text: str):
         raise UsageError(str(exc)) from exc
 
 
-def _reference(problem, ref_cache, n_ref):
-    if problem.name == "B":
-        return build_reference_B(n_ref=n_ref, cache_path=ref_cache)
-    return reference_for(problem)
-
-
 # ---------------------------------------------------------------------------
 # solve
 
@@ -197,10 +187,12 @@ def cmd_solve(args) -> int:
     scheme = _resolve_scheme(_resolve(args, cfg, "scheme", "ee"))
     n = _resolve(args, cfg, "n", 10, int)
     seed = _resolve(args, cfg, "seed", DEFAULT_SEED, int)
-    out = _ensure_out(_resolve(args, cfg, "out", "out"))
+    out = _resolve(args, cfg, "out", "out")
     rule = parse_delta_rule(_resolve(args, cfg, "delta", "0"))
     delta = rule.value_for(n)
     noise = _noise_for(_resolve(args, cfg, "noise", "auto"), scheme, delta)
+    _reject_unread(cfg, "solve")
+    os.makedirs(out, exist_ok=True)
 
     taus = None
     if args.force_tau is not None:
@@ -219,13 +211,9 @@ def cmd_solve(args) -> int:
     if args.dense:
         ts = np.linspace(problem.a, problem.b, args.dense)
         vals = tr.dense(ts)
-        import csv
         dpath = os.path.join(out, "trajectory_dense.csv")
-        with open(dpath, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t"] + [f"x{k}" for k in range(vals.shape[1])])
-            for t, row in zip(ts, vals):
-                w.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+        write_csv(dpath, ["t"] + [f"x{k}" for k in range(vals.shape[1])],
+                  np.column_stack([ts, vals]))
         manifest.add(dpath)
     manifest.write(out)
     print(f"wrote {path} ({n + 1} rows), oracle evaluations: {tr.eval_count}")
@@ -252,10 +240,12 @@ def cmd_table(args) -> int:
     epsilon = _resolve(args, cfg, "epsilon", DEFAULT_EPSILON, float)
     explicit_N = _resolve(args, cfg, "N", None, int)
     seed = _resolve(args, cfg, "seed", DEFAULT_SEED, int)
-    out = _ensure_out(_resolve(args, cfg, "out", "out"))
+    out = _resolve(args, cfg, "out", "out")
     parallelism = _resolve(args, cfg, "parallelism", 1, int)
     subsamples = _resolve(args, cfg, "subsamples", 8, int)
     kind = _resolve(args, cfg, "noise", "auto")
+    _reject_unread(cfg, "table")
+    os.makedirs(out, exist_ok=True)
 
     if explicit_N is not None and explicit_N < 100:
         raise UsageError("table requires N >= 100")
@@ -264,7 +254,7 @@ def cmd_table(args) -> int:
               f"the quantile estimate will be coarse", file=sys.stderr)
 
     gamma = gamma_of(scheme, problem.class_params.rho)
-    reference = _reference(problem, args.ref_cache, args.ref_steps)
+    reference = reference_for(problem, cache_path=args.ref_cache, n_ref=args.ref_steps)
     manifest = Manifest("table", {
         "problem": problem.name, "scheme": scheme.value, "n_list": ns,
         "delta_rules": [r.label for r in rules], "epsilon": epsilon,
@@ -293,12 +283,8 @@ def cmd_table(args) -> int:
         rows.append(row)
         print(f"n={n:6d} done (N={N})")
 
-    import csv
     path = os.path.join(out, f"table_{scheme.value}_{problem.name}.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n"] + [f"delta={r.label}" for r in rules])
-        w.writerows(rows)
+    write_csv(path, ["n"] + [f"delta={r.label}" for r in rules], rows)
     manifest.add(path)
     manifest.write(out)
     print(f"wrote {path}")
@@ -323,7 +309,7 @@ def cmd_band(args) -> int:
         raise UsageError("band requires --xi > 0")
     epsilon = _resolve(args, cfg, "epsilon", DEFAULT_EPSILON, float)
     seed = _resolve(args, cfg, "seed", DEFAULT_SEED, int)
-    out = _ensure_out(_resolve(args, cfg, "out", "out"))
+    out = _resolve(args, cfg, "out", "out")
     grid_points = _resolve(args, cfg, "grid_points", 201, int)
     gamma = gamma_of(scheme, problem.class_params.rho)
 
@@ -336,7 +322,9 @@ def cmd_band(args) -> int:
         delta = rule.value_for(n)
         delta_label = rule.label
     noise = _noise_for(_resolve(args, cfg, "noise", "auto"), scheme, delta)
-    reference = _reference(problem, args.ref_cache, args.ref_steps)
+    _reject_unread(cfg, "band")
+    os.makedirs(out, exist_ok=True)
+    reference = reference_for(problem, cache_path=args.ref_cache, n_ref=args.ref_steps)
 
     manifest = Manifest("band", {"problem": problem.name, "scheme": scheme.value,
                                  "n": n, "xi": xi, "delta": delta,
@@ -379,14 +367,16 @@ def cmd_tail(args) -> int:
         print(f"warning: N = {N} is below 10/epsilon = {10.0 / epsilon:.0f}; "
               f"tail probabilities near {epsilon} will be coarse", file=sys.stderr)
     seed = _resolve(args, cfg, "seed", DEFAULT_SEED, int)
-    out = _ensure_out(_resolve(args, cfg, "out", "out"))
+    out = _resolve(args, cfg, "out", "out")
     parallelism = _resolve(args, cfg, "parallelism", 1, int)
     subsamples = _resolve(args, cfg, "subsamples", 8, int)
     rule = parse_delta_rule(_resolve(args, cfg, "delta", "0"))
     delta = rule.value_for(n)
     noise = _noise_for(_resolve(args, cfg, "noise", "auto"), scheme, delta)
+    _reject_unread(cfg, "tail")
+    os.makedirs(out, exist_ok=True)
     gamma = gamma_of(scheme, problem.class_params.rho)
-    reference = _reference(problem, args.ref_cache, args.ref_steps)
+    reference = reference_for(problem, cache_path=args.ref_cache, n_ref=args.ref_steps)
 
     manifest = Manifest("tail", {"problem": problem.name, "scheme": scheme.value,
                                  "n": n, "N": N, "delta": delta, "seed": seed,
@@ -415,9 +405,11 @@ def cmd_diagnose(args) -> int:
     cfg = _load_config(args.config)
     problem = _resolve_problem(_resolve(args, cfg, "problem", "A"))
     seed = _resolve(args, cfg, "seed", DEFAULT_SEED, int)
-    out = _ensure_out(_resolve(args, cfg, "out", "out"))
+    out = _resolve(args, cfg, "out", "out")
     reps = _resolve(args, cfg, "reps", 100_000, int)
     slope_N = _resolve(args, cfg, "N", 128, int)
+    _reject_unread(cfg, "diagnose")
+    os.makedirs(out, exist_ok=True)
     checks = []
 
     # conditional mean of the local quadrature error (analytic pair of problem A)
@@ -426,7 +418,7 @@ def cmd_diagnose(args) -> int:
     checks.append({"name": "martingale_mean_zero", "passed": bool(z <= 4.0),
                    "max_standardized_mean": z, "reps": reps})
 
-    reference = _reference(problem, args.ref_cache, args.ref_steps)
+    reference = reference_for(problem, cache_path=args.ref_cache, n_ref=args.ref_steps)
     ladder = [64, 128, 256, 512, 1024]
     for scheme in (SchemeKind.EXPLICIT_EULER, SchemeKind.RUNGE_KUTTA2):
         fit = convergence_slope(problem, reference, scheme, ladder, slope_N, seed)

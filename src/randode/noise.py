@@ -21,6 +21,8 @@ evaluation in call order.  For d = 1 each block is a single uniform u with
 perturbation magnitude (2u - 1) * delta.  Two oracles built from the same
 (master_seed, replication_index) therefore share identical grid draws
 regardless of their noise model, which couples exact and noisy runs.
+A :class:`ChunkOracle` makes the same draws for a chunk of replications of a
+d = 1 problem at once, from tapes filled per replication stream.
 """
 
 from __future__ import annotations
@@ -53,6 +55,11 @@ class NoiseModel:
             raise DomainError("delta must lie in [0, 1]")
         if self.kind == "exact" and self.delta != 0.0:
             raise DomainError("exact information forces delta = 0")
+
+    @property
+    def fresh(self) -> bool:
+        """True when every evaluation draws its own perturbation."""
+        return self.kind in ("ee", "rk") and self.delta > 0.0
 
     def bound(self, x) -> float:
         """The class bound on the perturbation emitted at state x."""
@@ -193,6 +200,21 @@ def fill_uniform_rows(keys: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _signed(u, delta):
+    """A U(0,1) draw u mapped to the factor (2u - 1) delta on [-delta, delta]."""
+    return (2.0 * u - 1.0) * delta
+
+
+def _perturbation_1d(kind: str, e, x):
+    """The d = 1 perturbation with drawn factor e at state x, elementwise.
+
+    ``ee`` and ``ie`` scale the factor by 1 + |x|; ``rk`` emits it as is.
+    """
+    if kind == "rk":
+        return e
+    return e * (1.0 + np.abs(x))
+
+
 def _l1_direction(rng, d: int) -> np.ndarray:
     """A unit one-norm direction: simplex point (cone measure) with random signs."""
     e = -np.log(rng.random(d))
@@ -207,7 +229,7 @@ def _ball_point(rng, center: np.ndarray, radius: float) -> np.ndarray:
     if radius == 0.0:
         return center.copy()
     if d == 1:
-        return center + radius * (2.0 * rng.random() - 1.0)
+        return center + _signed(rng.random(), radius)
     r = radius * rng.random() ** (1.0 / d)
     return center + r * _l1_direction(rng, d)
 
@@ -238,30 +260,25 @@ class NoisyOracle:
         self._e0 = 0.0
         self._dir0 = None
         if model.kind == "ie" and model.delta > 0.0:
-            self._e0 = (2.0 * self.noise_stream.random() - 1.0) * model.delta
+            self._e0 = _signed(self.noise_stream.random(), model.delta)
             if base.d > 1:
                 self._dir0 = _l1_direction(self.noise_stream, base.d)
 
-    def draw_tau(self) -> float:
-        """One U(0,1) grid draw from the dedicated grid stream."""
-        return self.grid_stream.random()
+    def draw_taus(self, n: int) -> np.ndarray:
+        """The next n U(0,1) draws of the dedicated grid stream."""
+        return self.grid_stream.random(n)
 
     def _perturbation(self, x: np.ndarray) -> np.ndarray:
         m = self.model
         d = self.base.d
         if m.kind == "exact" or m.delta == 0.0:
             return np.zeros(d)
-        if m.kind == "ie":
-            scale = self._e0 * (1.0 + one_norm(x))
-            if d == 1:
-                return np.array([scale])
-            return scale * self._dir0
-        # fresh draw per call
         if d == 1:
-            e = (2.0 * self.noise_stream.random() - 1.0) * m.delta
-            if m.kind == "ee":
-                return np.array([e * (1.0 + one_norm(x))])
-            return np.array([e])
+            e = self._e0 if m.kind == "ie" else _signed(self.noise_stream.random(), m.delta)
+            return np.atleast_1d(_perturbation_1d(m.kind, e, x))
+        if m.kind == "ie":
+            return self._e0 * (1.0 + one_norm(x)) * self._dir0
+        # fresh draw per call
         mag = self.noise_stream.random() * m.delta
         if m.kind == "ee":
             mag *= 1.0 + one_norm(x)
@@ -273,18 +290,78 @@ class NoisyOracle:
     def noisy_eval(self, t: float, x) -> np.ndarray:
         """f(t, x) + perturbation; increments the evaluation counter."""
         x = np.asarray(x, dtype=float)
+        i = self.replication_index
         base = np.atleast_1d(np.asarray(self.base.rhs(t, x), dtype=float))
         if not np.all(np.isfinite(base)):
-            raise NumericalError(f"rhs returned a non-finite value at t={t}")
+            raise NumericalError(f"replication {i}: rhs returned a non-finite value at t={t}",
+                                 replication=i)
         pert = self._perturbation(x)
         size, bound = one_norm(pert), self.model.bound(x)
         if not size <= bound * (1.0 + _BOUND_RTOL):
-            raise NumericalError(f"perturbation of one-norm {size!r} at t={t} exceeds its "
-                                 f"{self.model.kind} noise-class bound {bound!r}")
+            raise NumericalError(f"replication {i}: perturbation of one-norm {size!r} at t={t} "
+                                 f"exceeds its {self.model.kind} noise-class bound {bound!r}",
+                                 replication=i)
         self.eval_count += 1
         if self._record:
             self.samples.append((t, x.copy(), pert.copy()))
         return base + pert
+
+
+class ChunkOracle:
+    """The oracles of replications [lo, hi) of a d = 1 problem, evaluated together.
+
+    States have shape (m, 1), one row per replication, and ``base.rhs`` must
+    accept them elementwise.  Row i draws exactly what
+    ``NoisyOracle(base, model, master_seed, lo + i, perturb_eta)`` draws, in
+    the same order, read as columns of tapes filled from that replication's
+    streams (:func:`stream_keys`, :func:`fill_uniform_rows`): the grid tape
+    holds the taus; the noise tape holds the initial-value ball draw, then the
+    ``ie`` factor, then, for fresh noise, one draw per evaluation for
+    ``evals`` evaluations.  Evaluation is rhs plus the perturbation, without
+    :meth:`NoisyOracle.noisy_eval`'s per-call checks; ``eval_count`` counts
+    calls, each covering every row.  ``replication_index`` is lo, row 0's.
+    """
+
+    def __init__(self, base: IvpSpec, model: NoiseModel, master_seed, lo: int, hi: int,
+                 evals: int, perturb_eta: bool = False):
+        if base.d != 1:
+            raise DomainError("a chunk oracle needs a one-dimensional problem")
+        self.base = base
+        self.model = model
+        self.master_seed = master_seed
+        self.replication_index = lo
+        self._hi = hi
+        self.eval_count = 0
+        ball = perturb_eta and model.delta > 0.0
+        ie = model.kind == "ie" and model.delta > 0.0
+        self._noise = np.empty((hi - lo, ball + ie + (evals if model.fresh else 0)))
+        if self._noise.size:
+            fill_uniform_rows(stream_keys(master_seed, lo, hi, 1), self._noise)
+        self._col = 0
+        self.eta_tilde = base.eta[0] + self._draw() if ball else np.full((hi - lo, 1), base.eta[0])
+        self._e0 = self._draw() if ie else None
+
+    def _draw(self) -> np.ndarray:
+        """Every row's next noise draw as its factor (2u - 1) delta, shape (m, 1)."""
+        u = self._noise[:, self._col, None]
+        self._col += 1
+        return _signed(u, self.model.delta)
+
+    def draw_taus(self, n: int) -> np.ndarray:
+        """Every row's first n grid draws, step-major: shape (n, m, 1)."""
+        keys = stream_keys(self.master_seed, self.replication_index, self._hi, 0)
+        taus = fill_uniform_rows(keys, np.empty((keys.shape[0], n)))
+        return taus.T[:, :, None]
+
+    def noisy_eval(self, t, x) -> np.ndarray:
+        """rhs(t, x) plus every row's perturbation."""
+        self.eval_count += 1
+        f = self.base.rhs(t, x)
+        kind = self.model.kind
+        if kind == "exact" or self.model.delta == 0.0:
+            return f
+        e = self._e0 if kind == "ie" else self._draw()
+        return f + _perturbation_1d(kind, e, x)
 
 
 def make_oracle(p: IvpSpec, m: NoiseModel, master_seed, replication_index: int,

@@ -4,6 +4,11 @@ Each scheme advances on the uniform grid t_j = a + j h and evaluates the
 noisy oracle at a uniformly random intermediate point theta_j drawn per step
 from the oracle's grid stream.  The continuous output is the linear
 interpolant of the node values.
+
+Each scheme is written once and steps either one replication (a
+:class:`NoisyOracle`, state shape (d,)) or a whole chunk of replications (a
+:class:`ChunkOracle`, state shape (m, 1), one row per replication) with the
+same elementwise arithmetic, so the two give bitwise-identical nodes.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ import enum
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError, NumericalError
-from .noise import NoisyOracle
-from .problems import d_exact_solution_A, exact_solution_A, one_norm
+from .noise import ChunkOracle, NoisyOracle
+from .problems import d_exact_solution_A, exact_solution_A
 
 
 class SchemeKind(enum.Enum):
@@ -48,15 +53,31 @@ def gamma_of(s: SchemeKind, rho: float) -> float:
     return min(rho + 0.5, 1.0)
 
 
+def write_csv(path, header, rows):
+    """Write a header row and data rows; floats as repr, which round-trips them exactly."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+
+
 @dataclasses.dataclass(frozen=True)
 class Grid:
-    """Uniform knots plus the random evaluation points of one run."""
+    """Uniform knots plus the random evaluation points of one run.
+
+    ``taus`` has shape (n,) for one replication and (n, m, 1) for a chunk,
+    so ``taus[j - 1]`` is step j's draw of every row.
+    """
 
     n: int
     h: float
     knots: np.ndarray   # (n+1,)
-    thetas: np.ndarray  # (n,), theta_j in [t_{j-1}, t_j)
-    taus: np.ndarray    # (n,), theta_j = t_{j-1} + tau_j h
+    taus: np.ndarray
+
+    def theta(self, j: int):
+        """Step j's evaluation point theta_j = t_{j-1} + tau_j h in [t_{j-1}, t_j)."""
+        return self.knots[j - 1] + self.h * self.taus[j - 1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,7 +86,7 @@ class Trajectory:
 
     scheme: SchemeKind
     grid: Grid
-    nodes: np.ndarray   # (n+1, d)
+    nodes: np.ndarray   # (n+1, d); a chunk of m replications: (m, n+1, 1)
     eval_count: int
 
     @property
@@ -95,78 +116,70 @@ class Trajectory:
     def write_csv(self, path):
         """Write (t_j, node coordinates) rows."""
         d = self.nodes.shape[1]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t"] + [f"x{k}" for k in range(d)])
-            for t, row in zip(self.grid.knots, self.nodes):
-                w.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+        write_csv(path, ["t"] + [f"x{k}" for k in range(d)],
+                  np.column_stack([self.grid.knots, self.nodes]))
 
 
-def interpolate(tr: Trajectory, t: float) -> np.ndarray:
-    """Piecewise-linear value of the run at time t."""
-    return tr.at(t)
+def _check_finite(values, step: int, replication: int):
+    """Raise NumericalError for the first row of values that holds a non-finite value.
+
+    values has shape (steps, d) for one replication or (m, steps, d) for the
+    rows replication, replication + 1, ...; its step k is scheme step step + k.
+    """
+    if np.isfinite(values).all():
+        return
+    finite = np.isfinite(values).all(axis=-1).reshape(-1, values.shape[-2])
+    row = int(np.argmin(finite.all(axis=1)))
+    step += int(np.argmin(finite[row]))
+    raise NumericalError(f"replication {replication + row}: non-finite node value at "
+                         f"step {step}", step=step, replication=replication + row)
 
 
-def _check_finite(x, step):
-    if not np.all(np.isfinite(x)):
-        raise NumericalError(f"non-finite node value at step {step}", step=step)
-
-
-def _taus_for(oracle: NoisyOracle, n: int, taus):
-    if taus is None:
-        return np.array([oracle.draw_tau() for _ in range(n)])
-    taus = np.asarray(taus, dtype=float)
-    if taus.shape != (n,):
-        raise DomainError(f"taus override must have shape ({n},)")
-    return taus
-
-
-def _grid(oracle: NoisyOracle, n: int, taus) -> Grid:
-    a, b = oracle.base.a, oracle.base.b
-    h = (b - a) / n
-    knots = a + h * np.arange(n + 1)
-    ts = _taus_for(oracle, n, taus)
-    return Grid(n=n, h=h, knots=knots, thetas=knots[:-1] + ts * h, taus=ts)
-
-
-def run_explicit_euler(oracle: NoisyOracle, n: int, taus=None) -> Trajectory:
-    """W_j = W_{j-1} + h f~(theta_j, W_{j-1}); one oracle call per step."""
+def _start(oracle, n: int, taus):
+    """The run's grid, initial state and node array, node 0 filled."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    g = _grid(oracle, n, taus)
-    d = oracle.base.d
-    nodes = np.empty((n + 1, d))
+    if taus is None:
+        taus = oracle.draw_taus(n)
+    else:
+        taus = np.asarray(taus, dtype=float)
+        if taus.shape != (n,):
+            raise DomainError(f"taus override must have shape ({n},)")
+    a, b = oracle.base.a, oracle.base.b
+    h = (b - a) / n
+    g = Grid(n=n, h=h, knots=a + h * np.arange(n + 1), taus=taus)
     w = oracle.eta_tilde.copy()
-    nodes[0] = w
+    nodes = np.empty(w.shape[:-1] + (n + 1, w.shape[-1]))
+    nodes[..., 0, :] = w
+    return g, w, nodes
+
+
+def run_explicit_euler(oracle: NoisyOracle | ChunkOracle, n: int, taus=None) -> Trajectory:
+    """W_j = W_{j-1} + h f~(theta_j, W_{j-1}); one oracle call per step."""
+    g, w, nodes = _start(oracle, n, taus)
     for j in range(1, n + 1):
-        w = w + g.h * oracle.noisy_eval(g.thetas[j - 1], w)
-        _check_finite(w, j)
-        nodes[j] = w
+        w = w + g.h * oracle.noisy_eval(g.theta(j), w)
+        nodes[..., j, :] = w
+    _check_finite(nodes, 0, oracle.replication_index)
     return Trajectory(SchemeKind.EXPLICIT_EULER, g, nodes, oracle.eval_count)
 
 
-def run_rk2(oracle: NoisyOracle, n: int, taus=None) -> Trajectory:
+def run_rk2(oracle: NoisyOracle | ChunkOracle, n: int, taus=None) -> Trajectory:
     """Two-stage step: a tau-scaled stage at t_{j-1}, then the update at theta_j.
 
     Two oracle calls per step; the stage values are transient.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    g = _grid(oracle, n, taus)
-    d = oracle.base.d
-    nodes = np.empty((n + 1, d))
-    v = oracle.eta_tilde.copy()
-    nodes[0] = v
+    g, v, nodes = _start(oracle, n, taus)
     for j in range(1, n + 1):
-        tau = g.taus[j - 1]
-        stage = v + g.h * tau * oracle.noisy_eval(g.knots[j - 1], v)
-        v = v + g.h * oracle.noisy_eval(g.thetas[j - 1], stage)
-        _check_finite(v, j)
-        nodes[j] = v
+        t0, htau = g.knots[j - 1], g.h * g.taus[j - 1]
+        stage = v + htau * oracle.noisy_eval(t0, v)
+        v = v + g.h * oracle.noisy_eval(t0 + htau, stage)  # at theta_j
+        nodes[..., j, :] = v
+    _check_finite(nodes, 0, oracle.replication_index)
     return Trajectory(SchemeKind.RUNGE_KUTTA2, g, nodes, oracle.eval_count)
 
 
-def run_implicit_euler(oracle: NoisyOracle, n: int, tol: float = 1e-12,
+def run_implicit_euler(oracle: NoisyOracle | ChunkOracle, n: int, tol: float = 1e-12,
                        max_iter: int = 100, taus=None) -> Trajectory:
     """U_j = U_{j-1} + h f~(theta_j, U_j), solved by fixed-point iteration.
 
@@ -177,39 +190,35 @@ def run_implicit_euler(oracle: NoisyOracle, n: int, tol: float = 1e-12,
     is one oracle evaluation.  Note that the per-call-fresh noise classes
     ("ee", "rk") re-randomize the map between iterations and may prevent
     convergence below the noise scale; the "ie" class keeps f~ fixed.
+
+    On a chunk every row iterates until it converges and is then frozen at
+    that iterate, so each row gets exactly its own replication's result.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
     if tol <= 0:
         raise DomainError("tol must be positive")
-    h = (oracle.base.b - oracle.base.a) / n
-    q = h * (oracle.base.class_params.L + oracle.model.delta)
+    g, u, nodes = _start(oracle, n, taus)
+    q = g.h * (oracle.base.class_params.L + oracle.model.delta)
     if not q < 1.0:
         raise DomainError(f"contraction margin violated: h(L + delta) = {q} >= 1")
-    g = _grid(oracle, n, taus)
-    d = oracle.base.d
-    nodes = np.empty((n + 1, d))
-    u = oracle.eta_tilde.copy()
-    nodes[0] = u
     for j in range(1, n + 1):
-        theta = g.thetas[j - 1]
-        base = u
-        cur = base
+        theta = g.theta(j)
+        cur = u
+        active = np.ones(u.shape[:-1], dtype=bool)
         for _ in range(max_iter):
-            nxt = base + h * oracle.noisy_eval(theta, cur)
-            _check_finite(nxt, j)
-            done = one_norm(nxt - cur) <= tol
+            nxt = np.where(active[..., None], u + g.h * oracle.noisy_eval(theta, cur), cur)
+            _check_finite(nxt[..., None, :], j, oracle.replication_index)
+            active &= np.sum(np.abs(nxt - cur), axis=-1) > tol
             cur = nxt
-            if done:
+            if not active.any():
                 break
         else:
             raise ConvergenceError(f"fixed point did not converge at step {j}", step=j)
         u = cur
-        nodes[j] = u
+        nodes[..., j, :] = u
     return Trajectory(SchemeKind.IMPLICIT_EULER, g, nodes, oracle.eval_count)
 
 
-def run_scheme(oracle: NoisyOracle, scheme: SchemeKind, n: int, taus=None,
+def run_scheme(oracle: NoisyOracle | ChunkOracle, scheme: SchemeKind, n: int, taus=None,
                ie_tol: float = 1e-12, ie_max_iter: int = 100) -> Trajectory:
     if scheme is SchemeKind.EXPLICIT_EULER:
         return run_explicit_euler(oracle, n, taus=taus)

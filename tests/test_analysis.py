@@ -1,5 +1,10 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from randode import (
     ClassParams,
@@ -25,7 +30,7 @@ from randode import (
     xi_hat,
 )
 from randode.analysis import default_ref_cache, order_statistic_index, wilson_interval
-from randode.noise import derive_streams
+from randode.noise import NOISE_KINDS, derive_streams
 
 from conftest import constant_field_problem, zero_field_problem
 
@@ -98,32 +103,63 @@ class TestRunBatch:
         b2 = run_batch(problem_A, ref_A, RK, 9, NoiseModel("rk", 0.01), 100, 5, chunk_size=100)
         assert np.array_equal(b1.errors, b2.errors)
 
-    @pytest.mark.parametrize("scheme", [EE, RK])
-    @pytest.mark.parametrize("kind,delta", [("exact", 0.0), ("ee", 0.02), ("rk", 0.02), ("ie", 0.02)])
+    @pytest.mark.parametrize("kind,delta,scheme", [
+        (kind, delta, scheme) for scheme in (EE, RK)
+        for kind, delta in (("exact", 0.0), ("ee", 0.02), ("rk", 0.02), ("ie", 0.02))
+    ] + [("exact", 0.0, IE), ("ie", 0.02, IE)])
     def test_fast_path_matches_scalar_path(self, problem_A, problem_B, ref_A, ref_B,
                                            scheme, kind, delta):
         noise = NoiseModel(kind, delta)
-        for p, ref in ((problem_A, ref_A), (problem_B, ref_B)):
-            fast = run_batch(p, ref, scheme, 11, noise, 32, 77, chunk_size=13)
-            slow = run_batch(p, ref, scheme, 11, noise, 32, 77, force_scalar=True)
+        n = 64 if scheme is IE else 11  # implicit Euler on B needs h (L + delta) < 1
+        for (p, ref), perturb_eta in itertools.product(
+                ((problem_A, ref_A), (problem_B, ref_B)), (False, True)):
+            fast = run_batch(p, ref, scheme, n, noise, 32, 77, chunk_size=13,
+                             perturb_eta=perturb_eta)
+            slow = run_batch(dataclasses.replace(p, rhs_vectorized=False), ref, scheme, n,
+                             noise, 32, 77, perturb_eta=perturb_eta)
             assert np.array_equal(fast.errors, slow.errors)
 
-    @pytest.mark.parametrize("force_scalar", [False, True])
-    def test_non_finite_node_names_its_replication(self, force_scalar):
+    @given(scheme=st.sampled_from([EE, RK, IE]), kind=st.sampled_from(NOISE_KINDS),
+           delta=st.floats(0.0, 0.1), n=st.integers(3, 40), seed=st.integers(0, 2**64),
+           chunk_size=st.integers(1, 12), perturb_eta=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_batched_equals_per_replication(self, problem_A, ref_A, scheme, kind, delta, n,
+                                            seed, chunk_size, perturb_eta):
+        noise = NoiseModel(kind, 0.0 if kind == "exact" else delta)
+        assume(not (scheme is IE and noise.fresh))  # that cell runs per replication anyway
+        per_rep = dataclasses.replace(problem_A, rhs_vectorized=False)
+        batched = run_batch(problem_A, ref_A, scheme, n, noise, 12, seed,
+                            chunk_size=chunk_size, perturb_eta=perturb_eta)
+        single = run_batch(per_rep, ref_A, scheme, n, noise, 12, seed, perturb_eta=perturb_eta)
+        assert np.array_equal(batched.errors, single.errors)
+
+    def test_closure_rhs_runs_serially_under_parallelism(self):
+        k = 0.5
+        p = IvpSpec(a=0.0, b=1.0, d=1, eta=np.ones(1), rhs=lambda t, x: -k * x,
+                    class_params=ClassParams(K=1.0, L=k, rho=1.5), name="closure",
+                    rhs_vectorized=True)
+        ref = ReferenceSolution.analytic(lambda t: np.exp(-k * np.asarray(t)))
+        noise = NoiseModel("ee", 0.01)
+        serial = run_batch(p, ref, EE, 8, noise, 20, 3, chunk_size=10)
+        with pytest.warns(RuntimeWarning, match="serially"):
+            pooled = run_batch(p, ref, EE, 8, noise, 20, 3, chunk_size=10, parallelism=2)
+        assert np.array_equal(serial.errors, pooled.errors)
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_non_finite_node_names_its_replication(self, vectorized):
         # the field is infinite beyond t = 0.9: with n = 1 a replication
         # fails exactly when its tau exceeds 0.9
         p = IvpSpec(a=0.0, b=1.0, d=1, eta=np.ones(1),
                     rhs=lambda t, x: np.where(np.asarray(t) > 0.9, np.inf, 0.0 * x),
                     class_params=ClassParams(K=1.0, L=0.0, rho=1.5), name="spike",
-                    rhs_vectorized=True)
+                    rhs_vectorized=vectorized)
         ref = ReferenceSolution.analytic(np.ones_like)
         first = next(i for i in range(64) if derive_streams(7, i)[0].random() > 0.9)
         assert first >= 7  # lies past the first chunk
         with pytest.raises(NumericalError) as info:
-            run_batch(p, ref, EE, 1, exact_info(), 64, 7, chunk_size=7,
-                      force_scalar=force_scalar)
+            run_batch(p, ref, EE, 1, exact_info(), 64, 7, chunk_size=7)
         assert info.value.replication == first
-        if not force_scalar:
+        if vectorized:
             assert info.value.step == 1
 
     def test_implicit_euler_batch(self, problem_A, ref_A):

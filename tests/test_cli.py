@@ -150,6 +150,10 @@ class TestTable:
         cfg.write_text("[experiment]\nproblem = A\nreplications = 200\n")
         assert run_cli("--config", str(cfg), "table", "--out", str(tmp_path)) == 2
         assert "replications" in capsys.readouterr().err
+        # a key that only another command reads is not silently ignored either
+        cfg.write_text("[experiment]\nproblem = A\nxi = 3\n")
+        assert run_cli("--config", str(cfg), "table", "--out", str(tmp_path)) == 2
+        assert "xi" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli("--config", str(tmp_path / "nope.ini"), "table") == 2

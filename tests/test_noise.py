@@ -75,7 +75,7 @@ class TestOracle:
         seq_a = [a.noisy_eval(0.3, [1.0])[0] for _ in range(50)]
         seq_b = [b.noisy_eval(0.3, [1.0])[0] for _ in range(50)]
         assert seq_a == seq_b
-        assert [a.draw_tau() for _ in range(16)] == [b.draw_tau() for _ in range(16)]
+        assert np.array_equal(a.draw_taus(16), b.draw_taus(16))
 
     def test_replications_do_not_collide(self, problem_A):
         m = NoiseModel("ee", 0.05)
@@ -91,7 +91,7 @@ class TestOracle:
         a = make_oracle(problem_A, exact_info(), 9, 5)
         b = make_oracle(problem_A, NoiseModel("ee", 0.3), 9, 5)
         b.noisy_eval(0.1, [1.0])  # noise consumption must not shift taus
-        assert [a.draw_tau() for _ in range(32)] == [b.draw_tau() for _ in range(32)]
+        assert np.array_equal(a.draw_taus(32), b.draw_taus(32))
 
     def test_bound_violation_raises(self, problem_A, monkeypatch):
         # an explicit check, not an assert, so python -O keeps it

@@ -9,7 +9,6 @@ from randode import (
     SchemeKind,
     exact_info,
     gamma_of,
-    interpolate,
     make_oracle,
     martingale_diagnostic,
     run_batch,
@@ -121,23 +120,23 @@ class TestTrajectory:
         o = make_oracle(problem_A, exact_info(), 5, 0)
         tr = run_explicit_euler(o, 4)
         for j, t in enumerate(tr.grid.knots):
-            assert np.array_equal(interpolate(tr, t), tr.nodes[j])
+            assert np.array_equal(tr.at(t), tr.nodes[j])
         mid = 0.5 * (tr.grid.knots[1] + tr.grid.knots[2])
         expected = 0.5 * (tr.nodes[1] + tr.nodes[2])
-        assert interpolate(tr, mid) == pytest.approx(expected, abs=1e-14)
+        assert tr.at(mid) == pytest.approx(expected, abs=1e-14)
 
     def test_simple_segment(self):
         p = zero_field_problem()
         o = make_oracle(p, exact_info(), 0, 0)
         tr = run_explicit_euler(o, 1)
         tr.nodes[:] = [[0.0], [2.0]]
-        assert interpolate(tr, 0.25)[0] == pytest.approx(0.5, abs=1e-15)
+        assert tr.at(0.25)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_domain_checked(self, problem_A):
         o = make_oracle(problem_A, exact_info(), 5, 0)
         tr = run_explicit_euler(o, 4)
         with pytest.raises(DomainError):
-            interpolate(tr, 1.5)
+            tr.at(1.5)
 
     @given(st.floats(0.0, 1.0))
     @settings(max_examples=50, deadline=None)
@@ -147,7 +146,7 @@ class TestTrajectory:
         tr = run_explicit_euler(o, 5)
         rng = np.random.default_rng(0)
         tr.nodes[:, 0] = rng.normal(size=6)
-        v = interpolate(tr, t)[0]
+        v = tr.at(t)[0]
         j = min(int(t * 5), 4)
         lo = min(tr.nodes[j, 0], tr.nodes[j + 1, 0])
         hi = max(tr.nodes[j, 0], tr.nodes[j + 1, 0])
@@ -157,8 +156,9 @@ class TestTrajectory:
         o = make_oracle(problem_A, exact_info(), 123, 0)
         tr = run_rk2(o, 50)
         g = tr.grid
-        assert np.all(g.thetas >= g.knots[:-1])
-        assert np.all(g.thetas < g.knots[1:])
+        thetas = np.array([g.theta(j) for j in range(1, g.n + 1)])
+        assert np.all(thetas >= g.knots[:-1])
+        assert np.all(thetas < g.knots[1:])
 
     def test_csv_roundtrip(self, problem_A, tmp_path):
         o = make_oracle(problem_A, exact_info(), 5, 0)
