@@ -23,7 +23,7 @@ import warnings
 import numpy as np
 
 from .exceptions import DomainError, ReferenceSolutionError
-from .noise import ChunkOracle, NoiseModel, exact_info, make_oracle
+from .noise import _BLOCK_ELEMS, ChunkOracle, NoiseModel, exact_info, make_oracle
 from .problems import IvpSpec, exact_solution_A
 from .schemes import SchemeKind, Trajectory, run_scheme, write_csv
 
@@ -100,20 +100,55 @@ def _reference_grids(ref: ReferenceSolution, knots: np.ndarray, dt: np.ndarray):
     return ref_knots, ref_int
 
 
+def _scratch(buf: np.ndarray, shape) -> np.ndarray:
+    """A C-contiguous array of the given shape over the front of a flat buffer."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
 def _sup_error_kernel(nodes: np.ndarray, h: float, ref_knots: np.ndarray,
                       ref_int: np.ndarray, dt: np.ndarray) -> np.ndarray:
     """Max one-norm deviation over knots and interior offsets.
 
     ``nodes`` has shape (M, n+1, d); returns (M,).  This is the frozen
     evaluation rule shared by :func:`sup_error` and the batched runner, so
-    the two produce bitwise-identical results.
+    the two produce bitwise-identical results.  The interior value at offset
+    dt[k] of step j is nodes[j-1] + dt[k] * slope_j, with slope_j =
+    (nodes[j] - nodes[j-1]) / h, rounded in that order.
+
+    Rows are taken in blocks of about ``_BLOCK_ELEMS`` node values (at least
+    one row).  Every deviation of a block is written into one reused scratch
+    array, so the kernel needs O(block) memory whatever M and n are, and its
+    working set stays in cache.
     """
-    slopes = (nodes[:, 1:, :] - nodes[:, :-1, :]) / h
-    err = np.sum(np.abs(nodes - ref_knots[None, :, :]), axis=2).max(axis=1)
-    for k in range(dt.shape[0]):
-        vals = nodes[:, :-1, :] + dt[k] * slopes
-        dev = np.sum(np.abs(vals - ref_int[None, k, :, :]), axis=2).max(axis=1)
-        err = np.maximum(err, dev)
+    M, n1, d = nodes.shape
+    rows = max(1, min(M, _BLOCK_ELEMS // (n1 * d)))
+    slope_buf = np.empty(rows * (n1 - 1) * d)
+    dev_buf = np.empty(rows * n1 * d)
+    sum_buf = np.empty(rows * n1) if d > 1 else None
+    row_max = np.empty(rows)
+    err = np.empty(M)
+
+    def max_norm(dev, out):
+        """Per row, the largest one-norm of dev (b, width, d), into out."""
+        np.abs(dev, out=dev)
+        norms = dev[..., 0] if d == 1 else np.sum(dev, axis=2,
+                                                  out=_scratch(sum_buf, dev.shape[:2]))
+        return np.max(norms, axis=1, out=out)
+
+    for r0 in range(0, M, rows):
+        block = nodes[r0:r0 + rows]
+        b = block.shape[0]
+        out = err[r0:r0 + b]
+        max_norm(np.subtract(block, ref_knots, out=_scratch(dev_buf, block.shape)), out)
+        slopes = np.subtract(block[:, 1:], block[:, :-1],
+                             out=_scratch(slope_buf, (b, n1 - 1, d)))
+        np.divide(slopes, h, out=slopes)
+        dev = _scratch(dev_buf, slopes.shape)
+        for k in range(dt.shape[0]):
+            np.multiply(dt[k], slopes, out=dev)
+            np.add(block[:, :-1], dev, out=dev)
+            np.subtract(dev, ref_int[k], out=dev)
+            np.maximum(out, max_norm(dev, row_max[:b]), out=out)
     return err
 
 
@@ -505,14 +540,23 @@ def _write_reference(path, header: dict, values: np.ndarray):
 
 
 def _read_reference(path) -> tuple:
+    """The cache file's header and values, checked against the header's checksum.
+
+    The values are read into a writeable array: ``np.interp`` copies a
+    read-only one (such as ``np.frombuffer`` of bytes) on every call.
+    """
     with open(path, "rb") as fh:
         if fh.read(len(REF_MAGIC)) != REF_MAGIC:
             raise ValueError("bad magic")
         header = json.loads(fh.readline().decode())
-        payload = fh.read()
-    if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size % 8:
+            raise ValueError("payload is not a whole number of float64 values")
+        values = np.empty(size // 8, dtype="<f8")
+        if fh.readinto(memoryview(values).cast("B")) != size:
+            raise ValueError("payload shorter than the file")
+    if hashlib.sha256(memoryview(values)).hexdigest() != header.get("sha256"):
         raise ValueError("checksum mismatch")
-    values = np.frombuffer(payload, dtype="<f8")
     return header, values
 
 

@@ -19,11 +19,16 @@ class NumericalError(ArithmeticError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver exhausted its iteration budget."""
+    """An iterative solver exhausted its iteration budget.
 
-    def __init__(self, message, step=None):
+    ``step`` is the scheme step and ``replication`` the Monte Carlo
+    replication index where it happened, when known.
+    """
+
+    def __init__(self, message, step=None, replication=None):
         super().__init__(message)
         self.step = step
+        self.replication = replication
 
 
 class ReferenceSolutionError(RuntimeError):

@@ -103,6 +103,11 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 _MAX_REPLICATIONS = 1 << 32  # a wider index takes two spawn-key words
 
+#: elements of one scratch block on the batched path (256 KiB of float64):
+#: the tape fill here and the sup-error kernel in analysis.py
+_BLOCK_ELEMS = 1 << 15
+_TAPE_ROWS = 16
+
 
 def _entropy_words(x) -> list:
     """The uint32 words (least significant first) SeedSequence reads from x."""
@@ -198,6 +203,28 @@ def fill_uniform_rows(keys: np.ndarray, out: np.ndarray) -> np.ndarray:
         bit_gen.state = state
         gen.random(out=row)
     return out
+
+
+def _step_major_tape(keys: np.ndarray, steps: int, delta=None) -> np.ndarray:
+    """The leading draws of each stream, step-major: tape[s, i, 0] is draw s of keys[i].
+
+    Rows are filled a block at a time into a scratch of about
+    ``_BLOCK_ELEMS`` draws (:func:`fill_uniform_rows`) and written
+    transposed, so no full row-major copy is made.  A block has at least
+    ``_TAPE_ROWS`` rows, so that each transposed write covers whole cache
+    lines of the tape.  With ``delta`` every draw u is stored as its factor
+    (2u - 1) delta.
+    """
+    m = keys.shape[0]
+    tape = np.empty((steps, m, 1))
+    rows = max(1, min(m, max(_TAPE_ROWS, _BLOCK_ELEMS // max(steps, 1))))
+    scratch = np.empty((rows, steps))
+    for r0 in range(0, m, rows):
+        block = fill_uniform_rows(keys[r0:r0 + rows], scratch[:min(rows, m - r0)])
+        if delta is not None:
+            block = _signed(block, delta)
+        tape[:, r0:r0 + block.shape[0], 0] = block.T
+    return tape
 
 
 def _signed(u, delta):
@@ -313,13 +340,15 @@ class ChunkOracle:
     States have shape (m, 1), one row per replication, and ``base.rhs`` must
     accept them elementwise.  Row i draws exactly what
     ``NoisyOracle(base, model, master_seed, lo + i, perturb_eta)`` draws, in
-    the same order, read as columns of tapes filled from that replication's
-    streams (:func:`stream_keys`, :func:`fill_uniform_rows`): the grid tape
-    holds the taus; the noise tape holds the initial-value ball draw, then the
-    ``ie`` factor, then, for fresh noise, one draw per evaluation for
-    ``evals`` evaluations.  Evaluation is rhs plus the perturbation, without
-    :meth:`NoisyOracle.noisy_eval`'s per-call checks; ``eval_count`` counts
-    calls, each covering every row.  ``replication_index`` is lo, row 0's.
+    the same order, read from step-major tapes filled from that replication's
+    streams (:func:`stream_keys`, :func:`_step_major_tape`), so each draw of
+    every row is one contiguous (m, 1) slice: the grid tape holds the taus;
+    the noise tape holds, already mapped to (2u - 1) delta, the initial-value
+    ball draw, then the ``ie`` factor, then, for fresh noise, one draw per
+    evaluation for ``evals`` evaluations.  Evaluation is rhs plus the
+    perturbation, without :meth:`NoisyOracle.noisy_eval`'s per-call checks;
+    ``eval_count`` counts calls, each covering every row.
+    ``replication_index`` is lo, row 0's.
     """
 
     def __init__(self, base: IvpSpec, model: NoiseModel, master_seed, lo: int, hi: int,
@@ -334,24 +363,23 @@ class ChunkOracle:
         self.eval_count = 0
         ball = perturb_eta and model.delta > 0.0
         ie = model.kind == "ie" and model.delta > 0.0
-        self._noise = np.empty((hi - lo, ball + ie + (evals if model.fresh else 0)))
-        if self._noise.size:
-            fill_uniform_rows(stream_keys(master_seed, lo, hi, 1), self._noise)
-        self._col = 0
+        draws = ball + ie + (evals if model.fresh else 0)
+        self._noise = (_step_major_tape(stream_keys(master_seed, lo, hi, 1), draws, model.delta)
+                       if draws else None)
+        self._next = 0
         self.eta_tilde = base.eta[0] + self._draw() if ball else np.full((hi - lo, 1), base.eta[0])
         self._e0 = self._draw() if ie else None
 
     def _draw(self) -> np.ndarray:
         """Every row's next noise draw as its factor (2u - 1) delta, shape (m, 1)."""
-        u = self._noise[:, self._col, None]
-        self._col += 1
-        return _signed(u, self.model.delta)
+        e = self._noise[self._next]
+        self._next += 1
+        return e
 
     def draw_taus(self, n: int) -> np.ndarray:
-        """Every row's first n grid draws, step-major: shape (n, m, 1)."""
-        keys = stream_keys(self.master_seed, self.replication_index, self._hi, 0)
-        taus = fill_uniform_rows(keys, np.empty((keys.shape[0], n)))
-        return taus.T[:, :, None]
+        """Every row's first n grid draws, step-major: C-contiguous, shape (n, m, 1)."""
+        return _step_major_tape(stream_keys(self.master_seed, self.replication_index,
+                                            self._hi, 0), n)
 
     def noisy_eval(self, t, x) -> np.ndarray:
         """rhs(t, x) plus every row's perturbation."""

@@ -192,7 +192,8 @@ def run_implicit_euler(oracle: NoisyOracle | ChunkOracle, n: int, tol: float = 1
     convergence below the noise scale; the "ie" class keeps f~ fixed.
 
     On a chunk every row iterates until it converges and is then frozen at
-    that iterate, so each row gets exactly its own replication's result.
+    that iterate, so each row gets exactly its own replication's result.  A
+    ConvergenceError names the first replication still iterating.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -212,7 +213,9 @@ def run_implicit_euler(oracle: NoisyOracle | ChunkOracle, n: int, tol: float = 1
             if not active.any():
                 break
         else:
-            raise ConvergenceError(f"fixed point did not converge at step {j}", step=j)
+            i = oracle.replication_index + int(np.argmax(active.reshape(-1)))
+            raise ConvergenceError(f"replication {i}: fixed point did not converge at "
+                                   f"step {j}", step=j, replication=i)
         u = cur
         nodes[..., j, :] = u
     return Trajectory(SchemeKind.IMPLICIT_EULER, g, nodes, oracle.eval_count)

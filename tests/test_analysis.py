@@ -1,13 +1,16 @@
 import dataclasses
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from randode import (
     ClassParams,
+    ConvergenceError,
     DomainError,
     IvpSpec,
     NoiseModel,
@@ -24,13 +27,15 @@ from randode import (
     make_oracle,
     run_batch,
     run_explicit_euler,
+    run_implicit_euler,
     run_rk2,
     sup_error,
     tail_curve,
     xi_hat,
 )
+from randode import analysis
 from randode.analysis import default_ref_cache, order_statistic_index, wilson_interval
-from randode.noise import NOISE_KINDS, derive_streams
+from randode.noise import NOISE_KINDS, ChunkOracle, derive_streams
 
 from conftest import constant_field_problem, zero_field_problem
 
@@ -78,6 +83,57 @@ class TestSupError:
         tr = run_explicit_euler(o, 4)
         with pytest.raises(ReferenceSolutionError):
             sup_error(tr, ref)
+
+
+def unblocked_sup_error_kernel(nodes, h, ref_knots, ref_int, dt):
+    """The specification of analysis._sup_error_kernel: whole-array temporaries."""
+    slopes = (nodes[:, 1:, :] - nodes[:, :-1, :]) / h
+    err = np.sum(np.abs(nodes - ref_knots[None, :, :]), axis=2).max(axis=1)
+    for k in range(dt.shape[0]):
+        vals = nodes[:, :-1, :] + dt[k] * slopes
+        dev = np.sum(np.abs(vals - ref_int[None, k, :, :]), axis=2).max(axis=1)
+        err = np.maximum(err, dev)
+    return err
+
+
+def _kernel_inputs(M, n, d, subsamples, seed):
+    rng = np.random.default_rng(seed)
+    h = 1.0 / n
+    dt = analysis._interior_offsets(h, subsamples)
+    nodes = 1.0 + np.cumsum(rng.standard_normal((M, n + 1, d)) * h, axis=1)
+    ref_knots = 1.0 + rng.standard_normal((n + 1, d)) * 0.1
+    ref_int = 1.0 + rng.standard_normal((subsamples, n, d)) * 0.1
+    return nodes, h, ref_knots, ref_int, dt
+
+
+class TestSupErrorKernel:
+    @given(M=st.integers(1, 40), n=st.integers(1, 60), d=st.sampled_from([1, 3]),
+           subsamples=st.integers(1, 9), block=st.sampled_from([None, 1, 5, 64, 700]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(M=1, n=33_000, d=1, subsamples=2, block=None, seed=1)  # n + 1 > the real block
+    @example(M=3, n=11_000, d=3, subsamples=3, block=None, seed=2)
+    @example(M=7, n=4, d=3, subsamples=8, block=30, seed=3)  # two rows a block, last one alone
+    @settings(max_examples=80, deadline=None)
+    def test_blocked_matches_unblocked(self, M, n, d, subsamples, block, seed):
+        args = _kernel_inputs(M, n, d, subsamples, seed)
+        with mock.patch.object(analysis, "_BLOCK_ELEMS", block or analysis._BLOCK_ELEMS):
+            got = analysis._sup_error_kernel(*args)
+        assert np.array_equal(got, unblocked_sup_error_kernel(*args))
+
+    def test_scratch_is_o_block(self):
+        # 200 rows of n = 5000 make six-row blocks, the last one of two rows
+        args = _kernel_inputs(200, 5000, 1, 8, 0)
+        want = unblocked_sup_error_kernel(*args)
+        tracemalloc.start()
+        try:
+            got = analysis._sup_error_kernel(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        block_bytes = 8 * analysis._BLOCK_ELEMS
+        assert peak <= 4 * block_bytes  # two scratch blocks and small change
+        assert peak * 10 < 8 * 200 * 5000  # one (m, n) array
 
 
 class TestRunBatch:
@@ -161,6 +217,33 @@ class TestRunBatch:
         assert info.value.replication == first
         if vectorized:
             assert info.value.step == 1
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_non_converged_fixed_point_names_its_replication(self, vectorized):
+        # beyond t = 0.9 the field is -x and, with n = 1, the fixed-point map
+        # u -> 1 - u cycles between 1 and 0; elsewhere it converges at once
+        p = IvpSpec(a=0.0, b=1.0, d=1, eta=np.ones(1),
+                    rhs=lambda t, x: np.where(np.asarray(t) > 0.9, -x, 0.0 * x),
+                    class_params=ClassParams(K=1.0, L=0.0, rho=1.5), name="cycle",
+                    rhs_vectorized=vectorized)
+        ref = ReferenceSolution.analytic(np.ones_like)
+        first = next(i for i in range(64) if derive_streams(7, i)[0].random() > 0.9)
+        assert first >= 7  # lies past the first chunk
+        with pytest.raises(ConvergenceError) as info:
+            run_batch(p, ref, IE, 1, exact_info(), 64, 7, chunk_size=7)
+        assert info.value.replication == first and info.value.step == 1
+
+    @pytest.mark.parametrize("route", ["per-call", "chunk"])
+    def test_fresh_noise_implicit_euler_names_its_replication(self, problem_A, route):
+        # fresh ee noise redraws the map on every iteration, so it never converges
+        noise = NoiseModel("ee", 1e-3)
+        if route == "per-call":
+            oracle = make_oracle(problem_A, noise, 7, 5)
+        else:
+            oracle = ChunkOracle(problem_A, noise, 7, 5, 9, evals=10 * 100)
+        with pytest.raises(ConvergenceError, match="replication 5") as info:
+            run_implicit_euler(oracle, 10, max_iter=100)
+        assert info.value.replication == 5 and info.value.step == 1
 
     def test_implicit_euler_batch(self, problem_A, ref_A):
         b = run_batch(problem_A, ref_A, IE, 64, exact_info(), 20, 11)
@@ -367,6 +450,22 @@ class TestReferenceB:
         # file was repaired
         data2 = path.read_bytes()
         assert data2[-5] != data[-5]
+
+    def test_truncated_cache_recomputed(self, tmp_path):
+        path = tmp_path / "ref.bin"
+        build_reference_B(100_000, path)
+        whole = path.read_bytes()
+        path.write_bytes(whole[:-3])  # the payload is no longer whole float64 values
+        ref = build_reference_B(100_000, path)
+        assert path.read_bytes() == whole
+        assert ref.grid_values.shape == (100_001, 1)
+
+    def test_loaded_values_writeable_and_contiguous(self, tmp_path):
+        # np.interp copies a read-only or strided table on every call
+        path = tmp_path / "ref.bin"
+        for _ in range(2):  # built, then loaded from the cache
+            column = build_reference_B(100_000, path).grid_values[:, 0]
+            assert column.flags.writeable and column.flags.c_contiguous
 
     def test_interrupted_write_keeps_old_cache(self, tmp_path, monkeypatch):
         from randode import analysis

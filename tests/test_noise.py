@@ -18,7 +18,13 @@ from randode import (
     run_rk2,
     verify_noise_bound,
 )
-from randode.noise import derive_streams, fill_uniform_rows, stream_keys
+from randode.noise import (
+    ChunkOracle,
+    _signed,
+    derive_streams,
+    fill_uniform_rows,
+    stream_keys,
+)
 
 from conftest import zero_field_problem
 
@@ -122,6 +128,19 @@ class TestChunkStreams:
         tapes = fill_uniform_rows(stream_keys(seed, lo, hi, k), np.empty((hi - lo, m)))
         for i in range(lo, hi):
             assert np.array_equal(tapes[i - lo], derive_streams(seed, i)[k].random(m))
+
+    def test_chunk_tapes_are_step_major(self):
+        # 3000 draws a row puts 16 rows in a fill block: blocks of 16, 16 and 5 rows
+        seed, lo, hi, steps = 11, 40, 77, 3000
+        oracle = ChunkOracle(zero_field_problem(), NoiseModel("rk", 0.01), seed, lo, hi, steps)
+        taus = oracle.draw_taus(steps)
+        assert taus.shape == (steps, hi - lo, 1) and taus.flags.c_contiguous
+        x = np.zeros((hi - lo, 1))
+        noise = np.stack([oracle.noisy_eval(0.0, x) for _ in range(steps)])
+        for i in range(lo, hi):
+            grid, stream = derive_streams(seed, i)
+            assert np.array_equal(taus[:, i - lo, 0], grid.random(steps))
+            assert np.array_equal(noise[:, i - lo, 0], _signed(stream.random(steps), 0.01))
 
     def test_top_of_index_range(self):
         for seed in _SEEDS:
