@@ -38,7 +38,6 @@ from .noise import (
     NoiseModel,
     NoisyOracle,
     exact_info,
-    make_oracle,
     parse_delta_rule,
     verify_noise_bound,
 )

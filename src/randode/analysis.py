@@ -23,7 +23,7 @@ import warnings
 import numpy as np
 
 from .exceptions import DomainError, ReferenceSolutionError
-from .noise import _BLOCK_ELEMS, ChunkOracle, NoiseModel, exact_info, make_oracle
+from .noise import _BLOCK_ELEMS, ChunkOracle, NoiseModel, NoisyOracle, exact_info
 from .problems import IvpSpec, exact_solution_A
 from .schemes import SchemeKind, Trajectory, run_scheme, write_csv
 
@@ -41,15 +41,14 @@ class ReferenceSolution:
     kind: str  # "analytic" | "cached-dense"
     d: int
     fn: object = None
-    vectorized: bool = True
     grid_ts: np.ndarray = None
     grid_values: np.ndarray = None
     provenance: dict = dataclasses.field(default_factory=dict)
 
     @classmethod
-    def analytic(cls, fn, d: int = 1, vectorized: bool = True, provenance=None):
-        return cls(kind="analytic", d=d, fn=fn, vectorized=vectorized,
-                   provenance=provenance or {})
+    def analytic(cls, fn, d: int = 1, provenance=None):
+        """fn maps an array of times to the values there, shape (len(ts),) or (len(ts), d)."""
+        return cls(kind="analytic", d=d, fn=fn, provenance=provenance or {})
 
     @classmethod
     def cached_dense(cls, grid_ts, grid_values, provenance=None):
@@ -64,10 +63,7 @@ class ReferenceSolution:
         """Reference values at the given times, shape (len(ts), d)."""
         ts = np.asarray(ts, dtype=float)
         if self.kind == "analytic":
-            if self.vectorized:
-                out = np.asarray(self.fn(ts), dtype=float)
-            else:
-                out = np.asarray([self.fn(t) for t in ts], dtype=float)
+            out = np.asarray(self.fn(ts), dtype=float)
             if out.ndim == 1:
                 out = out[:, None]
         else:
@@ -197,24 +193,21 @@ class ErrorBatch:
 
 def _chunk_errors_vectorized(problem: IvpSpec, scheme: SchemeKind, n: int,
                              noise: NoiseModel, master_seed, lo: int, hi: int,
-                             dt, ref_knots, ref_int, perturb_eta: bool,
-                             ie_tol: float, ie_max_iter: int) -> np.ndarray:
+                             dt, ref_knots, ref_int, perturb_eta: bool) -> np.ndarray:
     """All replication errors in [lo, hi) from one scheme run over the chunk's rows."""
     evals = 2 * n if scheme is SchemeKind.RUNGE_KUTTA2 else n
     tr = run_scheme(ChunkOracle(problem, noise, master_seed, lo, hi, evals, perturb_eta),
-                    scheme, n, ie_tol=ie_tol, ie_max_iter=ie_max_iter)
+                    scheme, n)
     return _sup_error_kernel(tr.nodes, tr.grid.h, ref_knots, ref_int, dt)
 
 
 def _chunk_errors_scalar(problem: IvpSpec, scheme: SchemeKind, n: int,
                          noise: NoiseModel, master_seed, lo: int, hi: int,
-                         dt, ref_knots, ref_int, perturb_eta: bool,
-                         ie_tol: float, ie_max_iter: int) -> np.ndarray:
+                         dt, ref_knots, ref_int, perturb_eta: bool) -> np.ndarray:
     """The replication errors in [lo, hi), one scheme run per replication."""
     out = np.empty(hi - lo)
     for i in range(lo, hi):
-        oracle = make_oracle(problem, noise, master_seed, i, perturb_eta=perturb_eta)
-        tr = run_scheme(oracle, scheme, n, ie_tol=ie_tol, ie_max_iter=ie_max_iter)
+        tr = run_scheme(NoisyOracle(problem, noise, master_seed, i, perturb_eta), scheme, n)
         out[i - lo] = _sup_error_kernel(tr.nodes[None], tr.grid.h, ref_knots, ref_int, dt)[0]
     return out
 
@@ -228,20 +221,18 @@ def _batch_task(args):
 def run_batch(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind,
               n: int, noise: NoiseModel, N: int, master_seed, *,
               parallelism: int = 1, subsamples_per_step: int = 8,
-              perturb_eta: bool = False, ie_tol: float = 1e-12,
-              ie_max_iter: int = 100, chunk_size: int = 8192,
+              perturb_eta: bool = False, chunk_size: int = 8192,
               delta_label: str = "") -> ErrorBatch:
     """N independent replications of the cell's sup-norm error, sorted.
 
     Replication i draws from streams keyed by (master_seed, i), so the result
     is bitwise-identical for fixed (cell, N, master_seed) at any parallelism
     or chunk partition.  Cells on one-dimensional problems with vectorizable
-    right-hand sides run batched, a chunk of replications per scheme run,
-    except implicit Euler under fresh (``ee``/``rk``) noise, whose iterations
-    draw a varying number of values; everything else runs replication by
-    replication.  Both routes give bitwise-identical errors.  A right-hand
-    side that cannot be pickled (a lambda or closure) runs its chunks
-    serially, with a RuntimeWarning, whatever the parallelism.
+    right-hand sides run batched, a chunk of replications per scheme run;
+    everything else runs replication by replication.  Both routes give
+    bitwise-identical errors.  A right-hand side that cannot be pickled (a
+    lambda or closure) runs its chunks serially, with a RuntimeWarning,
+    whatever the parallelism.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
@@ -252,14 +243,13 @@ def run_batch(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind
     dt = _interior_offsets(h, subsamples_per_step)
     ref_knots, ref_int = _reference_grids(reference, knots, dt)
 
-    batched = (problem.d == 1 and problem.rhs_vectorized
-               and not (scheme is SchemeKind.IMPLICIT_EULER and noise.fresh))
+    batched = problem.d == 1 and problem.rhs_vectorized
 
     tasks = []
     for lo in range(0, N, chunk_size):
         hi = min(lo + chunk_size, N)
         tasks.append((batched, problem, scheme, n, noise, master_seed, lo, hi,
-                      dt, ref_knots, ref_int, perturb_eta, ie_tol, ie_max_iter))
+                      dt, ref_knots, ref_int, perturb_eta))
 
     errors = np.empty(N)
     pooled = parallelism > 1 and len(tasks) > 1

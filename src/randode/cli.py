@@ -34,7 +34,7 @@ from .analysis import (
     xi_hat,
 )
 from .exceptions import ConvergenceError, DomainError, NumericalError, ReferenceSolutionError
-from .noise import NoiseModel, make_oracle, parse_delta_rule, verify_noise_bound
+from .noise import NoiseModel, NoisyOracle, parse_delta_rule, verify_noise_bound
 from .problems import make_problem
 from .schemes import (
     SchemeKind,
@@ -137,30 +137,21 @@ def _reject_unread(cfg: dict, command: str):
         raise UsageError(f"config key(s) not read by {command}: {', '.join(sorted(cfg))}")
 
 
-def _resolve_problem(name: str):
-    try:
-        return make_problem(name)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _resolve_scheme(name: str) -> SchemeKind:
-    try:
-        return scheme_from_name(name)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _noise_for(kind: str, scheme: SchemeKind, delta: float) -> NoiseModel:
     """Noise model for one run; kind 'auto' follows the scheme, delta 0 is exact."""
     if kind in (None, "auto"):
         kind = scheme.value
     if delta == 0.0:
         kind = "exact"
-    try:
-        return NoiseModel(kind, delta)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
+    return NoiseModel(kind, delta)
+
+
+def _check_run(epsilon: float, subsamples: int = 1, parallelism: int = 1):
+    """Reject a quantile level outside (0, 1) or a count below 1, before any work is done."""
+    if not 0.0 < epsilon < 1.0:
+        raise UsageError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    if subsamples < 1 or parallelism < 1:
+        raise UsageError(f"subsamples ({subsamples}) and parallelism ({parallelism}) must be >= 1")
 
 
 def _int_list(text: str):
@@ -170,21 +161,14 @@ def _int_list(text: str):
         raise UsageError(f"bad integer list {text!r}") from exc
 
 
-def _rule_list(text: str):
-    try:
-        return [parse_delta_rule(v) for v in text.replace(",", " ").split()]
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 # ---------------------------------------------------------------------------
 # solve
 
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
-    problem = _resolve_problem(_resolve(args, cfg, "problem", "A"))
-    scheme = _resolve_scheme(_resolve(args, cfg, "scheme", "ee"))
+    problem = make_problem(_resolve(args, cfg, "problem", "A"))
+    scheme = scheme_from_name(_resolve(args, cfg, "scheme", "ee"))
     n = _resolve(args, cfg, "n", 10, int)
     seed = _resolve(args, cfg, "seed", DEFAULT_SEED, int)
     out = _resolve(args, cfg, "out", "out")
@@ -203,8 +187,7 @@ def cmd_solve(args) -> int:
     manifest = Manifest("solve", {"problem": problem.name, "scheme": scheme.value,
                                   "n": n, "noise": noise.kind, "delta": delta,
                                   "seed": seed, "force_tau": args.force_tau})
-    oracle = make_oracle(problem, noise, seed, 0)
-    tr = run_scheme(oracle, scheme, n, taus=taus)
+    tr = run_scheme(NoisyOracle(problem, noise, seed, 0), scheme, n, taus=taus)
     path = os.path.join(out, "trajectory.csv")
     tr.write_csv(path)
     manifest.add(path)
@@ -232,11 +215,12 @@ def _cell_N(n: int, explicit_N) -> int:
 
 def cmd_table(args) -> int:
     cfg = _load_config(args.config)
-    problem = _resolve_problem(_resolve(args, cfg, "problem", "A"))
-    scheme = _resolve_scheme(_resolve(args, cfg, "scheme", "ee"))
+    problem = make_problem(_resolve(args, cfg, "problem", "A"))
+    scheme = scheme_from_name(_resolve(args, cfg, "scheme", "ee"))
     ns = _int_list(_resolve(args, cfg, "n_list", DEFAULT_N_LIST))
     default_rules = RK_DELTA_RULES if scheme is SchemeKind.RUNGE_KUTTA2 else EE_DELTA_RULES
-    rules = _rule_list(_resolve(args, cfg, "delta_rules", default_rules))
+    rules = [parse_delta_rule(v)
+             for v in _resolve(args, cfg, "delta_rules", default_rules).replace(",", " ").split()]
     epsilon = _resolve(args, cfg, "epsilon", DEFAULT_EPSILON, float)
     explicit_N = _resolve(args, cfg, "N", None, int)
     seed = _resolve(args, cfg, "seed", DEFAULT_SEED, int)
@@ -245,10 +229,10 @@ def cmd_table(args) -> int:
     subsamples = _resolve(args, cfg, "subsamples", 8, int)
     kind = _resolve(args, cfg, "noise", "auto")
     _reject_unread(cfg, "table")
-    os.makedirs(out, exist_ok=True)
-
+    _check_run(epsilon, subsamples, parallelism)
     if explicit_N is not None and explicit_N < 100:
         raise UsageError("table requires N >= 100")
+    os.makedirs(out, exist_ok=True)
     if explicit_N is not None and explicit_N < 10.0 / epsilon:
         print(f"warning: N = {explicit_N} is below 10/epsilon = {10.0 / epsilon:.0f}; "
               f"the quantile estimate will be coarse", file=sys.stderr)
@@ -301,8 +285,8 @@ def cmd_table(args) -> int:
 
 def cmd_band(args) -> int:
     cfg = _load_config(args.config)
-    problem = _resolve_problem(_resolve(args, cfg, "problem", "A"))
-    scheme = _resolve_scheme(_resolve(args, cfg, "scheme", "ee"))
+    problem = make_problem(_resolve(args, cfg, "problem", "A"))
+    scheme = scheme_from_name(_resolve(args, cfg, "scheme", "ee"))
     n = _resolve(args, cfg, "n", 25, int)
     xi = _resolve(args, cfg, "xi", None, float)
     if xi is None or xi <= 0:
@@ -323,6 +307,7 @@ def cmd_band(args) -> int:
         delta_label = rule.label
     noise = _noise_for(_resolve(args, cfg, "noise", "auto"), scheme, delta)
     _reject_unread(cfg, "band")
+    _check_run(epsilon)
     os.makedirs(out, exist_ok=True)
     reference = reference_for(problem, cache_path=args.ref_cache, n_ref=args.ref_steps)
 
@@ -330,8 +315,7 @@ def cmd_band(args) -> int:
                                  "n": n, "xi": xi, "delta": delta,
                                  "delta_label": delta_label, "epsilon": epsilon,
                                  "seed": seed, "gamma": gamma})
-    oracle = make_oracle(problem, noise, seed, 0)
-    tr = run_scheme(oracle, scheme, n)
+    tr = run_scheme(NoisyOracle(problem, noise, seed, 0), scheme, n)
     band = confidence_band(tr, gamma, delta, xi, grid_points=grid_points, epsilon=epsilon)
     ref_vals = reference.values_at(band.ts)
 
@@ -356,16 +340,13 @@ def cmd_band(args) -> int:
 
 def cmd_tail(args) -> int:
     cfg = _load_config(args.config)
-    problem = _resolve_problem(_resolve(args, cfg, "problem", "A"))
-    scheme = _resolve_scheme(_resolve(args, cfg, "scheme", "ee"))
+    problem = make_problem(_resolve(args, cfg, "problem", "A"))
+    scheme = scheme_from_name(_resolve(args, cfg, "scheme", "ee"))
     n = _resolve(args, cfg, "n", 100, int)
     N = _resolve(args, cfg, "N", 100_000, int)
     if N < 100:
         raise UsageError("tail requires N >= 100")
     epsilon = _resolve(args, cfg, "epsilon", DEFAULT_EPSILON, float)
-    if N < 10.0 / epsilon:
-        print(f"warning: N = {N} is below 10/epsilon = {10.0 / epsilon:.0f}; "
-              f"tail probabilities near {epsilon} will be coarse", file=sys.stderr)
     seed = _resolve(args, cfg, "seed", DEFAULT_SEED, int)
     out = _resolve(args, cfg, "out", "out")
     parallelism = _resolve(args, cfg, "parallelism", 1, int)
@@ -374,6 +355,10 @@ def cmd_tail(args) -> int:
     delta = rule.value_for(n)
     noise = _noise_for(_resolve(args, cfg, "noise", "auto"), scheme, delta)
     _reject_unread(cfg, "tail")
+    _check_run(epsilon, subsamples, parallelism)
+    if N < 10.0 / epsilon:
+        print(f"warning: N = {N} is below 10/epsilon = {10.0 / epsilon:.0f}; "
+              f"tail probabilities near {epsilon} will be coarse", file=sys.stderr)
     os.makedirs(out, exist_ok=True)
     gamma = gamma_of(scheme, problem.class_params.rho)
     reference = reference_for(problem, cache_path=args.ref_cache, n_ref=args.ref_steps)
@@ -403,7 +388,7 @@ def cmd_tail(args) -> int:
 
 def cmd_diagnose(args) -> int:
     cfg = _load_config(args.config)
-    problem = _resolve_problem(_resolve(args, cfg, "problem", "A"))
+    problem = make_problem(_resolve(args, cfg, "problem", "A"))
     seed = _resolve(args, cfg, "seed", DEFAULT_SEED, int)
     out = _resolve(args, cfg, "out", "out")
     reps = _resolve(args, cfg, "reps", 100_000, int)
@@ -430,7 +415,7 @@ def cmd_diagnose(args) -> int:
     rng = np.random.default_rng(seed)
     for kind in ("ee", "ie", "rk"):
         noise = NoiseModel(kind, 0.05)
-        oracle = make_oracle(problem, noise, seed, 0, record_samples=True)
+        oracle = NoisyOracle(problem, noise, seed, 0, record_samples=True)
         for _ in range(500):
             t = problem.a + (problem.b - problem.a) * rng.random()
             x = problem.eta + rng.normal(size=problem.d)
@@ -554,10 +539,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+    except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, ConvergenceError, ReferenceSolutionError) as exc:

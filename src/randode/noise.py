@@ -264,6 +264,10 @@ def _ball_point(rng, center: np.ndarray, radius: float) -> np.ndarray:
 class NoisyOracle:
     """A seeded, counted, perturbed view of one problem's (eta, f).
 
+    By default the initial value is passed through unperturbed (eta_tilde =
+    eta); ``perturb_eta=True`` draws eta_tilde uniformly from the one-norm
+    ball B(eta, delta) instead.  Either way eta_tilde lies in B(eta, delta).
+
     Single-threaded: the draw streams and the evaluation counter are mutable.
     Build one oracle per replication; distinct oracles may run concurrently.
     """
@@ -310,9 +314,6 @@ class NoisyOracle:
         if m.kind == "ee":
             mag *= 1.0 + one_norm(x)
         return mag * _l1_direction(self.noise_stream, d)
-
-    def __call__(self, t: float, x) -> np.ndarray:
-        return self.noisy_eval(t, x)
 
     def noisy_eval(self, t: float, x) -> np.ndarray:
         """f(t, x) + perturbation; increments the evaluation counter."""
@@ -390,18 +391,6 @@ class ChunkOracle:
             return f
         e = self._e0 if kind == "ie" else self._draw()
         return f + _perturbation_1d(kind, e, x)
-
-
-def make_oracle(p: IvpSpec, m: NoiseModel, master_seed, replication_index: int,
-                perturb_eta: bool = False, record_samples: bool = False) -> NoisyOracle:
-    """Construct the replication's oracle.
-
-    By default the initial value is passed through unperturbed (eta_tilde =
-    eta); ``perturb_eta=True`` draws eta_tilde uniformly from the one-norm
-    ball B(eta, delta) instead.  Either way eta_tilde lies in B(eta, delta).
-    """
-    return NoisyOracle(p, m, master_seed, replication_index,
-                       perturb_eta=perturb_eta, record_samples=record_samples)
 
 
 def verify_noise_bound(m: NoiseModel, samples) -> bool:

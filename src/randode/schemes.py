@@ -187,9 +187,8 @@ def run_implicit_euler(oracle: NoisyOracle | ChunkOracle, n: int, tol: float = 1
     Lipschitz constant.  Iteration starts at U_{j-1} and stops once successive
     iterates differ by at most tol in one-norm, which leaves a residual of at
     most tol (1 + q) / (1 - q) with q = h (L + delta).  Every inner iteration
-    is one oracle evaluation.  Note that the per-call-fresh noise classes
-    ("ee", "rk") re-randomize the map between iterations and may prevent
-    convergence below the noise scale; the "ie" class keeps f~ fixed.
+    is one oracle evaluation.  The noisy field must be fixed (``exact`` or ``ie``
+    noise); fresh ``ee``/``rk`` noise raises DomainError before anything is drawn.
 
     On a chunk every row iterates until it converges and is then frozen at
     that iterate, so each row gets exactly its own replication's result.  A
@@ -197,6 +196,8 @@ def run_implicit_euler(oracle: NoisyOracle | ChunkOracle, n: int, tol: float = 1
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
+    if oracle.model.fresh:
+        raise DomainError(f"implicit Euler needs exact or ie noise, not fresh {oracle.model.kind}")
     g, u, nodes = _start(oracle, n, taus)
     q = g.h * (oracle.base.class_params.L + oracle.model.delta)
     if not q < 1.0:
@@ -221,13 +222,13 @@ def run_implicit_euler(oracle: NoisyOracle | ChunkOracle, n: int, tol: float = 1
     return Trajectory(SchemeKind.IMPLICIT_EULER, g, nodes, oracle.eval_count)
 
 
-def run_scheme(oracle: NoisyOracle | ChunkOracle, scheme: SchemeKind, n: int, taus=None,
-               ie_tol: float = 1e-12, ie_max_iter: int = 100) -> Trajectory:
+def run_scheme(oracle: NoisyOracle | ChunkOracle, scheme: SchemeKind, n: int,
+               taus=None) -> Trajectory:
     if scheme is SchemeKind.EXPLICIT_EULER:
         return run_explicit_euler(oracle, n, taus=taus)
     if scheme is SchemeKind.RUNGE_KUTTA2:
         return run_rk2(oracle, n, taus=taus)
-    return run_implicit_euler(oracle, n, tol=ie_tol, max_iter=ie_max_iter, taus=taus)
+    return run_implicit_euler(oracle, n, taus=taus)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ import pytest
 
 from randode import (
     NoiseModel,
+    NoisyOracle,
     SchemeKind,
     derive_cell_seed,
     exact_info,
-    make_oracle,
     run_batch,
     run_explicit_euler,
     run_implicit_euler,
@@ -202,9 +202,9 @@ class TestCriterion7DeterminismAndOracles:
         assert ok
 
     def test_hand_derived_one_step_values(self, problem_A):
-        o = make_oracle(problem_A, exact_info(), 0, 0)
+        o = NoisyOracle(problem_A, exact_info(), 0, 0)
         ee = float(run_explicit_euler(o, 1, taus=[0.5]).nodes[1, 0])
-        o = make_oracle(problem_A, exact_info(), 0, 0)
+        o = NoisyOracle(problem_A, exact_info(), 0, 0)
         rk = float(run_rk2(o, 1, taus=[0.5]).nodes[1, 0])
         ok = abs(ee - 2.0) <= 1e-14 and abs(rk - 2.0) <= 1e-14
         report(7, "hand-derived one-step values (Euler and Runge-Kutta)", ok,
@@ -213,7 +213,7 @@ class TestCriterion7DeterminismAndOracles:
 
     def test_implicit_euler_linear_field(self):
         p = decay_problem()
-        o = make_oracle(p, exact_info(), 0, 0)
+        o = NoisyOracle(p, exact_info(), 0, 0)
         tr = run_implicit_euler(o, 2, tol=1e-12)
         err = max(abs(tr.nodes[1, 0] - 1.0 / 1.5), abs(tr.nodes[2, 0] - 1.0 / 2.25))
         ok = err <= 1e-10
@@ -222,7 +222,7 @@ class TestCriterion7DeterminismAndOracles:
         assert ok
 
     def test_reference_cross_check(self, problem_B, ref_B):
-        o = make_oracle(problem_B, exact_info(), 314159, 0)
+        o = NoisyOracle(problem_B, exact_info(), 314159, 0)
         tr = run_rk2(o, 1_000_000)
         gap = abs(tr.nodes[-1, 0] - ref_B.values_at([1.0])[0, 0])
         ok = gap <= 1e-6

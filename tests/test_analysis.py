@@ -1,11 +1,12 @@
 import dataclasses
+import functools
 import itertools
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randode import (
@@ -14,6 +15,7 @@ from randode import (
     DomainError,
     IvpSpec,
     NoiseModel,
+    NoisyOracle,
     NumericalError,
     ReferenceSolution,
     ReferenceSolutionError,
@@ -24,7 +26,6 @@ from randode import (
     derive_cell_seed,
     exact_info,
     fit_loglog_slope,
-    make_oracle,
     run_batch,
     run_explicit_euler,
     run_implicit_euler,
@@ -48,7 +49,7 @@ class TestSupError:
     def test_linear_solution_measures_zero(self):
         # constant field: exact solution is linear, interpolant reproduces it
         p = constant_field_problem()
-        o = make_oracle(p, exact_info(), 0, 0)
+        o = NoisyOracle(p, exact_info(), 0, 0)
         tr = run_explicit_euler(o, 7)
         ref = ReferenceSolution.analytic(lambda t: 1.0 + 0.25 * np.asarray(t))
         assert sup_error(tr, ref, subsamples_per_step=7) <= 1e-14
@@ -57,7 +58,7 @@ class TestSupError:
         # linear interpolant of t^2 deviates by h^2/4, attained mid-interval
         p = zero_field_problem()
         n = 8
-        o = make_oracle(p, exact_info(), 0, 0)
+        o = NoisyOracle(p, exact_info(), 0, 0)
         tr = run_explicit_euler(o, n)
         tr.nodes[:, 0] = tr.grid.knots**2
         ref = ReferenceSolution.analytic(lambda t: np.asarray(t) ** 2)
@@ -66,20 +67,20 @@ class TestSupError:
         assert abs(sup_error(tr, ref, subsamples_per_step=7) - h * h / 4.0) <= 1e-12
 
     def test_single_seed_magnitude(self, problem_A, ref_A):
-        o = make_oracle(problem_A, exact_info(), 42, 0)
+        o = NoisyOracle(problem_A, exact_info(), 42, 0)
         tr = run_explicit_euler(o, 1000)
         e = sup_error(tr, ref_A)
         assert 0.0 < e < 0.05
 
     def test_subsamples_validated(self, problem_A, ref_A):
-        o = make_oracle(problem_A, exact_info(), 42, 0)
+        o = NoisyOracle(problem_A, exact_info(), 42, 0)
         tr = run_explicit_euler(o, 4)
         with pytest.raises(DomainError):
             sup_error(tr, ref_A, subsamples_per_step=0)
 
     def test_uncovered_reference_raises(self, problem_A):
         ref = ReferenceSolution.cached_dense(np.linspace(0.0, 0.5, 100), np.zeros(100))
-        o = make_oracle(problem_A, exact_info(), 42, 0)
+        o = NoisyOracle(problem_A, exact_info(), 42, 0)
         tr = run_explicit_euler(o, 4)
         with pytest.raises(ReferenceSolutionError):
             sup_error(tr, ref)
@@ -182,12 +183,17 @@ class TestRunBatch:
     def test_batched_equals_per_replication(self, problem_A, ref_A, scheme, kind, delta, n,
                                             seed, chunk_size, perturb_eta):
         noise = NoiseModel(kind, 0.0 if kind == "exact" else delta)
-        assume(not (scheme is IE and noise.fresh))  # that cell runs per replication anyway
         per_rep = dataclasses.replace(problem_A, rhs_vectorized=False)
-        batched = run_batch(problem_A, ref_A, scheme, n, noise, 12, seed,
-                            chunk_size=chunk_size, perturb_eta=perturb_eta)
-        single = run_batch(per_rep, ref_A, scheme, n, noise, 12, seed, perturb_eta=perturb_eta)
-        assert np.array_equal(batched.errors, single.errors)
+        batched = functools.partial(run_batch, problem_A, ref_A, scheme, n, noise, 12, seed,
+                                    chunk_size=chunk_size, perturb_eta=perturb_eta)
+        single = functools.partial(run_batch, per_rep, ref_A, scheme, n, noise, 12, seed,
+                                   perturb_eta=perturb_eta)
+        if scheme is IE and noise.fresh:  # implicit Euler needs a fixed field on both routes
+            for run in (batched, single):
+                with pytest.raises(DomainError):
+                    run()
+            return
+        assert np.array_equal(batched().errors, single().errors)
 
     def test_closure_rhs_runs_serially_under_parallelism(self):
         k = 0.5
@@ -233,17 +239,28 @@ class TestRunBatch:
             run_batch(p, ref, IE, 1, exact_info(), 64, 7, chunk_size=7)
         assert info.value.replication == first and info.value.step == 1
 
+    @pytest.mark.parametrize("kind", ["ee", "rk"])
     @pytest.mark.parametrize("route", ["per-call", "chunk"])
-    def test_fresh_noise_implicit_euler_names_its_replication(self, problem_A, route):
-        # fresh ee noise redraws the map on every iteration, so it never converges
-        noise = NoiseModel("ee", 1e-3)
+    def test_implicit_euler_rejects_fresh_noise(self, problem_A, route, kind):
+        # fresh noise would redraw the map on every fixed-point iteration
+        noise = NoiseModel(kind, 1e-3)
         if route == "per-call":
-            oracle = make_oracle(problem_A, noise, 7, 5)
+            oracle = NoisyOracle(problem_A, noise, 7, 5)
         else:
-            oracle = ChunkOracle(problem_A, noise, 7, 5, 9, evals=10 * 100)
-        with pytest.raises(ConvergenceError, match="replication 5") as info:
-            run_implicit_euler(oracle, 10, max_iter=100)
-        assert info.value.replication == 5 and info.value.step == 1
+            oracle = ChunkOracle(problem_A, noise, 7, 5, 9, evals=10)
+        with pytest.raises(DomainError, match=f"not fresh {kind}"):
+            run_implicit_euler(oracle, 10)
+        assert oracle.eval_count == 0
+        if route == "per-call":  # nor was a grid draw taken
+            assert oracle.draw_taus(1)[0] == derive_streams(7, 5)[0].random()
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_fresh_noise_implicit_euler_batch_rejected(self, problem_A, ref_A, vectorized):
+        p = dataclasses.replace(problem_A, rhs_vectorized=vectorized)
+        with pytest.raises(DomainError, match="not fresh ee"):
+            run_batch(p, ref_A, IE, 10, NoiseModel("ee", 1e-3), 20, 7, chunk_size=7)
+        # delta 0 is no noise at all, so that cell runs
+        run_batch(p, ref_A, IE, 10, NoiseModel("ee", 0.0), 20, 7, chunk_size=7)
 
     def test_implicit_euler_batch(self, problem_A, ref_A):
         b = run_batch(problem_A, ref_A, IE, 64, exact_info(), 20, 11)
@@ -357,7 +374,7 @@ def test_wilson_interval_known_value():
 
 class TestConfidenceBand:
     def test_radius_arithmetic(self, problem_A):
-        o = make_oracle(problem_A, NoiseModel("ee", 1.0 / 25.0), 3, 0)
+        o = NoisyOracle(problem_A, NoiseModel("ee", 1.0 / 25.0), 3, 0)
         tr = run_explicit_euler(o, 25)
         band = confidence_band(tr, gamma=1.0, delta=1.0 / 25.0, xi_eps=3.0)
         assert band.radius == pytest.approx(0.12, abs=1e-12)
@@ -366,21 +383,21 @@ class TestConfidenceBand:
         assert band_rk.radius == pytest.approx(0.0472, abs=1e-4)
 
     def test_zero_xi_degenerates_to_trajectory(self, problem_A):
-        o = make_oracle(problem_A, exact_info(), 3, 0)
+        o = NoisyOracle(problem_A, exact_info(), 3, 0)
         tr = run_explicit_euler(o, 25)
         band = confidence_band(tr, 1.0, 0.0, 0.0, grid_points=11)
         assert np.array_equal(band.lower, band.center)
         assert np.array_equal(band.upper, band.center)
 
     def test_envelopes_offset_by_radius(self, problem_A):
-        o = make_oracle(problem_A, exact_info(), 3, 0)
+        o = NoisyOracle(problem_A, exact_info(), 3, 0)
         tr = run_explicit_euler(o, 25)
         band = confidence_band(tr, 1.0, 0.0, 2.0, grid_points=31)
         assert np.allclose(band.upper - band.center, band.radius)
         assert np.allclose(band.center - band.lower, band.radius)
 
     def test_csv_columns(self, problem_A, tmp_path):
-        o = make_oracle(problem_A, exact_info(), 3, 0)
+        o = NoisyOracle(problem_A, exact_info(), 3, 0)
         tr = run_explicit_euler(o, 5)
         band = confidence_band(tr, 1.0, 0.0, 1.0, grid_points=7)
         path = tmp_path / "band.csv"
@@ -390,7 +407,7 @@ class TestConfidenceBand:
         assert len(lines) == 8
 
     def test_negative_xi_rejected(self, problem_A):
-        o = make_oracle(problem_A, exact_info(), 3, 0)
+        o = NoisyOracle(problem_A, exact_info(), 3, 0)
         tr = run_explicit_euler(o, 5)
         with pytest.raises(DomainError):
             confidence_band(tr, 1.0, 0.0, -1.0)
@@ -494,7 +511,7 @@ class TestReferenceB:
 
     def test_agrees_with_randomized_solver(self, problem_B, ref_B):
         # independent route: a randomized Runge-Kutta run at moderate depth
-        o = make_oracle(problem_B, exact_info(), 4, 0)
+        o = NoisyOracle(problem_B, exact_info(), 4, 0)
         tr = run_rk2(o, 20_000)
         end = ref_B.values_at([1.0])[0, 0]
         assert abs(tr.nodes[-1, 0] - end) <= 1e-5

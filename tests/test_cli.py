@@ -65,6 +65,12 @@ class TestSolve:
         rows = read_csv(tmp_path / "trajectory.csv")
         assert len(rows) == 12
 
+    def test_implicit_scheme_rejects_fresh_noise(self, tmp_path, capsys):
+        rc = run_cli("solve", "--problem", "A", "--scheme", "ie", "--noise", "ee",
+                     "--delta", "1e-3", "--n", "10", "--out", str(tmp_path))
+        assert rc == 2
+        assert "implicit Euler needs exact or ie noise" in capsys.readouterr().err
+
 
 class TestTable:
     def test_small_table_values_and_rerun_determinism(self, tmp_path):
@@ -122,6 +128,16 @@ class TestTable:
         assert rows[1] == ["10", "NA"]
         assert rows[2][0] == "100" and float(rows[2][1]) > 0.0
         assert "contraction margin" in capsys.readouterr().err
+
+    def test_implicit_euler_fresh_noise_cell_is_NA(self, tmp_path, capsys):
+        rc = run_cli("table", "--problem", "A", "--scheme", "ie", "--noise", "ee",
+                     "--n-list", "10", "--delta-rules", "0 1e-3", "--N", "100",
+                     "--out", str(tmp_path))
+        assert rc == 1
+        rows = read_csv(tmp_path / "table_ie_A.csv")
+        assert rows[1][0] == "10" and float(rows[1][1]) > 0.0 and rows[1][2] == "NA"
+        assert ("cell (n=10, delta=1e-3) failed: implicit Euler needs exact or ie noise, "
+                "not fresh ee") in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "exp.ini"
@@ -218,6 +234,34 @@ class TestTail:
         probs = [float(r[1]) for r in rows[1:]]
         assert probs[0] == 1.0 and probs[-1] == 0.0
         assert all(a >= b for a, b in zip(probs, probs[1:]))
+
+
+    def test_implicit_euler_rejects_fresh_noise(self, tmp_path):
+        assert run_cli("tail", "--problem", "A", "--scheme", "ie", "--noise", "ee",
+                       "--delta", "1e-3", "--n", "10", "--N", "100",
+                       "--out", str(tmp_path)) == 2
+
+
+@pytest.mark.parametrize("command,setting,value", [
+    ("table", "epsilon", "0"),
+    ("table", "epsilon", "1.5"),
+    ("table", "subsamples", "0"),
+    ("table", "parallelism", "0"),
+    ("table", "parallelism", "-3"),
+    ("tail", "epsilon", "0"),
+    ("tail", "subsamples", "0"),
+    ("tail", "parallelism", "0"),
+    ("band", "epsilon", "0"),
+    ("band", "epsilon", "1"),
+])
+def test_bad_run_setting_rejected_before_output(tmp_path, capsys, command, setting, value):
+    sizes = {"table": ["--n-list", "10", "--delta-rules", "0", "--N", "100"],
+             "tail": ["--n", "10", "--N", "100"], "band": ["--n", "10", "--xi", "3"]}
+    out = tmp_path / "out"
+    assert run_cli(command, "--problem", "A", *sizes[command], f"--{setting}", value,
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 class TestDiagnose:

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from randode import (
     DomainError,
     NoiseModel,
+    NoisyOracle,
     NumericalError,
     SchemeKind,
     derive_cell_seed,
     exact_info,
-    make_oracle,
     one_norm,
     parse_delta_rule,
     run_explicit_euler,
@@ -48,36 +48,36 @@ class TestNoiseModel:
 
 class TestOracle:
     def test_exact_info_passthrough(self, problem_A):
-        o = make_oracle(problem_A, exact_info(), 1, 0)
+        o = NoisyOracle(problem_A, exact_info(), 1, 0)
         assert np.array_equal(o.eta_tilde, problem_A.eta)
         assert o.noisy_eval(0.5, [2.0]) == pytest.approx(2.0, abs=1e-15)
         assert o.eval_count == 1
 
     def test_eta_tilde_defaults_to_eta(self, problem_A):
-        o = make_oracle(problem_A, NoiseModel("rk", 0.01), 7, 0)
+        o = NoisyOracle(problem_A, NoiseModel("rk", 0.01), 7, 0)
         assert np.array_equal(o.eta_tilde, problem_A.eta)
 
     def test_eta_tilde_ball_membership_when_perturbed(self, problem_A):
         for i in range(200):
-            o = make_oracle(problem_A, NoiseModel("rk", 0.01), 7, i, perturb_eta=True)
+            o = NoisyOracle(problem_A, NoiseModel("rk", 0.01), 7, i, perturb_eta=True)
             assert one_norm(o.eta_tilde - problem_A.eta) <= 0.01
 
     def test_absolute_noise_stays_in_range(self, problem_B):
-        o = make_oracle(problem_B, NoiseModel("rk", 0.1), 3, 0)
+        o = NoisyOracle(problem_B, NoiseModel("rk", 0.1), 3, 0)
         for _ in range(500):
             v = o.noisy_eval(0.0, [0.0])
             assert -0.1 <= v[0] <= 0.1  # sin(0)=0 plus bounded noise
 
     def test_relative_noise_stays_in_range(self, problem_A):
-        o = make_oracle(problem_A, NoiseModel("ee", 0.1), 3, 0)
+        o = NoisyOracle(problem_A, NoiseModel("ee", 0.1), 3, 0)
         for _ in range(500):
             v = o.noisy_eval(0.0, [0.0])
             assert -0.1 <= v[0] <= 0.1  # f(0,0)=0, bound delta*(1+0)
 
     def test_determinism_same_key(self, problem_A):
         m = NoiseModel("ee", 0.05)
-        a = make_oracle(problem_A, m, 42, 3)
-        b = make_oracle(problem_A, m, 42, 3)
+        a = NoisyOracle(problem_A, m, 42, 3)
+        b = NoisyOracle(problem_A, m, 42, 3)
         seq_a = [a.noisy_eval(0.3, [1.0])[0] for _ in range(50)]
         seq_b = [b.noisy_eval(0.3, [1.0])[0] for _ in range(50)]
         assert seq_a == seq_b
@@ -87,21 +87,21 @@ class TestOracle:
         m = NoiseModel("ee", 0.05)
         draws = {}
         for i in range(8):
-            o = make_oracle(problem_A, m, 42, i)
+            o = NoisyOracle(problem_A, m, 42, i)
             draws[i] = tuple(o.grid_stream.random(128))
         assert len(set(draws.values())) == 8
 
     def test_grid_draws_shared_across_noise_models(self, problem_A):
         # the theta coupling: exact and noisy oracles with one key see the
         # same grid stream
-        a = make_oracle(problem_A, exact_info(), 9, 5)
-        b = make_oracle(problem_A, NoiseModel("ee", 0.3), 9, 5)
+        a = NoisyOracle(problem_A, exact_info(), 9, 5)
+        b = NoisyOracle(problem_A, NoiseModel("ee", 0.3), 9, 5)
         b.noisy_eval(0.1, [1.0])  # noise consumption must not shift taus
         assert np.array_equal(a.draw_taus(32), b.draw_taus(32))
 
     def test_bound_violation_raises(self, problem_A, monkeypatch):
         # an explicit check, not an assert, so python -O keeps it
-        o = make_oracle(problem_A, NoiseModel("rk", 0.01), 3, 0)
+        o = NoisyOracle(problem_A, NoiseModel("rk", 0.01), 3, 0)
         monkeypatch.setattr(o, "_perturbation", lambda x: np.array([0.0100001]))
         with pytest.raises(NumericalError, match="noise-class bound"):
             o.noisy_eval(0.5, [1.0])
@@ -169,25 +169,25 @@ class TestChunkStreams:
 
 class TestEvalCounting:
     def test_explicit_euler_uses_n(self, problem_A):
-        o = make_oracle(problem_A, exact_info(), 0, 0)
+        o = NoisyOracle(problem_A, exact_info(), 0, 0)
         tr = run_explicit_euler(o, 17)
         assert o.eval_count == 17 and tr.eval_count == 17
 
     def test_rk_uses_2n(self, problem_A):
-        o = make_oracle(problem_A, exact_info(), 0, 0)
+        o = NoisyOracle(problem_A, exact_info(), 0, 0)
         tr = run_rk2(o, 17)
         assert o.eval_count == 34 and tr.eval_count == 34
 
     def test_implicit_euler_counts_inner_iterations(self):
         p = zero_field_problem()
-        o = make_oracle(p, exact_info(), 0, 0)
+        o = NoisyOracle(p, exact_info(), 0, 0)
         run_implicit_euler(o, 6)
         assert o.eval_count == 6  # immediate fixed point: one iteration per step
 
 
 class TestVerifyNoiseBound:
     def test_exact_samples_pass(self, problem_A):
-        o = make_oracle(problem_A, exact_info(), 5, 0, record_samples=True)
+        o = NoisyOracle(problem_A, exact_info(), 5, 0, record_samples=True)
         for t in np.linspace(0, 1, 50):
             o.noisy_eval(t, [1.0 + t])
         assert verify_noise_bound(o.model, o.samples)
@@ -195,7 +195,7 @@ class TestVerifyNoiseBound:
     @pytest.mark.parametrize("kind", ["ee", "ie", "rk"])
     def test_fresh_samples_pass(self, problem_A, kind):
         m = NoiseModel(kind, 0.05)
-        o = make_oracle(problem_A, m, 11, 0, record_samples=True)
+        o = NoisyOracle(problem_A, m, 11, 0, record_samples=True)
         rng = np.random.default_rng(0)
         for _ in range(10_000 if kind != "ie" else 2_000):
             o.noisy_eval(rng.random(), [4.0 * rng.random() - 2.0])
@@ -225,7 +225,7 @@ class TestVerifyNoiseBound:
 
     def test_ie_same_trajectory_factor_satisfies_both_bounds(self, problem_A):
         m = NoiseModel("ie", 0.2)
-        o = make_oracle(problem_A, m, 2, 0, record_samples=True)
+        o = NoisyOracle(problem_A, m, 2, 0, record_samples=True)
         for x in np.linspace(-3, 3, 40):
             o.noisy_eval(0.25, [x])
         assert verify_noise_bound(m, o.samples)
@@ -236,7 +236,7 @@ class TestMultiDimensional:
         p = zero_field_problem(d=3)
         for kind in ("ee", "ie", "rk"):
             m = NoiseModel(kind, 0.2)
-            o = make_oracle(p, m, 8, 0, record_samples=True)
+            o = NoisyOracle(p, m, 8, 0, record_samples=True)
             rng = np.random.default_rng(1)
             for _ in range(300):
                 o.noisy_eval(rng.random(), rng.normal(size=3))
@@ -245,7 +245,7 @@ class TestMultiDimensional:
     def test_eta_ball_membership_d3(self):
         p = zero_field_problem(d=3)
         for i in range(100):
-            o = make_oracle(p, NoiseModel("rk", 0.5), 8, i, perturb_eta=True)
+            o = NoisyOracle(p, NoiseModel("rk", 0.5), 8, i, perturb_eta=True)
             assert one_norm(o.eta_tilde - p.eta) <= 0.5
 
 

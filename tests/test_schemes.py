@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from randode import (
     ConvergenceError,
     DomainError,
+    NoisyOracle,
     SchemeKind,
     exact_info,
     gamma_of,
-    make_oracle,
     martingale_diagnostic,
     run_batch,
     run_explicit_euler,
@@ -51,28 +51,28 @@ def test_scheme_from_name():
 class TestHandExamples:
     def test_explicit_euler_one_step(self, problem_A):
         # h=1, theta=0.5, f=2*0.5*1=1 -> node 1 + 1 = 2
-        o = make_oracle(problem_A, exact_info(), 0, 0)
+        o = NoisyOracle(problem_A, exact_info(), 0, 0)
         tr = run_explicit_euler(o, 1, taus=[0.5])
         assert abs(tr.nodes[1, 0] - 2.0) <= 1e-14
 
     def test_rk_one_step(self, problem_A):
         # stage at t=0 has zero field, so the stage equals eta and the
         # update reduces to the Euler value
-        o = make_oracle(problem_A, exact_info(), 0, 0)
+        o = NoisyOracle(problem_A, exact_info(), 0, 0)
         tr = run_rk2(o, 1, taus=[0.5])
         assert abs(tr.nodes[1, 0] - 2.0) <= 1e-14
 
     def test_zero_field_all_schemes_constant(self):
         p = zero_field_problem()
         for run in (run_explicit_euler, run_rk2, run_implicit_euler):
-            o = make_oracle(p, exact_info(), 3, 0)
+            o = NoisyOracle(p, exact_info(), 3, 0)
             tr = run(o, 13)
             assert np.array_equal(tr.nodes, np.ones((14, 1)))
 
     def test_implicit_euler_matches_linear_closed_form(self):
         # f = -x: each implicit step solves U (1 + h) = U_prev
         p = decay_problem()
-        o = make_oracle(p, exact_info(), 0, 0)
+        o = NoisyOracle(p, exact_info(), 0, 0)
         tr = run_implicit_euler(o, 2, tol=1e-12)
         assert abs(tr.nodes[1, 0] - 1.0 / 1.5) <= 1e-10
         assert abs(tr.nodes[2, 0] - 1.0 / 2.25) <= 1e-10
@@ -81,13 +81,13 @@ class TestHandExamples:
 class TestImplicitEuler:
     def test_contraction_precondition(self, problem_B):
         # problem B carries L = 50, so n must exceed 50
-        o = make_oracle(problem_B, exact_info(), 0, 0)
+        o = NoisyOracle(problem_B, exact_info(), 0, 0)
         with pytest.raises(DomainError):
             run_implicit_euler(o, 40)
 
     def test_max_iter_exhaustion(self):
         p = decay_problem()
-        o = make_oracle(p, exact_info(), 0, 0)
+        o = NoisyOracle(p, exact_info(), 0, 0)
         with pytest.raises(ConvergenceError) as err:
             run_implicit_euler(o, 2, tol=1e-12, max_iter=2)
         assert err.value.step == 1
@@ -96,7 +96,7 @@ class TestImplicitEuler:
         # successive fixed-point iterates shrink by at least the factor h(L+delta)
         p = problem_A
         n, h = 8, 1.0 / 8
-        o = make_oracle(p, exact_info(), 4, 0)
+        o = NoisyOracle(p, exact_info(), 4, 0)
         theta = 0.4
         base = np.array([1.3])
         diffs = []
@@ -110,14 +110,14 @@ class TestImplicitEuler:
         assert ratios and all(r <= 0.5 + 1e-9 for r in ratios)
 
     def test_accuracy_against_analytic_solution(self, problem_A, ref_A):
-        o = make_oracle(problem_A, exact_info(), 11, 0)
+        o = NoisyOracle(problem_A, exact_info(), 11, 0)
         tr = run_implicit_euler(o, 10_000)
         assert sup_error(tr, ref_A) < 1e-3
 
 
 class TestTrajectory:
     def test_knot_exactness_and_linearity(self, problem_A):
-        o = make_oracle(problem_A, exact_info(), 5, 0)
+        o = NoisyOracle(problem_A, exact_info(), 5, 0)
         tr = run_explicit_euler(o, 4)
         for j, t in enumerate(tr.grid.knots):
             assert np.array_equal(tr.at(t), tr.nodes[j])
@@ -127,13 +127,13 @@ class TestTrajectory:
 
     def test_simple_segment(self):
         p = zero_field_problem()
-        o = make_oracle(p, exact_info(), 0, 0)
+        o = NoisyOracle(p, exact_info(), 0, 0)
         tr = run_explicit_euler(o, 1)
         tr.nodes[:] = [[0.0], [2.0]]
         assert tr.at(0.25)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_domain_checked(self, problem_A):
-        o = make_oracle(problem_A, exact_info(), 5, 0)
+        o = NoisyOracle(problem_A, exact_info(), 5, 0)
         tr = run_explicit_euler(o, 4)
         with pytest.raises(DomainError):
             tr.at(1.5)
@@ -142,7 +142,7 @@ class TestTrajectory:
     @settings(max_examples=50, deadline=None)
     def test_interpolant_between_bracketing_nodes(self, t):
         p = zero_field_problem()
-        o = make_oracle(p, exact_info(), 1, 0)
+        o = NoisyOracle(p, exact_info(), 1, 0)
         tr = run_explicit_euler(o, 5)
         rng = np.random.default_rng(0)
         tr.nodes[:, 0] = rng.normal(size=6)
@@ -153,7 +153,7 @@ class TestTrajectory:
         assert lo - 1e-12 <= v <= hi + 1e-12
 
     def test_grid_thetas_inside_subintervals(self, problem_A):
-        o = make_oracle(problem_A, exact_info(), 123, 0)
+        o = NoisyOracle(problem_A, exact_info(), 123, 0)
         tr = run_rk2(o, 50)
         g = tr.grid
         thetas = np.array([g.theta(j) for j in range(1, g.n + 1)])
@@ -161,7 +161,7 @@ class TestTrajectory:
         assert np.all(thetas < g.knots[1:])
 
     def test_csv_roundtrip(self, problem_A, tmp_path):
-        o = make_oracle(problem_A, exact_info(), 5, 0)
+        o = NoisyOracle(problem_A, exact_info(), 5, 0)
         tr = run_explicit_euler(o, 4)
         path = tmp_path / "tr.csv"
         tr.write_csv(path)
