@@ -105,46 +105,47 @@ def _sup_error_kernel(nodes: np.ndarray, h: float, ref_knots: np.ndarray,
                       ref_int: np.ndarray, dt: np.ndarray) -> np.ndarray:
     """Max one-norm deviation over knots and interior offsets.
 
-    ``nodes`` has shape (M, n+1, d); returns (M,).  This is the frozen
-    evaluation rule shared by :func:`sup_error` and the batched runner, so
-    the two produce bitwise-identical results.  The interior value at offset
-    dt[k] of step j is nodes[j-1] + dt[k] * slope_j, with slope_j =
-    (nodes[j] - nodes[j-1]) / h, rounded in that order.
+    ``nodes`` has shape (n+1, M, d), step-major; returns (M,).  This is the
+    frozen evaluation rule shared by :func:`sup_error` and the batched
+    runner, so the two produce bitwise-identical results.  The interior
+    value at offset dt[k] of step j is nodes[j-1] + dt[k] * slope_j, with
+    slope_j = (nodes[j] - nodes[j-1]) / h, rounded in that order.
 
-    Rows are taken in blocks of about ``_BLOCK_ELEMS`` node values (at least
-    one row).  Every deviation of a block is written into one reused scratch
-    array, so the kernel needs O(block) memory whatever M and n are, and its
-    working set stays in cache.
+    Steps are taken in blocks of about ``_BLOCK_ELEMS`` node values (at
+    least one step), each a contiguous slab of every row.  Every deviation
+    of a block is written into one reused scratch array, so the kernel needs
+    O(block) memory whatever n is, and its working set stays in cache.  A
+    block repeats the previous block's last knot; max is exact, so that
+    changes nothing.
     """
-    M, n1, d = nodes.shape
-    rows = max(1, min(M, _BLOCK_ELEMS // (n1 * d)))
-    slope_buf = np.empty(rows * (n1 - 1) * d)
-    dev_buf = np.empty(rows * n1 * d)
-    sum_buf = np.empty(rows * n1) if d > 1 else None
-    row_max = np.empty(rows)
-    err = np.empty(M)
+    n1, M, d = nodes.shape
+    steps = max(1, min(n1 - 1, _BLOCK_ELEMS // (M * d)))
+    slope_buf = np.empty(steps * M * d)
+    dev_buf = np.empty((steps + 1) * M * d)
+    sum_buf = np.empty((steps + 1) * M) if d > 1 else None
+    step_max = np.empty(M)
+    err = np.zeros(M)
 
-    def max_norm(dev, out):
-        """Per row, the largest one-norm of dev (b, width, d), into out."""
+    def fold(dev):
+        """Fold the largest one-norm of each row of dev (b, M, d) into err."""
         np.abs(dev, out=dev)
         norms = dev[..., 0] if d == 1 else np.sum(dev, axis=2,
                                                   out=_scratch(sum_buf, dev.shape[:2]))
-        return np.max(norms, axis=1, out=out)
+        np.maximum(err, np.max(norms, axis=0, out=step_max), out=err)
 
-    for r0 in range(0, M, rows):
-        block = nodes[r0:r0 + rows]
-        b = block.shape[0]
-        out = err[r0:r0 + b]
-        max_norm(np.subtract(block, ref_knots, out=_scratch(dev_buf, block.shape)), out)
-        slopes = np.subtract(block[:, 1:], block[:, :-1],
-                             out=_scratch(slope_buf, (b, n1 - 1, d)))
+    for s0 in range(0, n1 - 1, steps):
+        s1 = min(s0 + steps, n1 - 1)
+        knots = nodes[s0:s1 + 1]
+        fold(np.subtract(knots, ref_knots[s0:s1 + 1, None], out=_scratch(dev_buf, knots.shape)))
+        slopes = np.subtract(nodes[s0 + 1:s1 + 1], nodes[s0:s1],
+                             out=_scratch(slope_buf, (s1 - s0, M, d)))
         np.divide(slopes, h, out=slopes)
         dev = _scratch(dev_buf, slopes.shape)
         for k in range(dt.shape[0]):
             np.multiply(dt[k], slopes, out=dev)
-            np.add(block[:, :-1], dev, out=dev)
-            np.subtract(dev, ref_int[k], out=dev)
-            np.maximum(out, max_norm(dev, row_max[:b]), out=out)
+            np.add(nodes[s0:s1], dev, out=dev)
+            np.subtract(dev, ref_int[k, s0:s1, None], out=dev)
+            fold(dev)
     return err
 
 
@@ -159,7 +160,7 @@ def sup_error(tr: Trajectory, ref: ReferenceSolution, subsamples_per_step: int =
     knots = tr.grid.knots
     dt = _interior_offsets(tr.grid.h, subsamples_per_step)
     ref_knots, ref_int = _reference_grids(ref, knots, dt)
-    return float(_sup_error_kernel(tr.nodes[None, :, :], tr.grid.h, ref_knots, ref_int, dt)[0])
+    return float(_sup_error_kernel(tr.nodes[:, None], tr.grid.h, ref_knots, ref_int, dt)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +192,47 @@ class ErrorBatch:
         write_csv(path, ["rank", "error"], zip(range(1, self.N + 1), self.errors))
 
 
+class _SupErrorFold:
+    """The node sink of a chunk run: folds each block of nodes into every row's sup-norm error.
+
+    A block holds nodes j0 .. j0 + steps of every row, step-major, in one
+    reused buffer; its first node is the previous block's last.  So every
+    knot deviation and interior value is computed from the same nodes as
+    over the whole run, and max is exact: ``errors`` equals
+    :func:`_sup_error_kernel` over all n + 1 nodes bit for bit.
+    """
+
+    def __init__(self, m: int, h: float, ref_knots, ref_int, dt):
+        self.errors = np.zeros(m)
+        self._nodes = None
+        self._h, self._ref_knots, self._ref_int, self._dt = h, ref_knots, ref_int, dt
+
+    def block(self, j0: int, steps: int) -> np.ndarray:
+        """Room for nodes j0 .. j0 + steps of every row, shape (steps + 1, m, 1)."""
+        if self._nodes is None:  # the first block is the longest
+            self._nodes = np.empty((steps + 1, self.errors.shape[0], 1))
+        return self._nodes[:steps + 1]
+
+    def take(self, j0: int, nodes: np.ndarray):
+        steps = nodes.shape[0] - 1
+        err = _sup_error_kernel(nodes, self._h, self._ref_knots[j0:j0 + steps + 1],
+                                self._ref_int[:, j0:j0 + steps], self._dt)
+        np.maximum(self.errors, err, out=self.errors)
+
+
 def _chunk_errors_vectorized(problem: IvpSpec, scheme: SchemeKind, n: int,
                              noise: NoiseModel, master_seed, lo: int, hi: int,
                              dt, ref_knots, ref_int, perturb_eta: bool) -> np.ndarray:
-    """All replication errors in [lo, hi) from one scheme run over the chunk's rows."""
-    evals = 2 * n if scheme is SchemeKind.RUNGE_KUTTA2 else n
-    tr = run_scheme(ChunkOracle(problem, noise, master_seed, lo, hi, evals, perturb_eta),
-                    scheme, n)
-    return _sup_error_kernel(tr.nodes, tr.grid.h, ref_knots, ref_int, dt)
+    """All replication errors in [lo, hi) from one scheme run over the chunk's rows.
+
+    The run is streamed: tapes, nodes and the error fold hold one block of
+    steps at a time, so the chunk's memory does not grow with n.
+    """
+    evals_per_step = 2 if scheme is SchemeKind.RUNGE_KUTTA2 else 1
+    oracle = ChunkOracle(problem, noise, master_seed, lo, hi, evals_per_step, perturb_eta)
+    fold = _SupErrorFold(hi - lo, (problem.b - problem.a) / n, ref_knots, ref_int, dt)
+    run_scheme(oracle, scheme, n, sink=fold)
+    return fold.errors
 
 
 def _chunk_errors_scalar(problem: IvpSpec, scheme: SchemeKind, n: int,
@@ -208,7 +242,7 @@ def _chunk_errors_scalar(problem: IvpSpec, scheme: SchemeKind, n: int,
     out = np.empty(hi - lo)
     for i in range(lo, hi):
         tr = run_scheme(NoisyOracle(problem, noise, master_seed, i, perturb_eta), scheme, n)
-        out[i - lo] = _sup_error_kernel(tr.nodes[None], tr.grid.h, ref_knots, ref_int, dt)[0]
+        out[i - lo] = _sup_error_kernel(tr.nodes[:, None], tr.grid.h, ref_knots, ref_int, dt)[0]
     return out
 
 
@@ -234,8 +268,8 @@ def run_batch(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind
     lambda or closure) runs its chunks serially, with a RuntimeWarning,
     whatever the parallelism.
     """
-    if N < 1:
-        raise DomainError("N must be >= 1")
+    if N < 1 or n < 1:
+        raise DomainError(f"N ({N}) and n ({n}) must be >= 1")
     if subsamples_per_step < 1:
         raise DomainError("subsamples_per_step must be >= 1")
     h = (problem.b - problem.a) / n
@@ -483,6 +517,7 @@ def derive_cell_seed(master_seed, scheme: SchemeKind, problem_name: str, n: int)
 
 REF_MAGIC = b"RANDODE-REF-1\n"
 DEFAULT_REF_STEPS = 2_000_000
+MIN_REF_STEPS = 100_000
 
 
 def _rk4_dense_B(n_ref: int) -> np.ndarray:
@@ -557,8 +592,8 @@ def build_reference_B(n_ref: int = DEFAULT_REF_STEPS, cache_path=None) -> Refere
     rewrites the cache) when the file is missing, corrupt, or was built with
     different parameters.
     """
-    if n_ref < 100_000:
-        raise DomainError("n_ref must be >= 1e5")
+    if n_ref < MIN_REF_STEPS:
+        raise DomainError(f"n_ref must be >= {MIN_REF_STEPS}")
     cache_path = cache_path or default_ref_cache(n_ref)
     want = {"problem": "B", "method": "rk4", "n_ref": int(n_ref), "a": 0.0, "b": 1.0, "d": 1}
     if os.path.exists(cache_path):

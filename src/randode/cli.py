@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    MIN_REF_STEPS,
     build_reference_B,
     confidence_band,
     convergence_slope,
@@ -146,12 +147,21 @@ def _noise_for(kind: str, scheme: SchemeKind, delta: float) -> NoiseModel:
     return NoiseModel(kind, delta)
 
 
-def _check_run(epsilon: float, subsamples: int = 1, parallelism: int = 1):
-    """Reject a quantile level outside (0, 1) or a count below 1, before any work is done."""
+def _check_steps(ns):
+    """Reject an empty list of step counts or one below 1, before any delta rule reads it."""
+    if not ns or min(ns) < 1:
+        raise UsageError(f"step counts must be >= 1, got {list(ns)}")
+
+
+def _check_run(epsilon: float, ref_steps: int, subsamples: int = 1, parallelism: int = 1):
+    """Reject a quantile level outside (0, 1), a count below 1 or a reference build
+    below MIN_REF_STEPS steps, before any work is done."""
     if not 0.0 < epsilon < 1.0:
         raise UsageError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     if subsamples < 1 or parallelism < 1:
         raise UsageError(f"subsamples ({subsamples}) and parallelism ({parallelism}) must be >= 1")
+    if ref_steps < MIN_REF_STEPS:
+        raise UsageError(f"--ref-steps must be >= {MIN_REF_STEPS}, got {ref_steps}")
 
 
 def _int_list(text: str):
@@ -170,13 +180,13 @@ def cmd_solve(args) -> int:
     problem = make_problem(_resolve(args, cfg, "problem", "A"))
     scheme = scheme_from_name(_resolve(args, cfg, "scheme", "ee"))
     n = _resolve(args, cfg, "n", 10, int)
+    _check_steps([n])
     seed = _resolve(args, cfg, "seed", DEFAULT_SEED, int)
     out = _resolve(args, cfg, "out", "out")
     rule = parse_delta_rule(_resolve(args, cfg, "delta", "0"))
     delta = rule.value_for(n)
     noise = _noise_for(_resolve(args, cfg, "noise", "auto"), scheme, delta)
     _reject_unread(cfg, "solve")
-    os.makedirs(out, exist_ok=True)
 
     taus = None
     if args.force_tau is not None:
@@ -188,6 +198,7 @@ def cmd_solve(args) -> int:
                                   "n": n, "noise": noise.kind, "delta": delta,
                                   "seed": seed, "force_tau": args.force_tau})
     tr = run_scheme(NoisyOracle(problem, noise, seed, 0), scheme, n, taus=taus)
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "trajectory.csv")
     tr.write_csv(path)
     manifest.add(path)
@@ -218,6 +229,7 @@ def cmd_table(args) -> int:
     problem = make_problem(_resolve(args, cfg, "problem", "A"))
     scheme = scheme_from_name(_resolve(args, cfg, "scheme", "ee"))
     ns = _int_list(_resolve(args, cfg, "n_list", DEFAULT_N_LIST))
+    _check_steps(ns)
     default_rules = RK_DELTA_RULES if scheme is SchemeKind.RUNGE_KUTTA2 else EE_DELTA_RULES
     rules = [parse_delta_rule(v)
              for v in _resolve(args, cfg, "delta_rules", default_rules).replace(",", " ").split()]
@@ -229,9 +241,10 @@ def cmd_table(args) -> int:
     subsamples = _resolve(args, cfg, "subsamples", 8, int)
     kind = _resolve(args, cfg, "noise", "auto")
     _reject_unread(cfg, "table")
-    _check_run(epsilon, subsamples, parallelism)
+    _check_run(epsilon, args.ref_steps, subsamples, parallelism)
     if explicit_N is not None and explicit_N < 100:
         raise UsageError("table requires N >= 100")
+    noises = [[_noise_for(kind, scheme, rule.value_for(n)) for rule in rules] for n in ns]
     os.makedirs(out, exist_ok=True)
     if explicit_N is not None and explicit_N < 10.0 / epsilon:
         print(f"warning: N = {explicit_N} is below 10/epsilon = {10.0 / epsilon:.0f}; "
@@ -247,13 +260,11 @@ def cmd_table(args) -> int:
 
     rows = []
     failures = []
-    for n in ns:
+    for n, row_noises in zip(ns, noises):
         cell_seed = derive_cell_seed(seed, scheme, problem.name, n)
         N = _cell_N(n, explicit_N)
         row = [str(n)]
-        for rule in rules:
-            delta = rule.value_for(n)
-            noise = _noise_for(kind, scheme, delta)
+        for rule, noise in zip(rules, row_noises):
             try:
                 batch = run_batch(problem, reference, scheme, n, noise, N, cell_seed,
                                   parallelism=parallelism,
@@ -288,6 +299,7 @@ def cmd_band(args) -> int:
     problem = make_problem(_resolve(args, cfg, "problem", "A"))
     scheme = scheme_from_name(_resolve(args, cfg, "scheme", "ee"))
     n = _resolve(args, cfg, "n", 25, int)
+    _check_steps([n])
     xi = _resolve(args, cfg, "xi", None, float)
     if xi is None or xi <= 0:
         raise UsageError("band requires --xi > 0")
@@ -307,8 +319,7 @@ def cmd_band(args) -> int:
         delta_label = rule.label
     noise = _noise_for(_resolve(args, cfg, "noise", "auto"), scheme, delta)
     _reject_unread(cfg, "band")
-    _check_run(epsilon)
-    os.makedirs(out, exist_ok=True)
+    _check_run(epsilon, args.ref_steps)
     reference = reference_for(problem, cache_path=args.ref_cache, n_ref=args.ref_steps)
 
     manifest = Manifest("band", {"problem": problem.name, "scheme": scheme.value,
@@ -319,6 +330,7 @@ def cmd_band(args) -> int:
     band = confidence_band(tr, gamma, delta, xi, grid_points=grid_points, epsilon=epsilon)
     ref_vals = reference.values_at(band.ts)
 
+    os.makedirs(out, exist_ok=True)
     csv_path = os.path.join(out, f"band_{scheme.value}_{problem.name}.csv")
     band.write_csv(csv_path)
     manifest.add(csv_path)
@@ -343,6 +355,7 @@ def cmd_tail(args) -> int:
     problem = make_problem(_resolve(args, cfg, "problem", "A"))
     scheme = scheme_from_name(_resolve(args, cfg, "scheme", "ee"))
     n = _resolve(args, cfg, "n", 100, int)
+    _check_steps([n])
     N = _resolve(args, cfg, "N", 100_000, int)
     if N < 100:
         raise UsageError("tail requires N >= 100")
@@ -355,11 +368,13 @@ def cmd_tail(args) -> int:
     delta = rule.value_for(n)
     noise = _noise_for(_resolve(args, cfg, "noise", "auto"), scheme, delta)
     _reject_unread(cfg, "tail")
-    _check_run(epsilon, subsamples, parallelism)
+    _check_run(epsilon, args.ref_steps, subsamples, parallelism)
+    if args.xi_points < 1 or (args.xi_max is not None and args.xi_max < 0):
+        raise UsageError(f"xi-points ({args.xi_points}) must be >= 1 and xi-max "
+                         f"({args.xi_max}) >= 0")
     if N < 10.0 / epsilon:
         print(f"warning: N = {N} is below 10/epsilon = {10.0 / epsilon:.0f}; "
               f"tail probabilities near {epsilon} will be coarse", file=sys.stderr)
-    os.makedirs(out, exist_ok=True)
     gamma = gamma_of(scheme, problem.class_params.rho)
     reference = reference_for(problem, cache_path=args.ref_cache, n_ref=args.ref_steps)
 
@@ -374,6 +389,7 @@ def cmd_tail(args) -> int:
     xi_max = args.xi_max if args.xi_max is not None else float(batch.errors[-1]) / denom
     grid = np.linspace(0.0, xi_max, args.xi_points)
     curve = tail_curve(batch, gamma, grid)
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, f"tail_{scheme.value}_{problem.name}_n{n}.csv")
     curve.write_csv(path)
     manifest.add(path)
@@ -394,7 +410,6 @@ def cmd_diagnose(args) -> int:
     reps = _resolve(args, cfg, "reps", 100_000, int)
     slope_N = _resolve(args, cfg, "N", 128, int)
     _reject_unread(cfg, "diagnose")
-    os.makedirs(out, exist_ok=True)
     checks = []
 
     # conditional mean of the local quadrature error (analytic pair of problem A)
@@ -429,6 +444,7 @@ def cmd_diagnose(args) -> int:
 
     passed = all(c["passed"] for c in checks)
     report = {"passed": passed, "problem": problem.name, "seed": seed, "checks": checks}
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "diagnose.json")
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

@@ -22,7 +22,8 @@ perturbation magnitude (2u - 1) * delta.  Two oracles built from the same
 (master_seed, replication_index) therefore share identical grid draws
 regardless of their noise model, which couples exact and noisy runs.
 A :class:`ChunkOracle` makes the same draws for a chunk of replications of a
-d = 1 problem at once, from tapes filled per replication stream.
+d = 1 problem at once, from tapes filled per replication stream one block of
+steps at a time.
 """
 
 from __future__ import annotations
@@ -107,6 +108,9 @@ _MAX_REPLICATIONS = 1 << 32  # a wider index takes two spawn-key words
 #: the tape fill here and the sup-error kernel in analysis.py
 _BLOCK_ELEMS = 1 << 15
 _TAPE_ROWS = 16
+#: steps of one block of a chunk run: its tapes, its nodes and the sup-error
+#: fold hold this many steps of every row at a time (schemes.py)
+_BLOCK_STEPS = 256
 
 
 def _entropy_words(x) -> list:
@@ -185,28 +189,36 @@ def stream_keys(master_seed, lo: int, hi: int, substream: int) -> np.ndarray:
     return keys
 
 
-def fill_uniform_rows(keys: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill row i of out with the leading U(0,1) draws of the Philox stream keyed by keys[i].
+def fill_uniform_rows(keys: np.ndarray, out: np.ndarray, start: int = 0) -> np.ndarray:
+    """Fill row i of out with U(0,1) draws start, start + 1, ... of the stream keyed by keys[i].
 
-    One native Philox is re-keyed per row with a zero counter and an empty
-    buffer, the state a freshly seeded Philox starts in, so row i equals
-    ``Generator(Philox(key=keys[i])).random(out.shape[1])``.
+    One native Philox is re-keyed per row.  Philox is counter-based, and
+    numpy's Philox increments its counter before each output and hands out
+    the output's four 64-bit words one per double, so draw s is word s % 4 of
+    counter s // 4 + 1.  A row therefore starts from counter start // 4 with
+    an empty buffer and skips start % 4 draws; row i equals
+    ``Generator(Philox(key=keys[i])).random(start + out.shape[1])[start:]``.
+    The state is set from plain Python ints, which numpy converts faster
+    than arrays.
     """
     bit_gen = np.random.Philox(0)
     gen = np.random.Generator(bit_gen)
-    state = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
-    for key, row in zip(keys, out):
-        state["state"]["key"] = key
+    skip = start % 4
+    inner = {"counter": [start // 4, 0, 0, 0], "key": None}
+    state = {"bit_generator": "Philox", "state": inner, "buffer": [0, 0, 0, 0],
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for key, row in zip(keys.tolist(), out):
+        inner["key"] = key
         bit_gen.state = state
+        if skip:
+            gen.random(skip)
         gen.random(out=row)
     return out
 
 
-def _step_major_tape(keys: np.ndarray, steps: int, delta=None) -> np.ndarray:
-    """The leading draws of each stream, step-major: tape[s, i, 0] is draw s of keys[i].
+def _step_major_tape(keys: np.ndarray, out: np.ndarray, start: int = 0,
+                     delta=None) -> np.ndarray:
+    """Fill out, shape (steps, m, 1), step-major: out[s, i, 0] is draw start + s of keys[i].
 
     Rows are filled a block at a time into a scratch of about
     ``_BLOCK_ELEMS`` draws (:func:`fill_uniform_rows`) and written
@@ -215,16 +227,22 @@ def _step_major_tape(keys: np.ndarray, steps: int, delta=None) -> np.ndarray:
     lines of the tape.  With ``delta`` every draw u is stored as its factor
     (2u - 1) delta.
     """
-    m = keys.shape[0]
-    tape = np.empty((steps, m, 1))
+    steps, m = out.shape[:2]
     rows = max(1, min(m, max(_TAPE_ROWS, _BLOCK_ELEMS // max(steps, 1))))
     scratch = np.empty((rows, steps))
     for r0 in range(0, m, rows):
-        block = fill_uniform_rows(keys[r0:r0 + rows], scratch[:min(rows, m - r0)])
+        block = fill_uniform_rows(keys[r0:r0 + rows], scratch[:min(rows, m - r0)], start)
         if delta is not None:
             block = _signed(block, delta)
-        tape[:, r0:r0 + block.shape[0], 0] = block.T
-    return tape
+        out[:, r0:r0 + block.shape[0], 0] = block.T
+    return out
+
+
+def _tape_buffer(buf, steps: int, m: int) -> np.ndarray:
+    """A (steps, m, 1) array: the front of buf when it is long enough, else a new one."""
+    if buf is None or buf.shape[0] < steps:
+        return np.empty((steps, m, 1))
+    return buf[:steps]
 
 
 def _signed(u, delta):
@@ -341,34 +359,43 @@ class ChunkOracle:
     States have shape (m, 1), one row per replication, and ``base.rhs`` must
     accept them elementwise.  Row i draws exactly what
     ``NoisyOracle(base, model, master_seed, lo + i, perturb_eta)`` draws, in
-    the same order, read from step-major tapes filled from that replication's
-    streams (:func:`stream_keys`, :func:`_step_major_tape`), so each draw of
-    every row is one contiguous (m, 1) slice: the grid tape holds the taus;
-    the noise tape holds, already mapped to (2u - 1) delta, the initial-value
-    ball draw, then the ``ie`` factor, then, for fresh noise, one draw per
-    evaluation for ``evals`` evaluations.  Evaluation is rhs plus the
-    perturbation, without :meth:`NoisyOracle.noisy_eval`'s per-call checks;
-    ``eval_count`` counts calls, each covering every row.
+    the same order, read from step-major tapes filled from that
+    replication's streams (:func:`stream_keys`, :func:`_step_major_tape`),
+    so each draw of every row is one contiguous (m, 1) slice.  The
+    constructor takes only the lead draws: the initial-value ball draw, then
+    the ``ie`` factor.  Each :meth:`draw_taus` call fills the next steps'
+    grid draws and, for fresh noise, the noise draws of their
+    ``evals_per_step`` evaluations a step, already mapped to (2u - 1) delta;
+    a stream is entered at any draw directly (:func:`fill_uniform_rows`), so
+    the tapes hold only the steps asked for, not the whole run.  Evaluation is
+    rhs plus the perturbation, without :meth:`NoisyOracle.noisy_eval`'s
+    per-call checks; ``eval_count`` counts calls, each covering every row.
     ``replication_index`` is lo, row 0's.
     """
 
     def __init__(self, base: IvpSpec, model: NoiseModel, master_seed, lo: int, hi: int,
-                 evals: int, perturb_eta: bool = False):
+                 evals_per_step: int = 1, perturb_eta: bool = False):
         if base.d != 1:
             raise DomainError("a chunk oracle needs a one-dimensional problem")
         self.base = base
         self.model = model
         self.master_seed = master_seed
         self.replication_index = lo
-        self._hi = hi
         self.eval_count = 0
+        self._m = hi - lo
+        self._evals_per_step = evals_per_step
         ball = perturb_eta and model.delta > 0.0
         ie = model.kind == "ie" and model.delta > 0.0
-        draws = ball + ie + (evals if model.fresh else 0)
-        self._noise = (_step_major_tape(stream_keys(master_seed, lo, hi, 1), draws, model.delta)
-                       if draws else None)
+        self._grid_keys = stream_keys(master_seed, lo, hi, 0)
+        self._noise_keys = (stream_keys(master_seed, lo, hi, 1)
+                            if ball or ie or model.fresh else None)
+        self._taus = None
+        self._grid_pos = 0  # grid draws taken, per row
+        self._noise_pos = ball + ie  # noise draws taken, per row
+        self._noise = (_step_major_tape(self._noise_keys, np.empty((self._noise_pos, self._m, 1)),
+                                        0, model.delta) if self._noise_pos else None)
         self._next = 0
-        self.eta_tilde = base.eta[0] + self._draw() if ball else np.full((hi - lo, 1), base.eta[0])
+        self.eta_tilde = base.eta[0] + self._draw() if ball else np.full((self._m, 1), base.eta[0])
         self._e0 = self._draw() if ie else None
 
     def _draw(self) -> np.ndarray:
@@ -378,9 +405,22 @@ class ChunkOracle:
         return e
 
     def draw_taus(self, n: int) -> np.ndarray:
-        """Every row's first n grid draws, step-major: C-contiguous, shape (n, m, 1)."""
-        return _step_major_tape(stream_keys(self.master_seed, self.replication_index,
-                                            self._hi, 0), n)
+        """Every row's next n grid draws, step-major: C-contiguous, shape (n, m, 1).
+
+        For fresh noise this also fills the noise draws of those n steps'
+        evaluations.  Both tapes are buffers that the next call reuses.
+        """
+        self._taus = _step_major_tape(self._grid_keys, _tape_buffer(self._taus, n, self._m),
+                                      self._grid_pos)
+        self._grid_pos += n
+        if self.model.fresh:
+            evals = n * self._evals_per_step
+            self._noise = _step_major_tape(self._noise_keys,
+                                           _tape_buffer(self._noise, evals, self._m),
+                                           self._noise_pos, self.model.delta)
+            self._noise_pos += evals
+            self._next = 0
+        return self._taus
 
     def noisy_eval(self, t, x) -> np.ndarray:
         """rhs(t, x) plus every row's perturbation."""

@@ -8,7 +8,11 @@ interpolant of the node values.
 Each scheme is written once and steps either one replication (a
 :class:`NoisyOracle`, state shape (d,)) or a whole chunk of replications (a
 :class:`ChunkOracle`, state shape (m, 1), one row per replication) with the
-same elementwise arithmetic, so the two give bitwise-identical nodes.
+same elementwise arithmetic, so the two give bitwise-identical nodes.  A run
+walks its steps in blocks of ``_BLOCK_STEPS``.  By default it keeps every
+node for its :class:`Trajectory`; a node sink instead takes each block as
+soon as it is stepped, so a chunk run holds one block of nodes and tapes
+whatever n is.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import enum
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError, NumericalError
-from .noise import ChunkOracle, NoisyOracle
+from .noise import _BLOCK_STEPS, ChunkOracle, NoisyOracle
 from .problems import d_exact_solution_A, exact_solution_A
 
 
@@ -67,7 +71,8 @@ class Grid:
     """Uniform knots plus the random evaluation points of one run.
 
     ``taus`` has shape (n,) for one replication and (n, m, 1) for a chunk,
-    so ``taus[j - 1]`` is step j's draw of every row.
+    so ``taus[j - 1]`` is step j's draw of every row; it is None when a node
+    sink took the run, whose taus were drawn block by block.
     """
 
     n: int
@@ -86,7 +91,7 @@ class Trajectory:
 
     scheme: SchemeKind
     grid: Grid
-    nodes: np.ndarray   # (n+1, d); a chunk of m replications: (m, n+1, 1)
+    nodes: np.ndarray   # (n+1, d); a chunk: (n+1, m, 1); None when a node sink took them
     eval_count: int
 
     @property
@@ -120,67 +125,116 @@ class Trajectory:
                   np.column_stack([self.grid.knots, self.nodes]))
 
 
+class _Run:
+    """One scheme run: its grid, and its nodes walked in blocks of ``_BLOCK_STEPS`` steps.
+
+    Without a sink the run keeps all n + 1 nodes, with its taus drawn up
+    front.  A sink takes the nodes block by block instead, and the taus are
+    drawn per block.  It provides ``block(j0, steps)``, an array of shape
+    (steps + 1, *state) to hold nodes j0 .. j0 + steps, and
+    ``take(j0, nodes)``, called with each block once it is stepped.
+    """
+
+    def __init__(self, oracle, n: int, taus, sink):
+        if n < 1:
+            raise DomainError("n must be >= 1")
+        if taus is not None:
+            taus = np.asarray(taus, dtype=float)
+            if taus.shape != (n,):
+                raise DomainError(f"taus override must have shape ({n},)")
+        elif sink is None:
+            taus = oracle.draw_taus(n)
+        a, b = oracle.base.a, oracle.base.b
+        h = (b - a) / n
+        self.grid = Grid(n=n, h=h, knots=a + h * np.arange(n + 1), taus=taus)
+        self.oracle = oracle
+        self.sink = sink
+        self.nodes = None if sink else np.empty((n + 1,) + oracle.eta_tilde.shape)
+
+    def blocks(self):
+        """Yield (j0, taus, nodes) per block: step j0 + k draws taus[k - 1] and fills nodes[k].
+
+        Each block is checked for non-finite nodes once stepped, then handed
+        to the sink.  After the last block a NumericalError names the lowest
+        replication that went non-finite and its first non-finite step.
+        """
+        n, taus, sink = self.grid.n, self.grid.taus, self.sink
+        bad = None  # per row: first non-finite step, n + 1 for none yet
+        last = self.oracle.eta_tilde
+        for j0 in range(0, n, _BLOCK_STEPS):
+            steps = min(_BLOCK_STEPS, n - j0)
+            tau = self.oracle.draw_taus(steps) if taus is None else taus[j0:]
+            nodes = self.nodes[j0:j0 + steps + 1] if sink is None else sink.block(j0, steps)
+            nodes[0] = last
+            yield j0, tau, nodes
+            last = nodes[steps]
+            stepped = nodes[1:]
+            # min and max are NaN or infinite iff some node is, and make no temporaries
+            if not (np.isfinite(stepped.min()) and np.isfinite(stepped.max())):
+                ok = np.isfinite(stepped).all(axis=-1).reshape(steps, -1)
+                if bad is None:
+                    bad = np.full(ok.shape[1], n + 1)
+                new = (bad > n) & ~ok.all(axis=0)
+                bad[new] = j0 + 1 + np.argmin(ok[:, new], axis=0)
+            elif bad is None and sink is not None:
+                sink.take(j0, nodes)
+        if bad is not None:
+            row = int(np.argmax(bad <= n))
+            _raise_non_finite(self.oracle.replication_index + row, int(bad[row]))
+
+    def result(self, scheme: SchemeKind) -> Trajectory:
+        return Trajectory(scheme, self.grid, self.nodes, self.oracle.eval_count)
+
+
+def _raise_non_finite(replication: int, step: int):
+    raise NumericalError(f"replication {replication}: non-finite node value at step {step}",
+                         step=step, replication=replication)
+
+
 def _check_finite(values, step: int, replication: int):
     """Raise NumericalError for the first row of values that holds a non-finite value.
 
-    values has shape (steps, d) for one replication or (m, steps, d) for the
-    rows replication, replication + 1, ...; its step k is scheme step step + k.
+    values are the states at scheme step step: shape (m, d) for the rows
+    replication, replication + 1, ..., or (d,) for one replication.
     """
     if np.isfinite(values).all():
         return
-    finite = np.isfinite(values).all(axis=-1).reshape(-1, values.shape[-2])
-    row = int(np.argmin(finite.all(axis=1)))
-    step += int(np.argmin(finite[row]))
-    raise NumericalError(f"replication {replication + row}: non-finite node value at "
-                         f"step {step}", step=step, replication=replication + row)
+    finite = np.isfinite(values).all(axis=-1).reshape(-1)
+    _raise_non_finite(replication + int(np.argmin(finite)), step)
 
 
-def _start(oracle, n: int, taus):
-    """The run's grid, initial state and node array, node 0 filled."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if taus is None:
-        taus = oracle.draw_taus(n)
-    else:
-        taus = np.asarray(taus, dtype=float)
-        if taus.shape != (n,):
-            raise DomainError(f"taus override must have shape ({n},)")
-    a, b = oracle.base.a, oracle.base.b
-    h = (b - a) / n
-    g = Grid(n=n, h=h, knots=a + h * np.arange(n + 1), taus=taus)
-    w = oracle.eta_tilde.copy()
-    nodes = np.empty(w.shape[:-1] + (n + 1, w.shape[-1]))
-    nodes[..., 0, :] = w
-    return g, w, nodes
-
-
-def run_explicit_euler(oracle: NoisyOracle | ChunkOracle, n: int, taus=None) -> Trajectory:
+def run_explicit_euler(oracle: NoisyOracle | ChunkOracle, n: int, taus=None,
+                       sink=None) -> Trajectory:
     """W_j = W_{j-1} + h f~(theta_j, W_{j-1}); one oracle call per step."""
-    g, w, nodes = _start(oracle, n, taus)
-    for j in range(1, n + 1):
-        w = w + g.h * oracle.noisy_eval(g.theta(j), w)
-        nodes[..., j, :] = w
-    _check_finite(nodes, 0, oracle.replication_index)
-    return Trajectory(SchemeKind.EXPLICIT_EULER, g, nodes, oracle.eval_count)
+    run = _Run(oracle, n, taus, sink)
+    h, knots = run.grid.h, run.grid.knots
+    for j0, tau, nodes in run.blocks():
+        w = nodes[0]
+        for k in range(1, nodes.shape[0]):
+            w = w + h * oracle.noisy_eval(knots[j0 + k - 1] + h * tau[k - 1], w)
+            nodes[k] = w
+    return run.result(SchemeKind.EXPLICIT_EULER)
 
 
-def run_rk2(oracle: NoisyOracle | ChunkOracle, n: int, taus=None) -> Trajectory:
+def run_rk2(oracle: NoisyOracle | ChunkOracle, n: int, taus=None, sink=None) -> Trajectory:
     """Two-stage step: a tau-scaled stage at t_{j-1}, then the update at theta_j.
 
     Two oracle calls per step; the stage values are transient.
     """
-    g, v, nodes = _start(oracle, n, taus)
-    for j in range(1, n + 1):
-        t0, htau = g.knots[j - 1], g.h * g.taus[j - 1]
-        stage = v + htau * oracle.noisy_eval(t0, v)
-        v = v + g.h * oracle.noisy_eval(t0 + htau, stage)  # at theta_j
-        nodes[..., j, :] = v
-    _check_finite(nodes, 0, oracle.replication_index)
-    return Trajectory(SchemeKind.RUNGE_KUTTA2, g, nodes, oracle.eval_count)
+    run = _Run(oracle, n, taus, sink)
+    h, knots = run.grid.h, run.grid.knots
+    for j0, tau, nodes in run.blocks():
+        v = nodes[0]
+        for k in range(1, nodes.shape[0]):
+            t0, htau = knots[j0 + k - 1], h * tau[k - 1]
+            stage = v + htau * oracle.noisy_eval(t0, v)
+            v = v + h * oracle.noisy_eval(t0 + htau, stage)  # at theta_j
+            nodes[k] = v
+    return run.result(SchemeKind.RUNGE_KUTTA2)
 
 
 def run_implicit_euler(oracle: NoisyOracle | ChunkOracle, n: int, tol: float = 1e-12,
-                       max_iter: int = 100, taus=None) -> Trajectory:
+                       max_iter: int = 100, taus=None, sink=None) -> Trajectory:
     """U_j = U_{j-1} + h f~(theta_j, U_j), solved by fixed-point iteration.
 
     Requires the contraction margin h (L + delta) < 1, with L the problem's
@@ -198,37 +252,41 @@ def run_implicit_euler(oracle: NoisyOracle | ChunkOracle, n: int, tol: float = 1
         raise DomainError("tol must be positive")
     if oracle.model.fresh:
         raise DomainError(f"implicit Euler needs exact or ie noise, not fresh {oracle.model.kind}")
-    g, u, nodes = _start(oracle, n, taus)
-    q = g.h * (oracle.base.class_params.L + oracle.model.delta)
+    run = _Run(oracle, n, taus, sink)
+    h, knots = run.grid.h, run.grid.knots
+    q = h * (oracle.base.class_params.L + oracle.model.delta)
     if not q < 1.0:
         raise DomainError(f"contraction margin violated: h(L + delta) = {q} >= 1")
-    for j in range(1, n + 1):
-        theta = g.theta(j)
-        cur = u
-        active = np.ones(u.shape[:-1], dtype=bool)
-        for _ in range(max_iter):
-            nxt = np.where(active[..., None], u + g.h * oracle.noisy_eval(theta, cur), cur)
-            _check_finite(nxt[..., None, :], j, oracle.replication_index)
-            active &= np.sum(np.abs(nxt - cur), axis=-1) > tol
-            cur = nxt
-            if not active.any():
-                break
-        else:
-            i = oracle.replication_index + int(np.argmax(active.reshape(-1)))
-            raise ConvergenceError(f"replication {i}: fixed point did not converge at "
-                                   f"step {j}", step=j, replication=i)
-        u = cur
-        nodes[..., j, :] = u
-    return Trajectory(SchemeKind.IMPLICIT_EULER, g, nodes, oracle.eval_count)
+    for j0, tau, nodes in run.blocks():
+        u = nodes[0]
+        for k in range(1, nodes.shape[0]):
+            j = j0 + k
+            theta = knots[j - 1] + h * tau[k - 1]
+            cur = u
+            active = np.ones(u.shape[:-1], dtype=bool)
+            for _ in range(max_iter):
+                nxt = np.where(active[..., None], u + h * oracle.noisy_eval(theta, cur), cur)
+                _check_finite(nxt, j, oracle.replication_index)
+                active &= np.sum(np.abs(nxt - cur), axis=-1) > tol
+                cur = nxt
+                if not active.any():
+                    break
+            else:
+                i = oracle.replication_index + int(np.argmax(active.reshape(-1)))
+                raise ConvergenceError(f"replication {i}: fixed point did not converge at "
+                                       f"step {j}", step=j, replication=i)
+            u = cur
+            nodes[k] = u
+    return run.result(SchemeKind.IMPLICIT_EULER)
 
 
 def run_scheme(oracle: NoisyOracle | ChunkOracle, scheme: SchemeKind, n: int,
-               taus=None) -> Trajectory:
+               taus=None, sink=None) -> Trajectory:
     if scheme is SchemeKind.EXPLICIT_EULER:
-        return run_explicit_euler(oracle, n, taus=taus)
+        return run_explicit_euler(oracle, n, taus=taus, sink=sink)
     if scheme is SchemeKind.RUNGE_KUTTA2:
-        return run_rk2(oracle, n, taus=taus)
-    return run_implicit_euler(oracle, n, taus=taus)
+        return run_rk2(oracle, n, taus=taus, sink=sink)
+    return run_implicit_euler(oracle, n, taus=taus, sink=sink)
 
 
 # ---------------------------------------------------------------------------

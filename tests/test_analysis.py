@@ -34,7 +34,7 @@ from randode import (
     tail_curve,
     xi_hat,
 )
-from randode import analysis
+from randode import analysis, schemes
 from randode.analysis import default_ref_cache, order_statistic_index, wilson_interval
 from randode.noise import NOISE_KINDS, ChunkOracle, derive_streams
 
@@ -87,7 +87,10 @@ class TestSupError:
 
 
 def unblocked_sup_error_kernel(nodes, h, ref_knots, ref_int, dt):
-    """The specification of analysis._sup_error_kernel: whole-array temporaries."""
+    """The specification of analysis._sup_error_kernel: whole-array temporaries.
+
+    nodes is row-major, (M, n+1, d); the kernel takes them step-major.
+    """
     slopes = (nodes[:, 1:, :] - nodes[:, :-1, :]) / h
     err = np.sum(np.abs(nodes - ref_knots[None, :, :]), axis=2).max(axis=1)
     for k in range(dt.shape[0]):
@@ -113,21 +116,23 @@ class TestSupErrorKernel:
            seed=st.integers(0, 2**32 - 1))
     @example(M=1, n=33_000, d=1, subsamples=2, block=None, seed=1)  # n + 1 > the real block
     @example(M=3, n=11_000, d=3, subsamples=3, block=None, seed=2)
-    @example(M=7, n=4, d=3, subsamples=8, block=30, seed=3)  # two rows a block, last one alone
+    @example(M=2, n=7, d=3, subsamples=8, block=30, seed=3)  # five steps a block, then two
     @settings(max_examples=80, deadline=None)
     def test_blocked_matches_unblocked(self, M, n, d, subsamples, block, seed):
-        args = _kernel_inputs(M, n, d, subsamples, seed)
+        nodes, *rest = _kernel_inputs(M, n, d, subsamples, seed)
+        step_major = np.ascontiguousarray(nodes.transpose(1, 0, 2))
         with mock.patch.object(analysis, "_BLOCK_ELEMS", block or analysis._BLOCK_ELEMS):
-            got = analysis._sup_error_kernel(*args)
-        assert np.array_equal(got, unblocked_sup_error_kernel(*args))
+            got = analysis._sup_error_kernel(step_major, *rest)
+        assert np.array_equal(got, unblocked_sup_error_kernel(nodes, *rest))
 
     def test_scratch_is_o_block(self):
-        # 200 rows of n = 5000 make six-row blocks, the last one of two rows
-        args = _kernel_inputs(200, 5000, 1, 8, 0)
+        # 200 rows of n = 5000 make 163-step blocks, the last one of 110 steps
+        nodes, *rest = args = _kernel_inputs(200, 5000, 1, 8, 0)
         want = unblocked_sup_error_kernel(*args)
+        step_major = np.ascontiguousarray(nodes.transpose(1, 0, 2))
         tracemalloc.start()
         try:
-            got = analysis._sup_error_kernel(*args)
+            got = analysis._sup_error_kernel(step_major, *rest)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -170,18 +175,23 @@ class TestRunBatch:
         n = 64 if scheme is IE else 11  # implicit Euler on B needs h (L + delta) < 1
         for (p, ref), perturb_eta in itertools.product(
                 ((problem_A, ref_A), (problem_B, ref_B)), (False, True)):
-            fast = run_batch(p, ref, scheme, n, noise, 32, 77, chunk_size=13,
-                             perturb_eta=perturb_eta)
             slow = run_batch(dataclasses.replace(p, rhs_vectorized=False), ref, scheme, n,
                              noise, 32, 77, perturb_eta=perturb_eta)
-            assert np.array_equal(fast.errors, slow.errors)
+            # the real block size, and blocks of 3 and 5 steps that put
+            # block edges inside the run
+            for steps in (schemes._BLOCK_STEPS, 3, 5):
+                with mock.patch.object(schemes, "_BLOCK_STEPS", steps):
+                    fast = run_batch(p, ref, scheme, n, noise, 32, 77, chunk_size=13,
+                                     perturb_eta=perturb_eta)
+                assert np.array_equal(fast.errors, slow.errors)
 
     @given(scheme=st.sampled_from([EE, RK, IE]), kind=st.sampled_from(NOISE_KINDS),
            delta=st.floats(0.0, 0.1), n=st.integers(3, 40), seed=st.integers(0, 2**64),
-           chunk_size=st.integers(1, 12), perturb_eta=st.booleans())
+           chunk_size=st.integers(1, 12), perturb_eta=st.booleans(),
+           block_steps=st.sampled_from([None, 3, 5]))
     @settings(max_examples=60, deadline=None)
     def test_batched_equals_per_replication(self, problem_A, ref_A, scheme, kind, delta, n,
-                                            seed, chunk_size, perturb_eta):
+                                            seed, chunk_size, perturb_eta, block_steps):
         noise = NoiseModel(kind, 0.0 if kind == "exact" else delta)
         per_rep = dataclasses.replace(problem_A, rhs_vectorized=False)
         batched = functools.partial(run_batch, problem_A, ref_A, scheme, n, noise, 12, seed,
@@ -193,7 +203,9 @@ class TestRunBatch:
                 with pytest.raises(DomainError):
                     run()
             return
-        assert np.array_equal(batched().errors, single().errors)
+        with mock.patch.object(schemes, "_BLOCK_STEPS", block_steps or schemes._BLOCK_STEPS):
+            fast = batched()
+        assert np.array_equal(fast.errors, single().errors)
 
     def test_closure_rhs_runs_serially_under_parallelism(self):
         k = 0.5
@@ -225,6 +237,52 @@ class TestRunBatch:
             assert info.value.step == 1
 
     @pytest.mark.parametrize("vectorized", [False, True])
+    def test_non_finite_names_lowest_replication_across_blocks(self, vectorized):
+        # a step whose tau exceeds 0.8 lifts the state by about 1, and the
+        # field is infinite from state 2.5 on, so a row's first non-finite
+        # node comes one step after its second lift; in blocks of 5 steps
+        # the lowest failing replication fails in a later block than a
+        # higher one, and must still be the one named
+        n, seed, N = 40, 3, 16
+        p = IvpSpec(a=0.0, b=1.0, d=1, eta=np.ones(1),
+                    rhs=lambda t, x: np.where(x >= 2.5, np.inf,
+                                              np.where(np.asarray(t) * n % 1.0 > 0.8, n, 0.0)),
+                    class_params=ClassParams(K=1.0, L=0.0, rho=1.5), name="lifts",
+                    rhs_vectorized=vectorized)
+        h = 1.0 / n
+        knots = h * np.arange(n + 1)
+        first = {}
+        for i in range(N):
+            theta = knots[:-1] + h * derive_streams(seed, i)[0].random(n)
+            lifts = np.flatnonzero(theta * n % 1.0 > 0.8) + 1
+            if lifts.size > 1 and lifts[1] < n:
+                first[i] = int(lifts[1]) + 1
+        low = min(first)
+        assert any(i > low and (step - 1) // 5 < (first[low] - 1) // 5
+                   for i, step in first.items())
+        with mock.patch.object(schemes, "_BLOCK_STEPS", 5), \
+                pytest.raises(NumericalError) as info:
+            run_batch(p, ReferenceSolution.analytic(np.ones_like), EE, n, exact_info(), N, seed)
+        assert info.value.replication == low
+        if vectorized:
+            assert info.value.step == first[low]
+
+    def test_chunk_memory_does_not_grow_with_n(self, problem_A, ref_A):
+        def traced_peak(n):
+            h = 1.0 / n
+            dt = analysis._interior_offsets(h, 8)
+            ref_knots, ref_int = analysis._reference_grids(ref_A, h * np.arange(n + 1), dt)
+            tracemalloc.start()
+            try:
+                analysis._chunk_errors_vectorized(problem_A, RK, n, NoiseModel("rk", 1e-3), 5,
+                                                  0, 512, dt, ref_knots, ref_int, False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(5000) <= 1.5 * traced_peak(500)
+
+    @pytest.mark.parametrize("vectorized", [False, True])
     def test_non_converged_fixed_point_names_its_replication(self, vectorized):
         # beyond t = 0.9 the field is -x and, with n = 1, the fixed-point map
         # u -> 1 - u cycles between 1 and 0; elsewhere it converges at once
@@ -247,7 +305,7 @@ class TestRunBatch:
         if route == "per-call":
             oracle = NoisyOracle(problem_A, noise, 7, 5)
         else:
-            oracle = ChunkOracle(problem_A, noise, 7, 5, 9, evals=10)
+            oracle = ChunkOracle(problem_A, noise, 7, 5, 9)
         with pytest.raises(DomainError, match=f"not fresh {kind}"):
             run_implicit_euler(oracle, 10)
         assert oracle.eval_count == 0
@@ -261,6 +319,17 @@ class TestRunBatch:
             run_batch(p, ref_A, IE, 10, NoiseModel("ee", 1e-3), 20, 7, chunk_size=7)
         # delta 0 is no noise at all, so that cell runs
         run_batch(p, ref_A, IE, 10, NoiseModel("ee", 0.0), 20, 7, chunk_size=7)
+
+    def test_fresh_noise_implicit_euler_batch_draws_no_tape(self, problem_A, ref_A):
+        # a whole noise tape of this chunk would be 5000 x 8192 float64 values
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="not fresh ee"):
+                run_batch(problem_A, ref_A, IE, 5000, NoiseModel("ee", 1e-3), 8192, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     def test_implicit_euler_batch(self, problem_A, ref_A):
         b = run_batch(problem_A, ref_A, IE, 64, exact_info(), 20, 11)

@@ -253,9 +253,16 @@ class TestTail:
     ("tail", "parallelism", "0"),
     ("band", "epsilon", "0"),
     ("band", "epsilon", "1"),
+    ("table", "n-list", "0"),
+    ("tail", "n", "0"),
+    ("tail", "xi-points", "0"),
+    ("tail", "xi-max", "-1"),
+    ("band", "grid-points", "1"),
+    ("table", "ref-steps", "10"),
+    ("table", "noise", "exact"),  # exact information with the 1e-3 column
 ])
 def test_bad_run_setting_rejected_before_output(tmp_path, capsys, command, setting, value):
-    sizes = {"table": ["--n-list", "10", "--delta-rules", "0", "--N", "100"],
+    sizes = {"table": ["--n-list", "10", "--delta-rules", "0 1e-3", "--N", "100"],
              "tail": ["--n", "10", "--N", "100"], "band": ["--n", "10", "--xi", "3"]}
     out = tmp_path / "out"
     assert run_cli(command, "--problem", "A", *sizes[command], f"--{setting}", value,
@@ -283,6 +290,12 @@ class TestDiagnose:
         doc = json.loads((tmp_path / "diagnose.json").read_text())
         failed = [c for c in doc["checks"] if not c["passed"]]
         assert failed and all(c["name"].startswith("noise_bound") for c in failed)
+
+    def test_failed_run_leaves_no_output(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("diagnose", "--problem", "B", "--ref-steps", "10", "--reps", "1000",
+                       "--out", str(out)) == 2
+        assert not out.exists()
 
 
 class TestBuildRef:

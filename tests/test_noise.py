@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randode import (
@@ -129,18 +129,42 @@ class TestChunkStreams:
         for i in range(lo, hi):
             assert np.array_equal(tapes[i - lo], derive_streams(seed, i)[k].random(m))
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.sampled_from(_SEEDS) | st.integers(0, 1 << 40), lo=st.integers(0, 50),
+           count=st.integers(1, 3), k=st.sampled_from([0, 1]),
+           start=st.integers(0, 600), width=st.integers(0, 9))
+    @example(seed=5, lo=2, count=1, k=0, start=1, width=9)
+    @example(seed=5, lo=2, count=1, k=0, start=7, width=9)
+    @example(seed=5, lo=2, count=1, k=1, start=13, width=9)
+    def test_offset_rows_match_derive_streams(self, seed, lo, count, k, start, width):
+        # draw s is word s % 4 of Philox counter s // 4 + 1, so any start works
+        rows = fill_uniform_rows(stream_keys(seed, lo, lo + count, k), np.empty((count, width)),
+                                 start=start)
+        for i in range(lo, lo + count):
+            want = derive_streams(seed, i)[k].random(start + width)[start:]
+            assert np.array_equal(rows[i - lo], want)
+
     def test_chunk_tapes_are_step_major(self):
-        # 3000 draws a row puts 16 rows in a fill block: blocks of 16, 16 and 5 rows
-        seed, lo, hi, steps = 11, 40, 77, 3000
-        oracle = ChunkOracle(zero_field_problem(), NoiseModel("rk", 0.01), seed, lo, hi, steps)
-        taus = oracle.draw_taus(steps)
-        assert taus.shape == (steps, hi - lo, 1) and taus.flags.c_contiguous
+        # 3000 draws a row puts 16 rows in a fill block: blocks of 16, 16 and 5
+        # rows; the second block starts every grid stream at draw 3000 and,
+        # after the ball draw, every noise stream at draw 6001
+        seed, lo, hi, blocks = 11, 40, 77, (3000, 1000)
+        oracle = ChunkOracle(zero_field_problem(), NoiseModel("rk", 0.01), seed, lo, hi,
+                             evals_per_step=2, perturb_eta=True)
         x = np.zeros((hi - lo, 1))
-        noise = np.stack([oracle.noisy_eval(0.0, x) for _ in range(steps)])
+        taus, noise = [], []
+        for steps in blocks:
+            block = oracle.draw_taus(steps)
+            assert block.shape == (steps, hi - lo, 1) and block.flags.c_contiguous
+            taus.append(block.copy())
+            noise += [oracle.noisy_eval(0.0, x) for _ in range(2 * steps)]
+        taus, noise = np.concatenate(taus), np.stack(noise)
         for i in range(lo, hi):
             grid, stream = derive_streams(seed, i)
-            assert np.array_equal(taus[:, i - lo, 0], grid.random(steps))
-            assert np.array_equal(noise[:, i - lo, 0], _signed(stream.random(steps), 0.01))
+            assert np.array_equal(taus[:, i - lo, 0], grid.random(sum(blocks)))
+            assert oracle.eta_tilde[i - lo, 0] == 1.0 + _signed(stream.random(), 0.01)
+            assert np.array_equal(noise[:, i - lo, 0],
+                                  _signed(stream.random(2 * sum(blocks)), 0.01))
 
     def test_top_of_index_range(self):
         for seed in _SEEDS:
