@@ -23,6 +23,7 @@ from .analysis import (
     fit_loglog_slope,
     reference_for,
     run_batch,
+    run_cells,
     sup_error,
     tail_curve,
     xi_hat,

@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 
-from .exceptions import DomainError, ReferenceSolutionError
+from .exceptions import ConvergenceError, DomainError, NumericalError, ReferenceSolutionError
 from .noise import _BLOCK_ELEMS, ChunkOracle, NoiseModel, NoisyOracle, exact_info
 from .problems import IvpSpec, exact_solution_A
 from .schemes import SchemeKind, Trajectory, run_scheme, write_csv
@@ -181,12 +181,18 @@ class BatchCell:
 
 @dataclasses.dataclass(frozen=True)
 class ErrorBatch:
-    """Sorted sup-norm errors of N independent replications of one cell."""
+    """Sorted sup-norm errors of N independent replications of one cell.
+
+    ``route`` is "row" when every chunk of the cell came out of its row's
+    shared run (:func:`run_cells`), "per-cell" when some chunk was rerun
+    for this cell alone.
+    """
 
     cell: BatchCell
     errors: np.ndarray
     master_seed: object
     N: int
+    route: str = "row"
 
     def write_csv(self, path):
         write_csv(path, ["rank", "error"], zip(range(1, self.N + 1), self.errors))
@@ -199,38 +205,46 @@ class _SupErrorFold:
     reused buffer; its first node is the previous block's last.  So every
     knot deviation and interior value is computed from the same nodes as
     over the whole run, and max is exact: ``errors`` equals
-    :func:`_sup_error_kernel` over all n + 1 nodes bit for bit.
+    :func:`_sup_error_kernel` over all n + 1 nodes bit for bit.  ``rows``
+    is the shape of a state without its last axis: (m,), or (k, m) for k
+    delta columns.
     """
 
-    def __init__(self, m: int, h: float, ref_knots, ref_int, dt):
-        self.errors = np.zeros(m)
+    def __init__(self, rows: tuple, h: float, ref_knots, ref_int, dt):
+        self.errors = np.zeros(rows)
         self._nodes = None
         self._h, self._ref_knots, self._ref_int, self._dt = h, ref_knots, ref_int, dt
 
     def block(self, j0: int, steps: int) -> np.ndarray:
-        """Room for nodes j0 .. j0 + steps of every row, shape (steps + 1, m, 1)."""
+        """Room for nodes j0 .. j0 + steps of every row, shape (steps + 1, *rows, 1)."""
         if self._nodes is None:  # the first block is the longest
-            self._nodes = np.empty((steps + 1, self.errors.shape[0], 1))
+            self._nodes = np.empty((steps + 1,) + self.errors.shape + (1,))
         return self._nodes[:steps + 1]
 
     def take(self, j0: int, nodes: np.ndarray):
         steps = nodes.shape[0] - 1
-        err = _sup_error_kernel(nodes, self._h, self._ref_knots[j0:j0 + steps + 1],
+        err = _sup_error_kernel(nodes.reshape(steps + 1, -1, 1), self._h,
+                                self._ref_knots[j0:j0 + steps + 1],
                                 self._ref_int[:, j0:j0 + steps], self._dt)
-        np.maximum(self.errors, err, out=self.errors)
+        np.maximum(self.errors, err.reshape(self.errors.shape), out=self.errors)
 
 
 def _chunk_errors_vectorized(problem: IvpSpec, scheme: SchemeKind, n: int,
                              noise: NoiseModel, master_seed, lo: int, hi: int,
-                             dt, ref_knots, ref_int, perturb_eta: bool) -> np.ndarray:
+                             dt, ref_knots, ref_int, perturb_eta: bool,
+                             deltas=None) -> np.ndarray:
     """All replication errors in [lo, hi) from one scheme run over the chunk's rows.
 
-    The run is streamed: tapes, nodes and the error fold hold one block of
-    steps at a time, so the chunk's memory does not grow with n.
+    With ``deltas`` the run covers one column per delta of ``noise``'s kind
+    on shared draws (:class:`ChunkOracle`), and the errors have shape
+    (k, hi - lo).  The run is streamed: tapes, nodes and the error fold hold
+    one block of steps at a time, so the chunk's memory does not grow with n.
     """
     evals_per_step = 2 if scheme is SchemeKind.RUNGE_KUTTA2 else 1
-    oracle = ChunkOracle(problem, noise, master_seed, lo, hi, evals_per_step, perturb_eta)
-    fold = _SupErrorFold(hi - lo, (problem.b - problem.a) / n, ref_knots, ref_int, dt)
+    oracle = ChunkOracle(problem, noise, master_seed, lo, hi, evals_per_step, perturb_eta,
+                         deltas)
+    fold = _SupErrorFold(oracle.eta_tilde.shape[:-1], (problem.b - problem.a) / n,
+                         ref_knots, ref_int, dt)
     run_scheme(oracle, scheme, n, sink=fold)
     return fold.errors
 
@@ -246,10 +260,130 @@ def _chunk_errors_scalar(problem: IvpSpec, scheme: SchemeKind, n: int,
     return out
 
 
+#: the failures of one cell's run; any other exception stops the whole run
+_CELL_ERRORS = (NumericalError, ConvergenceError, DomainError)
+
+
 def _batch_task(args):
-    batched, problem, scheme, n, noise, master_seed, lo, *rest = args
+    """One chunk of a group of columns: (lo, per column errors or the exception, reran).
+
+    A group of several columns on the batched route runs as one scheme run.
+    If that run fails, or on the per-replication route, each column runs on
+    its own, so a failure is the one that column's own run raises, naming
+    its replication and step; ``reran`` is then True for a group of several.
+    """
+    batched, problem, scheme, n, row_noise, master_seed, lo, *rest, columns = args
+    if batched and len(columns) > 1:
+        try:
+            errors = _chunk_errors_vectorized(problem, scheme, n, row_noise, master_seed, lo,
+                                              *rest, tuple(c.delta for c in columns))
+            return lo, list(errors), False
+        except _CELL_ERRORS:
+            pass
     run = _chunk_errors_vectorized if batched else _chunk_errors_scalar
-    return lo, run(problem, scheme, n, noise, master_seed, lo, *rest)
+    out = []
+    for noise in columns:
+        try:
+            out.append(run(problem, scheme, n, noise, master_seed, lo, *rest))
+        except _CELL_ERRORS as exc:
+            out.append(exc)
+    return lo, out, len(columns) > 1
+
+
+def _column_groups(noises) -> list:
+    """Split a row's columns into runs on shared draws: (run model, column indices) per run.
+
+    What a column draws depends on its noise kind and on whether its delta
+    is 0, never on the delta's value, so the columns of one kind share every
+    draw.  A delta 0 column draws nothing and its perturbation is 0, so it
+    joins the first run.  A run's model is its kind with the largest delta.
+    """
+    kinds = {}
+    for c, noise in enumerate(noises):
+        kinds.setdefault(noise.kind if noise.delta > 0.0 else None, []).append(c)
+    zeros = kinds.pop(None, [])
+    groups = [(NoiseModel(kind, max(noises[c].delta for c in cols)), cols)
+              for kind, cols in kinds.items()] or [(exact_info(), [])]
+    groups[0] = (groups[0][0], sorted(groups[0][1] + zeros))
+    return groups
+
+
+def run_cells(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind,
+              n: int, noises, N: int, master_seed, *,
+              parallelism: int = 1, subsamples_per_step: int = 8,
+              perturb_eta: bool = False, chunk_size: int = 8192,
+              delta_labels=()) -> list:
+    """The cells of one table row: one entry per noise model, as :func:`run_batch` gives it.
+
+    Entry c is ``run_batch(..., noises[c], ...)``'s :class:`ErrorBatch`,
+    bit for bit, or the NumericalError, ConvergenceError or DomainError
+    that call raises.  The cells share a master seed, so they read the same
+    grid draws, and columns of one noise kind read the same noise draws;
+    only the delta factor differs.  So the columns run together, one chunk
+    of replications at a time, as one scheme run with k columns
+    (:class:`ChunkOracle`): the draws are filled and the steps taken once
+    for the row.  A chunk whose run fails is rerun one column at a time,
+    so every failure names its own replication and step.
+    ``delta_labels[c]`` labels cell c (default: repr of its delta).
+    """
+    if N < 1 or n < 1:
+        raise DomainError(f"N ({N}) and n ({n}) must be >= 1")
+    if subsamples_per_step < 1:
+        raise DomainError("subsamples_per_step must be >= 1")
+    h = (problem.b - problem.a) / n
+    knots = problem.a + h * np.arange(n + 1)
+    dt = _interior_offsets(h, subsamples_per_step)
+    ref_knots, ref_int = _reference_grids(reference, knots, dt)
+
+    batched = problem.d == 1 and problem.rhs_vectorized
+
+    groups = _column_groups(noises)
+    tasks, task_cols = [], []
+    for lo in range(0, N, chunk_size):
+        hi = min(lo + chunk_size, N)
+        for row_noise, cols in groups:
+            tasks.append((batched, problem, scheme, n, row_noise, master_seed, lo, hi,
+                          dt, ref_knots, ref_int, perturb_eta, [noises[c] for c in cols]))
+            task_cols.append(cols)
+
+    pooled = parallelism > 1 and len(tasks) > 1
+    if pooled:
+        try:
+            pickle.dumps(tasks[0])
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            warnings.warn(f"running the chunks serially: they cannot be sent to worker "
+                          f"processes ({exc})", RuntimeWarning, stacklevel=2)
+            pooled = False
+    if pooled:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
+            results = list(pool.map(_batch_task, tasks))
+    else:
+        results = [_batch_task(task) for task in tasks]
+
+    k = len(noises)
+    errors = np.empty((k, N))
+    failed, reran = [None] * k, [False] * k
+    for cols, (lo, outs, again) in zip(task_cols, results):  # chunks in order of lo
+        for c, out in zip(cols, outs):
+            if isinstance(out, Exception):
+                if failed[c] is None:
+                    failed[c] = out
+            else:
+                errors[c, lo:lo + out.shape[0]] = out
+            reran[c] |= again
+
+    labels = list(delta_labels) + [""] * k
+    cells = []
+    for c, noise in enumerate(noises):
+        if failed[c] is not None:
+            cells.append(failed[c])
+            continue
+        cell = BatchCell(problem=problem.name or "custom", scheme=scheme, n=n,
+                         noise_kind=noise.kind, delta=noise.delta,
+                         delta_label=labels[c] or repr(noise.delta))
+        cells.append(ErrorBatch(cell=cell, errors=np.sort(errors[c]), master_seed=master_seed,
+                                N=N, route="per-cell" if reran[c] else "row"))
+    return cells
 
 
 def run_batch(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind,
@@ -266,47 +400,15 @@ def run_batch(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind
     everything else runs replication by replication.  Both routes give
     bitwise-identical errors.  A right-hand side that cannot be pickled (a
     lambda or closure) runs its chunks serially, with a RuntimeWarning,
-    whatever the parallelism.
+    whatever the parallelism.  This is :func:`run_cells` with one column.
     """
-    if N < 1 or n < 1:
-        raise DomainError(f"N ({N}) and n ({n}) must be >= 1")
-    if subsamples_per_step < 1:
-        raise DomainError("subsamples_per_step must be >= 1")
-    h = (problem.b - problem.a) / n
-    knots = problem.a + h * np.arange(n + 1)
-    dt = _interior_offsets(h, subsamples_per_step)
-    ref_knots, ref_int = _reference_grids(reference, knots, dt)
-
-    batched = problem.d == 1 and problem.rhs_vectorized
-
-    tasks = []
-    for lo in range(0, N, chunk_size):
-        hi = min(lo + chunk_size, N)
-        tasks.append((batched, problem, scheme, n, noise, master_seed, lo, hi,
-                      dt, ref_knots, ref_int, perturb_eta))
-
-    errors = np.empty(N)
-    pooled = parallelism > 1 and len(tasks) > 1
-    if pooled:
-        try:
-            pickle.dumps(tasks[0])
-        except (pickle.PicklingError, AttributeError, TypeError) as exc:
-            warnings.warn(f"running the chunks serially: they cannot be sent to worker "
-                          f"processes ({exc})", RuntimeWarning, stacklevel=2)
-            pooled = False
-    if pooled:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
-            for lo, chunk in pool.map(_batch_task, tasks):
-                errors[lo:lo + chunk.shape[0]] = chunk
-    else:
-        for task in tasks:
-            lo, chunk = _batch_task(task)
-            errors[lo:lo + chunk.shape[0]] = chunk
-
-    cell = BatchCell(problem=problem.name or "custom", scheme=scheme, n=n,
-                     noise_kind=noise.kind, delta=noise.delta,
-                     delta_label=delta_label or repr(noise.delta))
-    return ErrorBatch(cell=cell, errors=np.sort(errors), master_seed=master_seed, N=N)
+    (batch,) = run_cells(problem, reference, scheme, n, [noise], N, master_seed,
+                         parallelism=parallelism, subsamples_per_step=subsamples_per_step,
+                         perturb_eta=perturb_eta, chunk_size=chunk_size,
+                         delta_labels=[delta_label])
+    if isinstance(batch, Exception):
+        raise batch
+    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +730,6 @@ __all__ = [
     "ReferenceSolution", "SlopeFit", "TailCurve", "build_reference_B",
     "confidence_band", "convergence_slope", "default_ref_cache", "derive_cell_seed",
     "fit_loglog_slope", "order_statistic_index",
-    "reference_for", "run_batch", "sup_error", "tail_curve", "wilson_interval",
+    "reference_for", "run_batch", "run_cells", "sup_error", "tail_curve", "wilson_interval",
     "xi_hat",
 ]

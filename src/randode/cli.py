@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    DEFAULT_REF_STEPS,
     MIN_REF_STEPS,
     build_reference_B,
     confidence_band,
@@ -31,6 +32,7 @@ from .analysis import (
     derive_cell_seed,
     reference_for,
     run_batch,
+    run_cells,
     tail_curve,
     xi_hat,
 )
@@ -76,6 +78,7 @@ class Manifest:
         self.command = command
         self.config = config
         self.outputs = {}
+        self.cells = None  # table: per cell, n, delta label, route and NA reason
         self._t0 = time.monotonic()
 
     def add(self, path):
@@ -89,6 +92,8 @@ class Manifest:
             "wall_seconds": round(time.monotonic() - self._t0, 3),
             "outputs": self.outputs,
         }
+        if self.cells is not None:
+            doc["cells"] = self.cells
         path = os.path.join(out_dir, "manifest.json")
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
@@ -260,21 +265,26 @@ def cmd_table(args) -> int:
 
     rows = []
     failures = []
+    manifest.cells = []
     for n, row_noises in zip(ns, noises):
         cell_seed = derive_cell_seed(seed, scheme, problem.name, n)
         N = _cell_N(n, explicit_N)
         row = [str(n)]
-        for rule, noise in zip(rules, row_noises):
-            try:
-                batch = run_batch(problem, reference, scheme, n, noise, N, cell_seed,
-                                  parallelism=parallelism,
-                                  subsamples_per_step=subsamples,
-                                  delta_label=rule.label)
-                row.append(repr(xi_hat(batch, epsilon, gamma).xi_hat))
-            except (NumericalError, ConvergenceError, ReferenceSolutionError,
-                    DomainError) as exc:
-                failures.append((n, rule.label, str(exc)))
+        # one run for the whole row: its cells share the cell seed's draws
+        batches = run_cells(problem, reference, scheme, n, row_noises, N, cell_seed,
+                            parallelism=parallelism, subsamples_per_step=subsamples,
+                            delta_labels=[rule.label for rule in rules])
+        for rule, batch in zip(rules, batches):
+            if isinstance(batch, Exception):
+                failures.append((n, rule.label, str(batch)))
                 row.append("NA")
+                # a failed column of a row of several fails in its own rerun
+                route, reason = "per-cell" if len(rules) > 1 else "row", str(batch)
+            else:
+                row.append(repr(xi_hat(batch, epsilon, gamma).xi_hat))
+                route, reason = batch.route, None
+            manifest.cells.append({"n": n, "delta": rule.label, "route": route,
+                                   "na_reason": reason})
         rows.append(row)
         print(f"n={n:6d} done (N={N})")
 
@@ -494,9 +504,10 @@ def _add_common(p, *names):
     if "subsamples" in names:
         p.add_argument("--subsamples", type=int,
                        help="interior sup-norm samples per subinterval (default 8)")
-    p.add_argument("--ref-cache", help="reference cache file for problem B")
-    p.add_argument("--ref-steps", type=int, default=2_000_000,
-                   help="reference build steps for problem B (default 2e6)")
+    if "ref" in names:
+        p.add_argument("--ref-cache", help="reference cache file for problem B")
+        p.add_argument("--ref-steps", type=int, default=DEFAULT_REF_STEPS,
+                       help="reference build steps for problem B (default 2e6)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -514,14 +525,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="quantile multiplier table over (n, delta) cells")
     _add_common(p, "problem", "scheme", "noise", "epsilon", "N", "seed", "out",
-                "parallelism", "subsamples")
+                "parallelism", "subsamples", "ref")
     p.add_argument("--n-list", dest="n_list", help="step counts, space or comma separated")
     p.add_argument("--delta-rules", dest="delta_rules",
                    help="delta columns, e.g. '0 n^-1 2e-3'")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("band", help="confidence band around one noisy run")
-    _add_common(p, "problem", "scheme", "n", "noise", "delta", "epsilon", "seed", "out")
+    _add_common(p, "problem", "scheme", "n", "noise", "delta", "epsilon", "seed", "out",
+                "ref")
     p.add_argument("--xi", type=float, help="band multiplier (required, > 0)")
     p.add_argument("--grid-points", dest="grid_points", type=int,
                    help="band evaluation grid size (default 201)")
@@ -529,23 +541,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tail", help="empirical exceedance curve for one cell")
     _add_common(p, "problem", "scheme", "n", "noise", "delta", "epsilon", "N",
-                "seed", "out", "parallelism", "subsamples")
+                "seed", "out", "parallelism", "subsamples", "ref")
     p.add_argument("--xi-max", type=float, help="largest xi on the grid (default: auto)")
     p.add_argument("--xi-points", type=int, default=41, help="grid size (default 41)")
     p.set_defaults(func=cmd_tail)
 
     p = sub.add_parser("diagnose", help="self checks: mean-zero local errors, "
                                         "order slopes, noise bounds")
-    _add_common(p, "problem", "N", "seed", "out")
+    _add_common(p, "problem", "N", "seed", "out", "ref")
     p.add_argument("--reps", type=int, help="replications for the mean-zero check")
     p.add_argument("--tamper-noise", action="store_true",
                    help="test hook: double recorded perturbations so the bound check fails")
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("build-ref", help="build (or refresh) the problem-B reference cache")
-    p.add_argument("--ref-cache", help="cache file (default: user cache dir)")
-    p.add_argument("--ref-steps", type=int, default=2_000_000,
-                   help="solver steps (default 2e6)")
+    _add_common(p, "ref")
     p.set_defaults(func=cmd_build_ref)
     return ap
 

@@ -23,7 +23,8 @@ perturbation magnitude (2u - 1) * delta.  Two oracles built from the same
 regardless of their noise model, which couples exact and noisy runs.
 A :class:`ChunkOracle` makes the same draws for a chunk of replications of a
 d = 1 problem at once, from tapes filled per replication stream one block of
-steps at a time.
+steps at a time, and can evaluate several deltas of one noise kind on the
+same draws.
 """
 
 from __future__ import annotations
@@ -108,9 +109,12 @@ _MAX_REPLICATIONS = 1 << 32  # a wider index takes two spawn-key words
 #: the tape fill here and the sup-error kernel in analysis.py
 _BLOCK_ELEMS = 1 << 15
 _TAPE_ROWS = 16
-#: steps of one block of a chunk run: its tapes, its nodes and the sup-error
-#: fold hold this many steps of every row at a time (schemes.py)
+#: steps of one block of a chunk run: its tapes hold this many steps of every
+#: row at a time (schemes.py)
 _BLOCK_STEPS = 256
+#: a node sink takes each tape block's nodes in sub-blocks of about
+#: _BLOCK_ELEMS node values, and of at least this many steps (schemes.py)
+_MIN_SINK_STEPS = 8
 
 
 def _entropy_words(x) -> list:
@@ -217,23 +221,23 @@ def fill_uniform_rows(keys: np.ndarray, out: np.ndarray, start: int = 0) -> np.n
 
 
 def _step_major_tape(keys: np.ndarray, out: np.ndarray, start: int = 0,
-                     delta=None) -> np.ndarray:
+                     signed: bool = False) -> np.ndarray:
     """Fill out, shape (steps, m, 1), step-major: out[s, i, 0] is draw start + s of keys[i].
 
     Rows are filled a block at a time into a scratch of about
     ``_BLOCK_ELEMS`` draws (:func:`fill_uniform_rows`) and written
     transposed, so no full row-major copy is made.  A block has at least
     ``_TAPE_ROWS`` rows, so that each transposed write covers whole cache
-    lines of the tape.  With ``delta`` every draw u is stored as its factor
-    (2u - 1) delta.
+    lines of the tape.  With ``signed`` every draw u is stored as 2u - 1,
+    the factor that :func:`_signed` multiplies by delta.
     """
     steps, m = out.shape[:2]
     rows = max(1, min(m, max(_TAPE_ROWS, _BLOCK_ELEMS // max(steps, 1))))
     scratch = np.empty((rows, steps))
     for r0 in range(0, m, rows):
         block = fill_uniform_rows(keys[r0:r0 + rows], scratch[:min(rows, m - r0)], start)
-        if delta is not None:
-            block = _signed(block, delta)
+        if signed:
+            np.subtract(np.multiply(block, 2.0, out=block), 1.0, out=block)
         out[:, r0:r0 + block.shape[0], 0] = block.T
     return out
 
@@ -365,16 +369,26 @@ class ChunkOracle:
     constructor takes only the lead draws: the initial-value ball draw, then
     the ``ie`` factor.  Each :meth:`draw_taus` call fills the next steps'
     grid draws and, for fresh noise, the noise draws of their
-    ``evals_per_step`` evaluations a step, already mapped to (2u - 1) delta;
-    a stream is entered at any draw directly (:func:`fill_uniform_rows`), so
-    the tapes hold only the steps asked for, not the whole run.  Evaluation is
-    rhs plus the perturbation, without :meth:`NoisyOracle.noisy_eval`'s
-    per-call checks; ``eval_count`` counts calls, each covering every row.
+    ``evals_per_step`` evaluations a step; a stream is entered at any draw
+    directly (:func:`fill_uniform_rows`), so the tapes hold only the steps
+    asked for, not the whole run.  Evaluation is rhs plus the perturbation,
+    without :meth:`NoisyOracle.noisy_eval`'s per-call checks;
+    ``eval_count`` counts calls, each covering every row.
     ``replication_index`` is lo, row 0's.
+
+    With ``deltas`` the oracle runs k columns of one noise kind at once:
+    states have shape (k, m, 1), and column c is the oracle of
+    ``model`` with delta ``deltas[c]``.  Every column reads the same draws,
+    because the draws do not depend on delta: the tapes hold each noise
+    draw u once as its factor 2u - 1, and every use multiplies it by the
+    (k, 1, 1) deltas first, so the rounding is that of
+    :func:`_signed`, then of :func:`_perturbation_1d`.  ``model`` must then
+    be the kind with the largest of the deltas, which decides what is drawn;
+    a delta 0 column adds a perturbation of 0 and so is the exact column.
     """
 
     def __init__(self, base: IvpSpec, model: NoiseModel, master_seed, lo: int, hi: int,
-                 evals_per_step: int = 1, perturb_eta: bool = False):
+                 evals_per_step: int = 1, perturb_eta: bool = False, deltas=None):
         if base.d != 1:
             raise DomainError("a chunk oracle needs a one-dimensional problem")
         self.base = base
@@ -384,6 +398,11 @@ class ChunkOracle:
         self.eval_count = 0
         self._m = hi - lo
         self._evals_per_step = evals_per_step
+        if deltas is None:
+            self._deltas, shape = model.delta, (self._m, 1)
+        else:
+            self._deltas = np.asarray(deltas, dtype=float).reshape(-1, 1, 1)
+            shape = (self._deltas.shape[0], self._m, 1)
         ball = perturb_eta and model.delta > 0.0
         ie = model.kind == "ie" and model.delta > 0.0
         self._grid_keys = stream_keys(master_seed, lo, hi, 0)
@@ -393,14 +412,14 @@ class ChunkOracle:
         self._grid_pos = 0  # grid draws taken, per row
         self._noise_pos = ball + ie  # noise draws taken, per row
         self._noise = (_step_major_tape(self._noise_keys, np.empty((self._noise_pos, self._m, 1)),
-                                        0, model.delta) if self._noise_pos else None)
+                                        0, signed=True) if self._noise_pos else None)
         self._next = 0
-        self.eta_tilde = base.eta[0] + self._draw() if ball else np.full((self._m, 1), base.eta[0])
+        self.eta_tilde = base.eta[0] + self._draw() if ball else np.full(shape, base.eta[0])
         self._e0 = self._draw() if ie else None
 
     def _draw(self) -> np.ndarray:
-        """Every row's next noise draw as its factor (2u - 1) delta, shape (m, 1)."""
-        e = self._noise[self._next]
+        """Every row's next noise draw as its factor (2u - 1) delta, shape (m, 1) or (k, m, 1)."""
+        e = self._noise[self._next] * self._deltas
         self._next += 1
         return e
 
@@ -417,7 +436,7 @@ class ChunkOracle:
             evals = n * self._evals_per_step
             self._noise = _step_major_tape(self._noise_keys,
                                            _tape_buffer(self._noise, evals, self._m),
-                                           self._noise_pos, self.model.delta)
+                                           self._noise_pos, signed=True)
             self._noise_pos += evals
             self._next = 0
         return self._taus

@@ -53,9 +53,11 @@ class IvpSpec:
     """An initial value problem z' = f(t, z) on [a, b], z(a) = eta.
 
     ``rhs`` maps (t, x) with x of shape (d,) to a vector of shape (d,).
-    ``rhs_vectorized`` asserts that ``rhs`` also accepts equally-shaped
-    arrays of times and states elementwise, which enables the batched
-    Monte Carlo path in :mod:`randode.analysis`.
+    ``rhs_vectorized`` asserts that ``rhs`` also accepts arrays of times and
+    states that broadcast together, elementwise, which enables the batched
+    Monte Carlo path in :mod:`randode.analysis`: the times of a chunk have
+    shape (m, 1), its states (m, 1) or (k, m, 1) for k delta columns, and a
+    Runge-Kutta stage passes one time for all rows.
     """
 
     a: float

@@ -7,12 +7,12 @@ interpolant of the node values.
 
 Each scheme is written once and steps either one replication (a
 :class:`NoisyOracle`, state shape (d,)) or a whole chunk of replications (a
-:class:`ChunkOracle`, state shape (m, 1), one row per replication) with the
-same elementwise arithmetic, so the two give bitwise-identical nodes.  A run
-walks its steps in blocks of ``_BLOCK_STEPS``.  By default it keeps every
-node for its :class:`Trajectory`; a node sink instead takes each block as
-soon as it is stepped, so a chunk run holds one block of nodes and tapes
-whatever n is.
+:class:`ChunkOracle`, state shape (m, 1), one row per replication, or
+(k, m, 1) for k delta columns) with the same elementwise arithmetic, so the
+two give bitwise-identical nodes.  A run walks its steps in blocks of
+``_BLOCK_STEPS``.  By default it keeps every node for its
+:class:`Trajectory`; a node sink instead takes each block as soon as it is
+stepped, so a chunk run holds one block of nodes and tapes whatever n is.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import enum
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError, NumericalError
-from .noise import _BLOCK_STEPS, ChunkOracle, NoisyOracle
+from .noise import _BLOCK_ELEMS, _BLOCK_STEPS, _MIN_SINK_STEPS, ChunkOracle, NoisyOracle
 from .problems import d_exact_solution_A, exact_solution_A
 
 
@@ -154,30 +154,37 @@ class _Run:
     def blocks(self):
         """Yield (j0, taus, nodes) per block: step j0 + k draws taus[k - 1] and fills nodes[k].
 
-        Each block is checked for non-finite nodes once stepped, then handed
-        to the sink.  After the last block a NumericalError names the lowest
-        replication that went non-finite and its first non-finite step.
+        Taus are drawn per tape block of ``_BLOCK_STEPS`` steps.  A sink
+        takes each tape block's nodes in sub-blocks of about ``_BLOCK_ELEMS``
+        values, so its node buffer stays small however many rows a state
+        has.  Each block is checked for non-finite nodes once stepped, then
+        handed to the sink.  After the last block a NumericalError names the
+        lowest replication that went non-finite and its first non-finite step.
         """
         n, taus, sink = self.grid.n, self.grid.taus, self.sink
+        sub = (_BLOCK_STEPS if sink is None
+               else max(_MIN_SINK_STEPS, _BLOCK_ELEMS // self.oracle.eta_tilde.size))
         bad = None  # per row: first non-finite step, n + 1 for none yet
         last = self.oracle.eta_tilde
-        for j0 in range(0, n, _BLOCK_STEPS):
-            steps = min(_BLOCK_STEPS, n - j0)
-            tau = self.oracle.draw_taus(steps) if taus is None else taus[j0:]
-            nodes = self.nodes[j0:j0 + steps + 1] if sink is None else sink.block(j0, steps)
-            nodes[0] = last
-            yield j0, tau, nodes
-            last = nodes[steps]
-            stepped = nodes[1:]
-            # min and max are NaN or infinite iff some node is, and make no temporaries
-            if not (np.isfinite(stepped.min()) and np.isfinite(stepped.max())):
-                ok = np.isfinite(stepped).all(axis=-1).reshape(steps, -1)
-                if bad is None:
-                    bad = np.full(ok.shape[1], n + 1)
-                new = (bad > n) & ~ok.all(axis=0)
-                bad[new] = j0 + 1 + np.argmin(ok[:, new], axis=0)
-            elif bad is None and sink is not None:
-                sink.take(j0, nodes)
+        for t0 in range(0, n, _BLOCK_STEPS):
+            tape_steps = min(_BLOCK_STEPS, n - t0)
+            tape = self.oracle.draw_taus(tape_steps) if taus is None else taus[t0:]
+            for j0 in range(t0, t0 + tape_steps, sub):
+                steps = min(sub, t0 + tape_steps - j0)
+                nodes = self.nodes[j0:j0 + steps + 1] if sink is None else sink.block(j0, steps)
+                nodes[0] = last
+                yield j0, tape[j0 - t0:], nodes
+                last = nodes[steps]
+                stepped = nodes[1:]
+                # min and max are NaN or infinite iff some node is, and make no temporaries
+                if not (np.isfinite(stepped.min()) and np.isfinite(stepped.max())):
+                    ok = np.isfinite(stepped).all(axis=-1).reshape(steps, -1)
+                    if bad is None:
+                        bad = np.full(ok.shape[1], n + 1)
+                    new = (bad > n) & ~ok.all(axis=0)
+                    bad[new] = j0 + 1 + np.argmin(ok[:, new], axis=0)
+                elif bad is None and sink is not None:
+                    sink.take(j0, nodes)
         if bad is not None:
             row = int(np.argmax(bad <= n))
             _raise_non_finite(self.oracle.replication_index + row, int(bad[row]))

@@ -349,6 +349,102 @@ class TestRunBatch:
         assert lines[0] == "rank,error" and len(lines) == 11
 
 
+def _cell_or_error(run):
+    """What run() returns, or the cell failure it raises."""
+    try:
+        return run()
+    except (NumericalError, ConvergenceError, DomainError) as exc:
+        return exc
+
+
+def _assert_same_cells(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, Exception):
+            assert type(g) is type(w) and str(g) == str(w)
+            assert getattr(g, "replication", None) == getattr(w, "replication", None)
+            assert getattr(g, "step", None) == getattr(w, "step", None)
+        else:
+            assert isinstance(g, analysis.ErrorBatch)
+            assert g.cell == w.cell and g.N == w.N and g.master_seed == w.master_seed
+            assert np.array_equal(g.errors, w.errors)
+
+
+_COLUMN = st.tuples(st.sampled_from(NOISE_KINDS),
+                    st.sampled_from([0.0, 0.0, 1e-3, 2e-3]) | st.floats(0.0, 0.1))
+
+
+class TestRunCells:
+    @given(scheme=st.sampled_from([EE, RK, IE]), columns=st.lists(_COLUMN, min_size=1, max_size=4),
+           one_kind=st.booleans(), n=st.integers(1, 45), seed=st.integers(0, 2**64),
+           chunk_size=st.integers(1, 12), perturb_eta=st.booleans(),
+           vectorized=st.sampled_from([True, True, True, False]),
+           parallelism=st.sampled_from([1, 1, 1, 1, 1, 2]),
+           block_steps=st.sampled_from([None, 3, 5, 20]),
+           block_elems=st.sampled_from([None, 24, 200]))
+    @example(scheme=IE, columns=[("exact", 0.0), ("ee", 1e-3), ("ee", 2e-3)], one_kind=True,
+             n=10, seed=7, chunk_size=5, perturb_eta=False, vectorized=True, parallelism=1,
+             block_steps=None, block_elems=None)
+    @example(scheme=RK, columns=[("rk", 0.0), ("rk", 0.02), ("rk", 0.05)], one_kind=True,
+             n=45, seed=3, chunk_size=12, perturb_eta=True, vectorized=True, parallelism=2,
+             block_steps=20, block_elems=24)  # sub-block edges at 8 and 16, tape edges at 20
+    @settings(max_examples=60, deadline=None)
+    def test_row_equals_its_cells(self, problem_A, ref_A, scheme, columns, one_kind, n, seed,
+                                  chunk_size, perturb_eta, vectorized, parallelism,
+                                  block_steps, block_elems):
+        kinds = [columns[0][0] if one_kind else kind for kind, _ in columns]
+        noises = [NoiseModel(kind, 0.0 if kind == "exact" else delta)
+                  for kind, (_, delta) in zip(kinds, columns)]
+        p = dataclasses.replace(problem_A, rhs_vectorized=vectorized)
+        kw = dict(chunk_size=chunk_size, perturb_eta=perturb_eta, parallelism=parallelism)
+        labels = [f"c{c}" for c in range(len(noises))]
+        with mock.patch.object(schemes, "_BLOCK_STEPS", block_steps or schemes._BLOCK_STEPS), \
+                mock.patch.object(schemes, "_BLOCK_ELEMS", block_elems or schemes._BLOCK_ELEMS):
+            got = analysis.run_cells(p, ref_A, scheme, n, noises, 12, seed, delta_labels=labels,
+                                     **kw)
+            want = [_cell_or_error(functools.partial(run_batch, p, ref_A, scheme, n, noise, 12,
+                                                     seed, delta_label=label, **kw))
+                    for noise, label in zip(noises, labels)]
+        _assert_same_cells(got, want)
+
+    def test_implicit_euler_row_under_fresh_noise(self, problem_A, ref_A):
+        # the row's run is refused, so each column reruns alone: the delta 0
+        # column computes, each noisy one fails with run_batch's own error
+        noises = [exact_info(), NoiseModel("ee", 1e-3), NoiseModel("ee", 2e-3)]
+        got = analysis.run_cells(problem_A, ref_A, IE, 10, noises, 20, 7, chunk_size=7)
+        exact = run_batch(problem_A, ref_A, IE, 10, exact_info(), 20, 7)
+        assert np.array_equal(got[0].errors, exact.errors) and got[0].route == "per-cell"
+        for noise, cell in zip(noises[1:], got[1:]):
+            with pytest.raises(DomainError) as info:
+                run_batch(problem_A, ref_A, IE, 10, noise, 20, 7)
+            assert type(cell) is DomainError and str(cell) == str(info.value)
+
+    def test_row_route(self, problem_A, ref_A):
+        noises = [exact_info(), NoiseModel("ee", 1e-3)]
+        assert [b.route for b in analysis.run_cells(problem_A, ref_A, EE, 10, noises,
+                                                    20, 7)] == ["row", "row"]
+        assert run_batch(problem_A, ref_A, EE, 10, noises[1], 20, 7).route == "row"
+
+    @pytest.mark.parametrize("n", [100, 5000])
+    def test_row_chunk_memory_is_that_of_one_cell(self, problem_A, ref_A, n):
+        # the draws are shared and the nodes come in sub-blocks, so three
+        # columns need little more than one
+        row = [exact_info(), NoiseModel("ee", 1e-3), NoiseModel("ee", 2e-3)]
+        analysis.run_cells(problem_A, ref_A, EE, 1, row, 2, 3)  # first-call imports
+
+        def traced_peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        three = traced_peak(lambda: analysis.run_cells(problem_A, ref_A, EE, n, row, 2048, 3))
+        one = traced_peak(lambda: run_batch(problem_A, ref_A, EE, n, row[2], 2048, 3))
+        assert three <= 1.2 * one
+
+
 class TestXiHat:
     def test_hand_example(self, problem_A):
         from randode.analysis import BatchCell, ErrorBatch

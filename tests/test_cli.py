@@ -65,6 +65,14 @@ class TestSolve:
         rows = read_csv(tmp_path / "trajectory.csv")
         assert len(rows) == 12
 
+    def test_reference_flags_not_offered(self, tmp_path, capsys):
+        # solve never builds a reference, so it has no flag for one
+        with pytest.raises(SystemExit) as info:
+            run_cli("solve", "--problem", "A", "--ref-steps", "10", "--out", str(tmp_path))
+        assert info.value.code == 2
+        assert "--ref-steps" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_implicit_scheme_rejects_fresh_noise(self, tmp_path, capsys):
         rc = run_cli("solve", "--problem", "A", "--scheme", "ie", "--noise", "ee",
                      "--delta", "1e-3", "--n", "10", "--out", str(tmp_path))
@@ -138,6 +146,25 @@ class TestTable:
         assert rows[1][0] == "10" and float(rows[1][1]) > 0.0 and rows[1][2] == "NA"
         assert ("cell (n=10, delta=1e-3) failed: implicit Euler needs exact or ie noise, "
                 "not fresh ee") in capsys.readouterr().err
+
+    def test_manifest_records_each_cell(self, tmp_path):
+        # the fresh-noise row cannot run as one, so each cell reruns alone;
+        # the NA cell's reason is in the manifest, not only on stderr
+        rc = run_cli("table", "--problem", "A", "--scheme", "ie", "--noise", "ee",
+                     "--n-list", "10 20", "--delta-rules", "0 1e-3", "--N", "100",
+                     "--out", str(tmp_path / "ie"))
+        assert rc == 1
+        cells = json.loads((tmp_path / "ie" / "manifest.json").read_text())["cells"]
+        reason = "implicit Euler needs exact or ie noise, not fresh ee"
+        assert cells == [
+            {"n": n, "delta": label, "route": "per-cell", "na_reason": na}
+            for n in (10, 20) for label, na in (("0", None), ("1e-3", reason))]
+        # a row that runs as one
+        assert run_cli("table", "--problem", "A", "--scheme", "ee", "--n-list", "10",
+                       "--delta-rules", "0 1e-3", "--N", "100",
+                       "--out", str(tmp_path / "ee")) == 0
+        cells = json.loads((tmp_path / "ee" / "manifest.json").read_text())["cells"]
+        assert [(c["route"], c["na_reason"]) for c in cells] == [("row", None)] * 2
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "exp.ini"
