@@ -17,7 +17,6 @@ import json
 import math
 import os
 import pickle
-import tempfile
 import warnings
 
 import numpy as np
@@ -36,12 +35,13 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 @dataclasses.dataclass(frozen=True)
 class ReferenceSolution:
-    """Either an analytic map t -> z(t) or a dense cached grid with linear lookup."""
+    """Either an analytic map t -> z(t) or dense values on a uniform grid with linear lookup."""
 
     kind: str  # "analytic" | "cached-dense"
     d: int
     fn: object = None
-    grid_ts: np.ndarray = None
+    a: float = None
+    b: float = None
     grid_values: np.ndarray = None
     provenance: dict = dataclasses.field(default_factory=dict)
 
@@ -51,12 +51,16 @@ class ReferenceSolution:
         return cls(kind="analytic", d=d, fn=fn, provenance=provenance or {})
 
     @classmethod
-    def cached_dense(cls, grid_ts, grid_values, provenance=None):
+    def cached_dense(cls, a, b, grid_values, provenance=None):
+        """Values at the n + 1 knots of [a, b] that ``np.linspace(a, b, n + 1)`` gives.
+
+        Knot j is ``j * ((b - a) / n) + a`` for j < n, and knot n is b; the
+        knots are implied, so only the values are held.
+        """
         grid_values = np.asarray(grid_values, dtype=float)
         if grid_values.ndim == 1:
             grid_values = grid_values[:, None]
-        return cls(kind="cached-dense", d=grid_values.shape[1],
-                   grid_ts=np.asarray(grid_ts, dtype=float),
+        return cls(kind="cached-dense", d=grid_values.shape[1], a=float(a), b=float(b),
                    grid_values=grid_values, provenance=provenance or {})
 
     def values_at(self, ts) -> np.ndarray:
@@ -67,15 +71,43 @@ class ReferenceSolution:
             if out.ndim == 1:
                 out = out[:, None]
         else:
-            lo, hi = self.grid_ts[0], self.grid_ts[-1]
-            if ts.size and (ts.min() < lo - 1e-12 or ts.max() > hi + 1e-12):
-                raise ReferenceSolutionError(
-                    f"reference only covers [{lo}, {hi}]")
-            out = np.empty((ts.shape[0], self.d))
-            for k in range(self.d):
-                out[:, k] = np.interp(ts, self.grid_ts, self.grid_values[:, k])
+            lo, hi = self.a, self.b
+            if ts.size and not (ts.min() >= lo - 1e-12 and ts.max() <= hi + 1e-12):
+                raise ReferenceSolutionError(f"reference only covers [{lo}, {hi}]")
+            out = self._interp(ts)
         if not np.all(np.isfinite(out)):
             raise ReferenceSolutionError("reference produced non-finite values")
+        return out
+
+    def _knots(self, j: np.ndarray) -> np.ndarray:
+        """Knot j (float indices), as ``np.linspace`` computes it."""
+        n = self.grid_values.shape[0] - 1
+        return np.where(j < n, j * ((self.b - self.a) / n) + self.a, self.b)
+
+    def _interp(self, ts: np.ndarray) -> np.ndarray:
+        """``np.interp`` over the implied knots, bit for bit, for times in [a, b] ± 1e-12.
+
+        Times outside [a, b] are clamped to the end values, as ``np.interp``
+        clamps them.  j starts from its estimate and is corrected by exact
+        comparisons with the knots to the largest j < n with knot j <= t, the
+        interval ``np.interp``'s binary search finds; the value there is
+        ``np.interp``'s, in its rounding order.
+        """
+        a, b, v = self.a, self.b, self.grid_values
+        n = v.shape[0] - 1
+        t = np.clip(ts, a, b)
+        j = np.clip(np.floor((t - a) * (n / (b - a))), 0, n - 1)
+        while (down := self._knots(j) > t).any():
+            j[down] -= 1
+        while (up := (j < n - 1) & (self._knots(j + 1) <= t)).any():
+            j[up] += 1
+        x0, x1 = self._knots(j)[:, None], self._knots(j + 1)[:, None]
+        ji = j.astype(np.intp)
+        v0, v1 = v[ji], v[ji + 1]
+        out = (v1 - v0) / (x1 - x0) * (t[:, None] - x0) + v0
+        at_knot = t == x0[:, 0]
+        out[at_knot] = v0[at_knot]
+        out[t == b] = v[n]
         return out
 
 
@@ -624,22 +656,28 @@ MIN_REF_STEPS = 100_000
 
 def _rk4_dense_B(n_ref: int) -> np.ndarray:
     """Classical fourth-order one-step values of problem B on n_ref steps."""
+    # imported here, not at module level: loading this extension module
+    # raises the peak RSS of commands that never build a reference
+    import array
+
     h = 1.0 / n_ref
+    # Python groups 0.5 * h * k1 as (0.5 * h) * k1: the same doubles, hoisted
+    half_h, sixth_h = 0.5 * h, h / 6.0
     sin = math.sin
     z = 1.0
-    out = np.empty(n_ref + 1)
-    out[0] = z
-    for j in range(n_ref):
+    out = array.array("d", [z])
+    append = out.append
+    for _ in range(n_ref):
         k1 = sin(z * z)
-        y = z + 0.5 * h * k1
+        y = z + half_h * k1
         k2 = sin(y * y)
-        y = z + 0.5 * h * k2
+        y = z + half_h * k2
         k3 = sin(y * y)
         y = z + h * k3
         k4 = sin(y * y)
-        z += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[j + 1] = z
-    return out
+        z += sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        append(z)
+    return np.frombuffer(out, dtype=float)
 
 
 def default_ref_cache(n_ref: int = DEFAULT_REF_STEPS) -> str:
@@ -649,12 +687,18 @@ def default_ref_cache(n_ref: int = DEFAULT_REF_STEPS) -> str:
     return os.path.join(base, f"refB_rk4_{n_ref}.bin")
 
 
-def _write_reference(path, header: dict, values: np.ndarray):
-    """Write the cache file atomically: readers see the old file or the whole new one."""
-    payload = values.astype("<f8").tobytes()
+def _write_reference(path, header: dict, values: np.ndarray) -> dict:
+    """Write the cache file atomically: readers see the old file or the whole new one.
+
+    The payload is the little-endian values' own buffer (no copy on a
+    little-endian machine).  The file gets mode 0o666 less the umask, as
+    any new file does; returns the header written, with its sha256.
+    """
+    payload = memoryview(np.ascontiguousarray(values, dtype="<f8")).cast("B")
     header = dict(header, sha256=hashlib.sha256(payload).hexdigest())
-    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
-                               suffix=".tmp", dir=os.path.dirname(os.path.abspath(path)))
+    tmp = f"{os.path.abspath(path)}.{os.urandom(8).hex()}.tmp"
+    # O_EXCL with mode 0o666: the umask applies, where tempfile.mkstemp forces 0o600
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(REF_MAGIC)
@@ -664,13 +708,13 @@ def _write_reference(path, header: dict, values: np.ndarray):
     except BaseException:
         os.unlink(tmp)
         raise
+    return header
 
 
 def _read_reference(path) -> tuple:
     """The cache file's header and values, checked against the header's checksum.
 
-    The values are read into a writeable array: ``np.interp`` copies a
-    read-only one (such as ``np.frombuffer`` of bytes) on every call.
+    The payload is read straight into a writeable array, with no bytes copy.
     """
     with open(path, "rb") as fh:
         if fh.read(len(REF_MAGIC)) != REF_MAGIC:
@@ -692,7 +736,8 @@ def build_reference_B(n_ref: int = DEFAULT_REF_STEPS, cache_path=None) -> Refere
 
     cache_path defaults to :func:`default_ref_cache`.  Recomputes (and
     rewrites the cache) when the file is missing, corrupt, or was built with
-    different parameters.
+    different parameters.  The values sit on the uniform grid of [0, 1]
+    with n_ref steps (:meth:`ReferenceSolution.cached_dense`).
     """
     if n_ref < MIN_REF_STEPS:
         raise DomainError(f"n_ref must be >= {MIN_REF_STEPS}")
@@ -702,16 +747,14 @@ def build_reference_B(n_ref: int = DEFAULT_REF_STEPS, cache_path=None) -> Refere
         try:
             header, values = _read_reference(cache_path)
             if all(header.get(k) == v for k, v in want.items()) and values.shape == (n_ref + 1,):
-                ts = np.linspace(0.0, 1.0, n_ref + 1)
-                return ReferenceSolution.cached_dense(ts, values, provenance=header)
+                return ReferenceSolution.cached_dense(want["a"], want["b"], values,
+                                                      provenance=header)
         except (ValueError, json.JSONDecodeError, OSError):
             pass  # fall through to recompute
     values = _rk4_dense_B(n_ref)
     os.makedirs(os.path.dirname(os.path.abspath(cache_path)), exist_ok=True)
-    _write_reference(cache_path, want, values)
-    header, values = _read_reference(cache_path)
-    ts = np.linspace(0.0, 1.0, n_ref + 1)
-    return ReferenceSolution.cached_dense(ts, values, provenance=dict(header))
+    header = _write_reference(cache_path, want, values)
+    return ReferenceSolution.cached_dense(want["a"], want["b"], values, provenance=header)
 
 
 def reference_for(problem: IvpSpec, cache_path=None,

@@ -317,6 +317,8 @@ def cmd_band(args) -> int:
     seed = _resolve(args, cfg, "seed", DEFAULT_SEED, int)
     out = _resolve(args, cfg, "out", "out")
     grid_points = _resolve(args, cfg, "grid_points", 201, int)
+    if grid_points < 2:
+        raise UsageError(f"--grid-points must be >= 2, got {grid_points}")
     gamma = gamma_of(scheme, problem.class_params.rho)
 
     delta_text = _resolve(args, cfg, "delta", None)
@@ -420,6 +422,9 @@ def cmd_diagnose(args) -> int:
     reps = _resolve(args, cfg, "reps", 100_000, int)
     slope_N = _resolve(args, cfg, "N", 128, int)
     _reject_unread(cfg, "diagnose")
+    if slope_N < 1 or reps < 2:
+        raise UsageError(f"diagnose requires N >= 1 and reps >= 2, got N = {slope_N}, "
+                         f"reps = {reps}")
     checks = []
 
     # conditional mean of the local quadrature error (analytic pair of problem A)
@@ -470,7 +475,8 @@ def cmd_diagnose(args) -> int:
 def cmd_build_ref(args) -> int:
     cache = args.ref_cache or default_ref_cache(args.ref_steps)
     ref = build_reference_B(n_ref=args.ref_steps, cache_path=cache)
-    print(f"reference for B at {cache}: {ref.grid_ts.shape[0]} grid values, "
+    print(f"reference for B at {cache}: {ref.grid_values.shape[0]} grid values on "
+          f"[{ref.a}, {ref.b}], "
           f"sha256={ref.provenance.get('sha256', '')[:16]}...")
     return 0
 

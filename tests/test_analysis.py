@@ -1,6 +1,8 @@
 import dataclasses
 import functools
 import itertools
+import os
+import stat
 import tracemalloc
 from unittest import mock
 
@@ -79,7 +81,7 @@ class TestSupError:
             sup_error(tr, ref_A, subsamples_per_step=0)
 
     def test_uncovered_reference_raises(self, problem_A):
-        ref = ReferenceSolution.cached_dense(np.linspace(0.0, 0.5, 100), np.zeros(100))
+        ref = ReferenceSolution.cached_dense(0.0, 0.5, np.zeros(100))
         o = NoisyOracle(problem_A, exact_info(), 42, 0)
         tr = run_explicit_euler(o, 4)
         with pytest.raises(ReferenceSolutionError):
@@ -601,9 +603,79 @@ class TestSlopes:
         assert -1.15 <= fit.slope <= -0.85
 
 
+class TestCachedDenseLookup:
+    """The implied-grid lookup is np.interp over np.linspace's knots, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(interval=st.sampled_from([(0.0, 1.0), (0.0, 0.5)]),
+           size=st.integers(2, 100_001),
+           seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-300, 1.0, 1e300]),
+           drawn=st.lists(st.floats(-1e-12, 1.0 + 1e-12), max_size=20),
+           lead=st.lists(st.floats(-1e300, 1e300), max_size=8))
+    @example(interval=(0.0, 1.0), size=2, seed=0, scale=1.0, drawn=[], lead=[-0.0, -0.0])
+    @example(interval=(0.0, 0.5), size=100_001, seed=1, scale=1.0, drawn=[0.5 + 1e-12],
+             lead=[-0.0, 1.0, 0.0])
+    def test_equals_np_interp(self, interval, size, seed, scale, drawn, lead):
+        a, b = interval
+        rng = np.random.default_rng(seed)
+        values = scale * rng.standard_normal(size)
+        # drawn values (signed zeros among them) on the first knots, each looked up
+        lead = lead[:size]
+        values[:len(lead)] = lead
+        grid = np.linspace(a, b, size)
+        knots = np.concatenate([grid[:len(lead) + 1], grid[rng.integers(0, size, 500)]])
+        band = 1e-12 * rng.random(50)
+        ts = np.concatenate([
+            rng.uniform(a, b, 500), knots, np.nextafter(knots, -np.inf),
+            np.nextafter(knots, np.inf), [a, b], a - band, b + band,
+            [t for t in drawn if a - 1e-12 <= t <= b + 1e-12],
+        ])
+        ts = ts[(ts >= a - 1e-12) & (ts <= b + 1e-12)]
+        got = ReferenceSolution.cached_dense(a, b, values).values_at(ts)
+        assert got.shape == (ts.shape[0], 1)
+        want = np.interp(ts, grid, values)
+        assert np.array_equal(got[:, 0].view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("t", [np.nan, -2e-12, 1.0 + 2e-12])
+    def test_nan_or_uncovered_time_raises(self, t):
+        ref = ReferenceSolution.cached_dense(0.0, 1.0, np.arange(11.0))
+        with pytest.raises(ReferenceSolutionError):
+            ref.values_at([0.5, t])
+
+
 class TestReferenceB:
     def test_initial_value(self, ref_B):
         assert ref_B.values_at([0.0])[0, 0] == 1.0
+
+    def test_build_pinned(self, tmp_path):
+        path = tmp_path / "ref.bin"
+        pinned = "7ae1b6fe5cd0d319199d90aef09a42d46d5131270505ebe887ca54ef3d0ea140"
+        for _ in range(2):  # built, then loaded from the cache
+            assert build_reference_B(100_000, path).provenance["sha256"] == pinned
+
+    def test_cached_load_holds_one_payload(self, tmp_path):
+        # the knots are implied, so a load allocates the values and little else
+        path = tmp_path / "ref.bin"
+        build_reference_B(100_000, path)
+        tracemalloc.start()
+        try:
+            ref = build_reference_B(100_000, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ref.grid_values.nbytes == 8 * 100_001
+        assert peak <= 1.25 * ref.grid_values.nbytes
+
+    @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077])
+    def test_cache_file_mode_follows_umask(self, tmp_path, umask):
+        path = tmp_path / "ref.bin"
+        old = os.umask(umask)
+        try:
+            build_reference_B(100_000, path)
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
     def test_deterministic_bytes(self, tmp_path):
         p1, p2 = tmp_path / "r1.bin", tmp_path / "r2.bin"
@@ -619,7 +691,7 @@ class TestReferenceB:
         assert path.stat().st_mtime_ns == stamp  # untouched on hit
         assert np.array_equal(r1.grid_values, r2.grid_values)
         r3 = build_reference_B(120_000, path)  # different build params: rewritten
-        assert r3.grid_ts.shape == (120_001,)
+        assert r3.grid_values.shape == (120_001, 1)
 
     def test_corrupt_cache_recomputed(self, tmp_path):
         path = tmp_path / "ref.bin"
@@ -643,7 +715,7 @@ class TestReferenceB:
         assert ref.grid_values.shape == (100_001, 1)
 
     def test_loaded_values_writeable_and_contiguous(self, tmp_path):
-        # np.interp copies a read-only or strided table on every call
+        # one writeable, contiguous array of values, whether built or loaded
         path = tmp_path / "ref.bin"
         for _ in range(2):  # built, then loaded from the cache
             column = build_reference_B(100_000, path).grid_values[:, 0]

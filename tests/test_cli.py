@@ -298,6 +298,21 @@ def test_bad_run_setting_rejected_before_output(tmp_path, capsys, command, setti
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,args", [
+    ("band", ["--n", "10", "--xi", "3", "--grid-points", "1"]),
+    ("diagnose", ["--N", "0"]),
+    ("diagnose", ["--reps", "1"]),
+])
+def test_bad_setting_rejected_before_reference_build(tmp_path, capsys, command, args):
+    # problem B with a fresh cache: a bad setting must not cost a reference build
+    cache, out = tmp_path / "refB.bin", tmp_path / "out"
+    assert run_cli(command, "--problem", "B", *args, "--ref-steps", "100000",
+                   "--ref-cache", str(cache), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not cache.exists()
+    assert not out.exists()
+
+
 class TestDiagnose:
     def test_passes_on_defaults(self, tmp_path):
         rc = run_cli("diagnose", "--problem", "A", "--seed", "6",
