@@ -237,25 +237,24 @@ class _SupErrorFold:
     reused buffer; its first node is the previous block's last.  So every
     knot deviation and interior value is computed from the same nodes as
     over the whole run, and max is exact: ``errors`` equals
-    :func:`_sup_error_kernel` over all n + 1 nodes bit for bit.  ``rows``
-    is the shape of a state without its last axis: (m,), or (k, m) for k
-    delta columns.
+    :func:`_sup_error_kernel` over all n + 1 nodes bit for bit.  ``state``
+    is the shape of a chunk state, (k, m, d); ``errors`` has shape (k, m).
     """
 
-    def __init__(self, rows: tuple, h: float, ref_knots, ref_int, dt):
-        self.errors = np.zeros(rows)
-        self._nodes = None
+    def __init__(self, state: tuple, h: float, ref_knots, ref_int, dt):
+        self.errors = np.zeros(state[:-1])
+        self._state, self._nodes = state, None
         self._h, self._ref_knots, self._ref_int, self._dt = h, ref_knots, ref_int, dt
 
     def block(self, j0: int, steps: int) -> np.ndarray:
-        """Room for nodes j0 .. j0 + steps of every row, shape (steps + 1, *rows, 1)."""
+        """Room for nodes j0 .. j0 + steps of every row, shape (steps + 1, k, m, d)."""
         if self._nodes is None:  # the first block is the longest
-            self._nodes = np.empty((steps + 1,) + self.errors.shape + (1,))
+            self._nodes = np.empty((steps + 1,) + self._state)
         return self._nodes[:steps + 1]
 
     def take(self, j0: int, nodes: np.ndarray):
         steps = nodes.shape[0] - 1
-        err = _sup_error_kernel(nodes.reshape(steps + 1, -1, 1), self._h,
+        err = _sup_error_kernel(nodes.reshape(steps + 1, -1, self._state[-1]), self._h,
                                 self._ref_knots[j0:j0 + steps + 1],
                                 self._ref_int[:, j0:j0 + steps], self._dt)
         np.maximum(self.errors, err.reshape(self.errors.shape), out=self.errors)
@@ -265,17 +264,16 @@ def _chunk_errors_vectorized(problem: IvpSpec, scheme: SchemeKind, n: int,
                              noise: NoiseModel, master_seed, lo: int, hi: int,
                              dt, ref_knots, ref_int, perturb_eta: bool,
                              deltas=None) -> np.ndarray:
-    """All replication errors in [lo, hi) from one scheme run over the chunk's rows.
+    """All replication errors in [lo, hi) from one scheme run over the chunk's rows, (k, hi - lo).
 
-    With ``deltas`` the run covers one column per delta of ``noise``'s kind
-    on shared draws (:class:`ChunkOracle`), and the errors have shape
-    (k, hi - lo).  The run is streamed: tapes, nodes and the error fold hold
-    one block of steps at a time, so the chunk's memory does not grow with n.
+    The run has one column per delta of ``noise``'s kind (default: ``noise.delta``
+    alone) on shared draws (:class:`ChunkOracle`), and is streamed: tapes, nodes
+    and the error fold hold one block of steps, so memory does not grow with n.
     """
     evals_per_step = 2 if scheme is SchemeKind.RUNGE_KUTTA2 else 1
     oracle = ChunkOracle(problem, noise, master_seed, lo, hi, evals_per_step, perturb_eta,
                          deltas)
-    fold = _SupErrorFold(oracle.eta_tilde.shape[:-1], (problem.b - problem.a) / n,
+    fold = _SupErrorFold(oracle.eta_tilde.shape, (problem.b - problem.a) / n,
                          ref_knots, ref_int, dt)
     run_scheme(oracle, scheme, n, sink=fold)
     return fold.errors
@@ -284,7 +282,8 @@ def _chunk_errors_vectorized(problem: IvpSpec, scheme: SchemeKind, n: int,
 def _chunk_errors_scalar(problem: IvpSpec, scheme: SchemeKind, n: int,
                          noise: NoiseModel, master_seed, lo: int, hi: int,
                          dt, ref_knots, ref_int, perturb_eta: bool) -> np.ndarray:
-    """The replication errors in [lo, hi), one scheme run per replication."""
+    """The replication errors in [lo, hi), one :class:`NoisyOracle` run per replication:
+    the specification the tests hold :func:`_chunk_errors_vectorized` to."""
     out = np.empty(hi - lo)
     for i in range(lo, hi):
         tr = run_scheme(NoisyOracle(problem, noise, master_seed, i, perturb_eta), scheme, n)
@@ -299,27 +298,25 @@ _CELL_ERRORS = (NumericalError, ConvergenceError, DomainError)
 def _batch_task(args):
     """One chunk of a group of columns: (lo, per column errors or the exception, reran).
 
-    A group of several columns on the batched route runs as one scheme run.
-    If that run fails, or on the per-replication route, each column runs on
-    its own, so a failure is the one that column's own run raises, naming
-    its replication and step; ``reran`` is then True for a group of several.
+    The group's columns run as one scheme run.  If a run of several fails,
+    each column reruns on its own, so a failure is the one that column's
+    own run raises, naming its replication and step; ``reran`` is then True.
     """
-    batched, problem, scheme, n, row_noise, master_seed, lo, *rest, columns = args
-    if batched and len(columns) > 1:
-        try:
-            errors = _chunk_errors_vectorized(problem, scheme, n, row_noise, master_seed, lo,
-                                              *rest, tuple(c.delta for c in columns))
-            return lo, list(errors), False
-        except _CELL_ERRORS:
-            pass
-    run = _chunk_errors_vectorized if batched else _chunk_errors_scalar
+    problem, scheme, n, row_noise, master_seed, lo, *rest, columns = args
+    try:
+        return lo, list(_chunk_errors_vectorized(problem, scheme, n, row_noise, master_seed, lo,
+                                                 *rest, [c.delta for c in columns])), False
+    except _CELL_ERRORS as exc:
+        if len(columns) == 1:
+            return lo, [exc], False
     out = []
     for noise in columns:
         try:
-            out.append(run(problem, scheme, n, noise, master_seed, lo, *rest))
+            out.append(_chunk_errors_vectorized(problem, scheme, n, noise, master_seed, lo,
+                                                *rest)[0])
         except _CELL_ERRORS as exc:
             out.append(exc)
-    return lo, out, len(columns) > 1
+    return lo, out, True
 
 
 def _column_groups(noises) -> list:
@@ -367,14 +364,12 @@ def run_cells(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind
     dt = _interior_offsets(h, subsamples_per_step)
     ref_knots, ref_int = _reference_grids(reference, knots, dt)
 
-    batched = problem.d == 1 and problem.rhs_vectorized
-
     groups = _column_groups(noises)
     tasks, task_cols = [], []
     for lo in range(0, N, chunk_size):
         hi = min(lo + chunk_size, N)
         for row_noise, cols in groups:
-            tasks.append((batched, problem, scheme, n, row_noise, master_seed, lo, hi,
+            tasks.append((problem, scheme, n, row_noise, master_seed, lo, hi,
                           dt, ref_knots, ref_int, perturb_eta, [noises[c] for c in cols]))
             task_cols.append(cols)
 
@@ -427,10 +422,10 @@ def run_batch(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind
 
     Replication i draws from streams keyed by (master_seed, i), so the result
     is bitwise-identical for fixed (cell, N, master_seed) at any parallelism
-    or chunk partition.  Cells on one-dimensional problems with vectorizable
-    right-hand sides run batched, a chunk of replications per scheme run;
-    everything else runs replication by replication.  Both routes give
-    bitwise-identical errors.  A right-hand side that cannot be pickled (a
+    or chunk partition.  Every cell runs a chunk of replications per scheme
+    run (:class:`ChunkOracle`), whatever d and however its rhs is called;
+    the errors are bitwise those of one :class:`NoisyOracle` run per
+    replication.  A right-hand side that cannot be pickled (a
     lambda or closure) runs its chunks serially, with a RuntimeWarning,
     whatever the parallelism.  This is :func:`run_cells` with one column.
     """

@@ -14,17 +14,17 @@ one of four noise classes with budget delta:
 Randomness contract (frozen): every oracle owns two counter-based child
 streams derived from SeedSequence(master_seed, spawn_key=(replication_index, k))
 with k = 0 for grid draws (the tau's consumed by the schemes) and k = 1 for
-noise draws.  The noise stream is consumed in this order: the initial-value
-ball draw (only when ``perturb_eta`` and delta > 0), then the per-trajectory
-``ie`` factor (and its direction for d > 1), then one block per noisy
-evaluation in call order.  For d = 1 each block is a single uniform u with
-perturbation magnitude (2u - 1) * delta.  Two oracles built from the same
-(master_seed, replication_index) therefore share identical grid draws
-regardless of their noise model, which couples exact and noisy runs.
-A :class:`ChunkOracle` makes the same draws for a chunk of replications of a
-d = 1 problem at once, from tapes filled per replication stream one block of
-steps at a time, and can evaluate several deltas of one noise kind on the
-same draws.
+noise draws.  The noise stream is read in units of 1 uniform at d = 1 and
+1 + 2d above (a factor draw, then the d exponential and d sign draws of a
+unit one-norm direction): the initial-value ball draw (only when
+``perturb_eta`` and delta > 0), then the ``ie`` factor, then one unit per
+noisy evaluation in call order.  At d = 1 a unit u gives the factor
+(2u - 1) delta.  Two oracles built from the same (master_seed,
+replication_index) therefore share identical grid draws regardless of their
+noise model, which couples exact and noisy runs.  A :class:`ChunkOracle`
+makes the same draws for a chunk of replications at once, and can evaluate
+several deltas of one noise kind on the same draws.  Both oracles turn units
+into perturbations with :func:`_unit_factor` and :func:`_perturb`.
 """
 
 from __future__ import annotations
@@ -222,65 +222,70 @@ def fill_uniform_rows(keys: np.ndarray, out: np.ndarray, start: int = 0) -> np.n
 
 def _step_major_tape(keys: np.ndarray, out: np.ndarray, start: int = 0,
                      signed: bool = False) -> np.ndarray:
-    """Fill out, shape (steps, m, 1), step-major: out[s, i, 0] is draw start + s of keys[i].
+    """Fill out, shape (steps, m, w), step-major: out[s, i] is unit start + s (w draws) of keys[i].
 
     Rows are filled a block at a time into a scratch of about
     ``_BLOCK_ELEMS`` draws (:func:`fill_uniform_rows`) and written
     transposed, so no full row-major copy is made.  A block has at least
     ``_TAPE_ROWS`` rows, so that each transposed write covers whole cache
-    lines of the tape.  With ``signed`` every draw u is stored as 2u - 1,
-    the factor that :func:`_signed` multiplies by delta.
+    lines of the tape.  With ``signed`` every draw u is stored as 2u - 1.
     """
-    steps, m = out.shape[:2]
-    rows = max(1, min(m, max(_TAPE_ROWS, _BLOCK_ELEMS // max(steps, 1))))
-    scratch = np.empty((rows, steps))
+    steps, m, w = out.shape
+    rows = max(1, min(m, max(_TAPE_ROWS, _BLOCK_ELEMS // max(steps * w, 1))))
+    scratch = np.empty((rows, steps * w))
     for r0 in range(0, m, rows):
-        block = fill_uniform_rows(keys[r0:r0 + rows], scratch[:min(rows, m - r0)], start)
+        block = fill_uniform_rows(keys[r0:r0 + rows], scratch[:min(rows, m - r0)], start * w)
         if signed:
             np.subtract(np.multiply(block, 2.0, out=block), 1.0, out=block)
-        out[:, r0:r0 + block.shape[0], 0] = block.T
+        out[:, r0:r0 + block.shape[0]] = block.reshape(-1, steps, w).swapaxes(0, 1)
     return out
 
 
-def _tape_buffer(buf, steps: int, m: int) -> np.ndarray:
-    """A (steps, m, 1) array: the front of buf when it is long enough, else a new one."""
-    if buf is None or buf.shape[0] < steps:
-        return np.empty((steps, m, 1))
-    return buf[:steps]
+def _signed(u):
+    """U(0,1) draws u mapped to 2u - 1 on [-1, 1], the factor a delta then scales."""
+    return 2.0 * u - 1.0
 
 
-def _signed(u, delta):
-    """A U(0,1) draw u mapped to the factor (2u - 1) delta on [-delta, delta]."""
-    return (2.0 * u - 1.0) * delta
+def _unit_width(d: int) -> int:
+    """The uniforms of one draw unit: 1 at d = 1, a factor and 2d direction draws above."""
+    return 1 if d == 1 else 1 + 2 * d
 
 
-def _perturbation_1d(kind: str, e, x):
-    """The d = 1 perturbation with drawn factor e at state x, elementwise.
+def _direction(u, d: int):
+    """Unit one-norm directions from 2d uniforms each, (..., 2d) -> (..., d):
+    a simplex point (cone measure) from d exponential draws, signs from d more."""
+    e = -np.log(u[..., :d])
+    return e / np.sum(e, axis=-1, keepdims=True) * np.where(u[..., d:] < 0.5, -1.0, 1.0)
 
-    ``ee`` and ``ie`` scale the factor by 1 + |x|; ``rk`` emits it as is.
+
+def _unit_factor(unit, delta, d: int, role: str):
+    """The factor and direction (None at d = 1) of draw units, shape (..., w).
+
+    At d = 1 a unit is held as 2u - 1, and the factor is (2u - 1) delta.
+    Above, a unit is 1 + 2d uniforms, lead draw u first; the factor is
+    u delta (``fresh``), (2u - 1) delta (``ie``) or the ``ball`` radius
+    delta u^(1/d), whose root is Python's float power per element: numpy's
+    array power can differ from it in the last bit.
     """
-    if kind == "rk":
-        return e
-    return e * (1.0 + np.abs(x))
-
-
-def _l1_direction(rng, d: int) -> np.ndarray:
-    """A unit one-norm direction: simplex point (cone measure) with random signs."""
-    e = -np.log(rng.random(d))
-    dirs = e / np.sum(e)
-    signs = np.where(rng.random(d) < 0.5, -1.0, 1.0)
-    return dirs * signs
-
-
-def _ball_point(rng, center: np.ndarray, radius: float) -> np.ndarray:
-    """Uniform draw from the one-norm ball B(center, radius)."""
-    d = center.shape[0]
-    if radius == 0.0:
-        return center.copy()
     if d == 1:
-        return center + _signed(rng.random(), radius)
-    r = radius * rng.random() ** (1.0 / d)
-    return center + r * _l1_direction(rng, d)
+        return unit * delta, None
+    u = unit[..., :1]
+    if role == "fresh":
+        e = u * delta
+    elif role == "ie":
+        e = _signed(u) * delta
+    else:
+        e = delta * np.array([v ** (1.0 / d) for v in u.ravel().tolist()]).reshape(u.shape)
+    return e, _direction(unit[..., 1:], d)
+
+
+def _perturb(kind: str, e, direction, x):
+    """The perturbation of factor e and direction at states x (..., d): ``ee`` and ``ie``
+    scale e by 1 + ||x||, ``rk`` (and the eta-ball offset) take it as is."""
+    if kind != "rk":
+        e = e * (1.0 + (np.abs(x) if direction is None
+                        else np.sum(np.abs(x), axis=-1, keepdims=True)))
+    return e if direction is None else e * direction
 
 
 class NoisyOracle:
@@ -305,37 +310,25 @@ class NoisyOracle:
         self.samples = [] if record_samples else None
         self._record = record_samples
 
-        if perturb_eta and model.delta > 0.0:
-            self.eta_tilde = _ball_point(self.noise_stream, base.eta, model.delta)
-        else:
-            self.eta_tilde = base.eta.copy()
-
-        self._e0 = 0.0
-        self._dir0 = None
-        if model.kind == "ie" and model.delta > 0.0:
-            self._e0 = _signed(self.noise_stream.random(), model.delta)
-            if base.d > 1:
-                self._dir0 = _l1_direction(self.noise_stream, base.d)
+        self.eta_tilde = (base.eta + _perturb("rk", *self._unit("ball"), None)
+                          if perturb_eta and model.delta > 0.0 else base.eta.copy())
+        self._ie = self._unit("ie") if model.kind == "ie" and model.delta > 0.0 else None
 
     def draw_taus(self, n: int) -> np.ndarray:
         """The next n U(0,1) draws of the dedicated grid stream."""
         return self.grid_stream.random(n)
 
+    def _unit(self, role: str):
+        """The next draw unit of the noise stream as (factor, direction)."""
+        d = self.base.d
+        u = self.noise_stream.random(_unit_width(d))
+        return _unit_factor(_signed(u) if d == 1 else u, self.model.delta, d, role)
+
     def _perturbation(self, x: np.ndarray) -> np.ndarray:
         m = self.model
-        d = self.base.d
         if m.kind == "exact" or m.delta == 0.0:
-            return np.zeros(d)
-        if d == 1:
-            e = self._e0 if m.kind == "ie" else _signed(self.noise_stream.random(), m.delta)
-            return np.atleast_1d(_perturbation_1d(m.kind, e, x))
-        if m.kind == "ie":
-            return self._e0 * (1.0 + one_norm(x)) * self._dir0
-        # fresh draw per call
-        mag = self.noise_stream.random() * m.delta
-        if m.kind == "ee":
-            mag *= 1.0 + one_norm(x)
-        return mag * _l1_direction(self.noise_stream, d)
+            return np.zeros(self.base.d)
+        return _perturb(m.kind, *(self._ie if m.kind == "ie" else self._unit("fresh")), x)
 
     def noisy_eval(self, t: float, x) -> np.ndarray:
         """f(t, x) + perturbation; increments the evaluation counter."""
@@ -358,39 +351,34 @@ class NoisyOracle:
 
 
 class ChunkOracle:
-    """The oracles of replications [lo, hi) of a d = 1 problem, evaluated together.
+    """The oracles of replications [lo, hi), evaluated together.
 
-    States have shape (m, 1), one row per replication, and ``base.rhs`` must
-    accept them elementwise.  Row i draws exactly what
-    ``NoisyOracle(base, model, master_seed, lo + i, perturb_eta)`` draws, in
-    the same order, read from step-major tapes filled from that
-    replication's streams (:func:`stream_keys`, :func:`_step_major_tape`),
-    so each draw of every row is one contiguous (m, 1) slice.  The
-    constructor takes only the lead draws: the initial-value ball draw, then
-    the ``ie`` factor.  Each :meth:`draw_taus` call fills the next steps'
-    grid draws and, for fresh noise, the noise draws of their
-    ``evals_per_step`` evaluations a step; a stream is entered at any draw
-    directly (:func:`fill_uniform_rows`), so the tapes hold only the steps
-    asked for, not the whole run.  Evaluation is rhs plus the perturbation,
-    without :meth:`NoisyOracle.noisy_eval`'s per-call checks;
-    ``eval_count`` counts calls, each covering every row.
-    ``replication_index`` is lo, row 0's.
+    States have shape (k, m, d), one row per replication in each of k delta
+    columns; times have shape (m, 1), or are one time for all rows.  Row i
+    draws exactly what ``NoisyOracle(base, model, master_seed, lo + i,
+    perturb_eta)`` draws, in the same order, from step-major tapes of draw
+    units, (units, m, w), filled from that replication's streams
+    (:func:`stream_keys`, :func:`_step_major_tape`).  The constructor takes
+    the lead units (the ball draw, then the ``ie`` factor); each
+    :meth:`draw_taus` call fills the next steps' grid draws and, for fresh
+    noise, the units of their ``evals_per_step`` evaluations a step, entering
+    each stream at its next draw (:func:`fill_uniform_rows`).  Evaluation is
+    rhs plus the perturbation, without :meth:`NoisyOracle.noisy_eval`'s
+    per-call checks; ``eval_count`` counts calls, each covering every row,
+    and ``replication_index`` is lo.  A vectorized rhs
+    (``base.rhs_vectorized``) is called once for all rows, any other once
+    per row with its time and (d,) state, as :class:`NoisyOracle` calls it.
 
-    With ``deltas`` the oracle runs k columns of one noise kind at once:
-    states have shape (k, m, 1), and column c is the oracle of
-    ``model`` with delta ``deltas[c]``.  Every column reads the same draws,
-    because the draws do not depend on delta: the tapes hold each noise
-    draw u once as its factor 2u - 1, and every use multiplies it by the
-    (k, 1, 1) deltas first, so the rounding is that of
-    :func:`_signed`, then of :func:`_perturbation_1d`.  ``model`` must then
-    be the kind with the largest of the deltas, which decides what is drawn;
-    a delta 0 column adds a perturbation of 0 and so is the exact column.
+    Column c is the oracle of ``model`` with delta ``deltas[c]`` (default:
+    ``model.delta`` alone).  The draws do not depend on delta, so every
+    column reads the same units, and each factor is scaled by the (k, 1, 1)
+    deltas in the rounding order of one oracle (:func:`_unit_factor`,
+    :func:`_perturb`).  ``model`` must be the kind with the largest of the
+    deltas, which decides what is drawn; a delta 0 column is the exact one.
     """
 
     def __init__(self, base: IvpSpec, model: NoiseModel, master_seed, lo: int, hi: int,
                  evals_per_step: int = 1, perturb_eta: bool = False, deltas=None):
-        if base.d != 1:
-            raise DomainError("a chunk oracle needs a one-dimensional problem")
         self.base = base
         self.model = model
         self.master_seed = master_seed
@@ -398,11 +386,9 @@ class ChunkOracle:
         self.eval_count = 0
         self._m = hi - lo
         self._evals_per_step = evals_per_step
-        if deltas is None:
-            self._deltas, shape = model.delta, (self._m, 1)
-        else:
-            self._deltas = np.asarray(deltas, dtype=float).reshape(-1, 1, 1)
-            shape = (self._deltas.shape[0], self._m, 1)
+        self._deltas = np.asarray(model.delta if deltas is None else deltas,
+                                  dtype=float).reshape(-1, 1, 1)
+        d = base.d
         ball = perturb_eta and model.delta > 0.0
         ie = model.kind == "ie" and model.delta > 0.0
         self._grid_keys = stream_keys(master_seed, lo, hi, 0)
@@ -410,46 +396,61 @@ class ChunkOracle:
                             if ball or ie or model.fresh else None)
         self._taus = None
         self._grid_pos = 0  # grid draws taken, per row
-        self._noise_pos = ball + ie  # noise draws taken, per row
-        self._noise = (_step_major_tape(self._noise_keys, np.empty((self._noise_pos, self._m, 1)),
-                                        0, signed=True) if self._noise_pos else None)
+        self._noise_pos = ball + ie  # noise units taken, per row
+        self._noise = (self._tape(None, self._noise_keys, self._noise_pos, 0, noise=True)
+                       if self._noise_pos else None)
         self._next = 0
-        self.eta_tilde = base.eta[0] + self._draw() if ball else np.full(shape, base.eta[0])
-        self._e0 = self._draw() if ie else None
+        self.eta_tilde = np.empty((self._deltas.shape[0], self._m, d))
+        self.eta_tilde[...] = (base.eta + _perturb("rk", *self._unit("ball"), None) if ball
+                               else base.eta)
+        self._ie = self._unit("ie") if ie else None
 
-    def _draw(self) -> np.ndarray:
-        """Every row's next noise draw as its factor (2u - 1) delta, shape (m, 1) or (k, m, 1)."""
-        e = self._noise[self._next] * self._deltas
+    def _tape(self, buf, keys, steps: int, start: int, noise: bool = False) -> np.ndarray:
+        """Units start .. start + steps - 1 of keys' streams (:func:`_step_major_tape`): noise
+        draw units, or single grid draws; in the front of buf when it is long enough."""
+        w = _unit_width(self.base.d) if noise else 1
+        if buf is None or buf.shape[0] < steps:
+            buf = np.empty((steps, self._m, w))
+        return _step_major_tape(keys, buf[:steps], start, signed=noise and w == 1)
+
+    def _unit(self, role: str):
+        """Every row's next noise unit as (factor, direction) for every column."""
+        unit = self._noise[self._next]
         self._next += 1
-        return e
+        return _unit_factor(unit, self._deltas, self.base.d, role)
 
     def draw_taus(self, n: int) -> np.ndarray:
         """Every row's next n grid draws, step-major: C-contiguous, shape (n, m, 1).
 
-        For fresh noise this also fills the noise draws of those n steps'
+        For fresh noise this also fills the noise units of those n steps'
         evaluations.  Both tapes are buffers that the next call reuses.
         """
-        self._taus = _step_major_tape(self._grid_keys, _tape_buffer(self._taus, n, self._m),
-                                      self._grid_pos)
+        self._taus = self._tape(self._taus, self._grid_keys, n, self._grid_pos)
         self._grid_pos += n
         if self.model.fresh:
-            evals = n * self._evals_per_step
-            self._noise = _step_major_tape(self._noise_keys,
-                                           _tape_buffer(self._noise, evals, self._m),
-                                           self._noise_pos, signed=True)
-            self._noise_pos += evals
+            units = n * self._evals_per_step
+            self._noise = self._tape(self._noise, self._noise_keys, units, self._noise_pos,
+                                     noise=True)
+            self._noise_pos += units
             self._next = 0
         return self._taus
+
+    def _rhs(self, t, x) -> np.ndarray:
+        if self.base.rhs_vectorized:
+            return self.base.rhs(t, x)
+        ts, f = np.broadcast_to(t, (self._m, 1))[:, 0], np.empty(x.shape)
+        for c, i in np.ndindex(x.shape[:2]):
+            f[c, i] = np.atleast_1d(np.asarray(self.base.rhs(ts[i], x[c, i]), dtype=float))
+        return f
 
     def noisy_eval(self, t, x) -> np.ndarray:
         """rhs(t, x) plus every row's perturbation."""
         self.eval_count += 1
-        f = self.base.rhs(t, x)
+        f = self._rhs(t, x)
         kind = self.model.kind
         if kind == "exact" or self.model.delta == 0.0:
             return f
-        e = self._e0 if kind == "ie" else self._draw()
-        return f + _perturbation_1d(kind, e, x)
+        return f + _perturb(kind, *(self._ie if kind == "ie" else self._unit("fresh")), x)
 
 
 def verify_noise_bound(m: NoiseModel, samples) -> bool:

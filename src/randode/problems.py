@@ -54,10 +54,10 @@ class IvpSpec:
 
     ``rhs`` maps (t, x) with x of shape (d,) to a vector of shape (d,).
     ``rhs_vectorized`` asserts that ``rhs`` also accepts arrays of times and
-    states that broadcast together, elementwise, which enables the batched
-    Monte Carlo path in :mod:`randode.analysis`: the times of a chunk have
-    shape (m, 1), its states (m, 1) or (k, m, 1) for k delta columns, and a
-    Runge-Kutta stage passes one time for all rows.
+    states that broadcast together, elementwise, and only says how a Monte
+    Carlo chunk (:mod:`randode.analysis`) calls it: once for the whole chunk,
+    with times of shape (m, 1) (one time in a Runge-Kutta stage) and states
+    of shape (k, m, d), rather than once per row.
     """
 
     a: float

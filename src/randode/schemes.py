@@ -7,9 +7,9 @@ interpolant of the node values.
 
 Each scheme is written once and steps either one replication (a
 :class:`NoisyOracle`, state shape (d,)) or a whole chunk of replications (a
-:class:`ChunkOracle`, state shape (m, 1), one row per replication, or
-(k, m, 1) for k delta columns) with the same elementwise arithmetic, so the
-two give bitwise-identical nodes.  A run walks its steps in blocks of
+:class:`ChunkOracle`, state shape (k, m, d), one row per replication in each
+of k delta columns) with the same elementwise arithmetic, so the two give
+bitwise-identical nodes.  A run walks its steps in blocks of
 ``_BLOCK_STEPS``.  By default it keeps every node for its
 :class:`Trajectory`; a node sink instead takes each block as soon as it is
 stepped, so a chunk run holds one block of nodes and tapes whatever n is.
@@ -91,7 +91,7 @@ class Trajectory:
 
     scheme: SchemeKind
     grid: Grid
-    nodes: np.ndarray   # (n+1, d); a chunk: (n+1, m, 1); None when a node sink took them
+    nodes: np.ndarray   # (n+1, d); a chunk: (n+1, k, m, d); None when a node sink took them
     eval_count: int
 
     @property
@@ -133,6 +133,10 @@ class _Run:
     drawn per block.  It provides ``block(j0, steps)``, an array of shape
     (steps + 1, *state) to hold nodes j0 .. j0 + steps, and
     ``take(j0, nodes)``, called with each block once it is stepped.
+
+    Each row's first failure is recorded, and the run goes on; once the last
+    block is stepped, the failure of the lowest failing replication is
+    raised, naming its step.
     """
 
     def __init__(self, oracle, n: int, taus, sink):
@@ -150,6 +154,15 @@ class _Run:
         self.oracle = oracle
         self.sink = sink
         self.nodes = None if sink else np.empty((n + 1,) + oracle.eta_tilde.shape)
+        self._failed = self._stuck = None  # per row: first failing step, non-convergence
+
+    def fail(self, rows, steps, stuck: bool = False):
+        """Record a failure at steps for the flagged rows, unless they failed earlier."""
+        rows = np.reshape(rows, -1)
+        if self._failed is None:
+            self._failed, self._stuck = np.full(rows.shape, self.grid.n + 1), np.zeros_like(rows)
+        new = rows & (steps < self._failed)
+        self._failed[new], self._stuck[new] = np.broadcast_to(steps, rows.shape)[new], stuck
 
     def blocks(self):
         """Yield (j0, taus, nodes) per block: step j0 + k draws taus[k - 1] and fills nodes[k].
@@ -158,13 +171,13 @@ class _Run:
         takes each tape block's nodes in sub-blocks of about ``_BLOCK_ELEMS``
         values, so its node buffer stays small however many rows a state
         has.  Each block is checked for non-finite nodes once stepped, then
-        handed to the sink.  After the last block a NumericalError names the
-        lowest replication that went non-finite and its first non-finite step.
+        handed to the sink while no row has failed.  After the last block
+        the lowest failing replication's error is raised: a NumericalError
+        at its first non-finite node, or a ConvergenceError.
         """
         n, taus, sink = self.grid.n, self.grid.taus, self.sink
         sub = (_BLOCK_STEPS if sink is None
                else max(_MIN_SINK_STEPS, _BLOCK_ELEMS // self.oracle.eta_tilde.size))
-        bad = None  # per row: first non-finite step, n + 1 for none yet
         last = self.oracle.eta_tilde
         for t0 in range(0, n, _BLOCK_STEPS):
             tape_steps = min(_BLOCK_STEPS, n - t0)
@@ -179,35 +192,20 @@ class _Run:
                 # min and max are NaN or infinite iff some node is, and make no temporaries
                 if not (np.isfinite(stepped.min()) and np.isfinite(stepped.max())):
                     ok = np.isfinite(stepped).all(axis=-1).reshape(steps, -1)
-                    if bad is None:
-                        bad = np.full(ok.shape[1], n + 1)
-                    new = (bad > n) & ~ok.all(axis=0)
-                    bad[new] = j0 + 1 + np.argmin(ok[:, new], axis=0)
-                elif bad is None and sink is not None:
+                    self.fail(~ok.all(axis=0), j0 + 1 + np.argmin(ok, axis=0))
+                elif self._failed is None and sink is not None:
                     sink.take(j0, nodes)
-        if bad is not None:
-            row = int(np.argmax(bad <= n))
-            _raise_non_finite(self.oracle.replication_index + row, int(bad[row]))
+        if self._failed is not None:
+            row = int(np.argmax(self._failed <= n))
+            i, j = self.oracle.replication_index + row, int(self._failed[row])
+            if self._stuck[row]:
+                raise ConvergenceError(f"replication {i}: fixed point did not converge at "
+                                       f"step {j}", step=j, replication=i)
+            raise NumericalError(f"replication {i}: non-finite node value at step {j}",
+                                 step=j, replication=i)
 
     def result(self, scheme: SchemeKind) -> Trajectory:
         return Trajectory(scheme, self.grid, self.nodes, self.oracle.eval_count)
-
-
-def _raise_non_finite(replication: int, step: int):
-    raise NumericalError(f"replication {replication}: non-finite node value at step {step}",
-                         step=step, replication=replication)
-
-
-def _check_finite(values, step: int, replication: int):
-    """Raise NumericalError for the first row of values that holds a non-finite value.
-
-    values are the states at scheme step step: shape (m, d) for the rows
-    replication, replication + 1, ..., or (d,) for one replication.
-    """
-    if np.isfinite(values).all():
-        return
-    finite = np.isfinite(values).all(axis=-1).reshape(-1)
-    _raise_non_finite(replication + int(np.argmin(finite)), step)
 
 
 def run_explicit_euler(oracle: NoisyOracle | ChunkOracle, n: int, taus=None,
@@ -253,7 +251,11 @@ def run_implicit_euler(oracle: NoisyOracle | ChunkOracle, n: int, tol: float = 1
 
     On a chunk every row iterates until it converges and is then frozen at
     that iterate, so each row gets exactly its own replication's result.  A
-    ConvergenceError names the first replication still iterating.
+    row whose iterate is non-finite records a NumericalError at that step
+    and stays at its previous node; a row still iterating after ``max_iter``
+    iterations records a ConvergenceError and goes on from its last iterate.
+    The other rows keep stepping, and the run raises the lowest failing
+    replication's error.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -273,15 +275,16 @@ def run_implicit_euler(oracle: NoisyOracle | ChunkOracle, n: int, tol: float = 1
             active = np.ones(u.shape[:-1], dtype=bool)
             for _ in range(max_iter):
                 nxt = np.where(active[..., None], u + h * oracle.noisy_eval(theta, cur), cur)
-                _check_finite(nxt, j, oracle.replication_index)
+                if not np.isfinite(nxt).all():  # such a row fails at step j, stopped at U_{j-1}
+                    finite = np.isfinite(nxt).all(axis=-1)
+                    run.fail(~finite, j)
+                    nxt, active = np.where(finite[..., None], nxt, u), active & finite
                 active &= np.sum(np.abs(nxt - cur), axis=-1) > tol
                 cur = nxt
                 if not active.any():
                     break
             else:
-                i = oracle.replication_index + int(np.argmax(active.reshape(-1)))
-                raise ConvergenceError(f"replication {i}: fixed point did not converge at "
-                                       f"step {j}", step=j, replication=i)
+                run.fail(active, j, stuck=True)
             u = cur
             nodes[k] = u
     return run.result(SchemeKind.IMPLICIT_EULER)

@@ -4,10 +4,13 @@ import pytest
 from randode import (
     ClassParams,
     IvpSpec,
+    ReferenceSolution,
     build_reference_B,
+    exact_solution_A,
     make_problem,
     reference_for,
 )
+from randode.problems import _rhs_A
 
 
 def zero_rhs(t, x):
@@ -38,6 +41,19 @@ def constant_field_problem():
     return IvpSpec(a=0.0, b=1.0, d=1, eta=np.array([1.0]), rhs=constant_rhs,
                    class_params=ClassParams(K=1.0, L=0.0, rho=1.5),
                    name="const", rhs_vectorized=True)
+
+
+def problem_A_in(d, vectorized=True):
+    """Problem A's field 2tx in every coordinate of R^d, from eta = (1, ..., 1)."""
+    return IvpSpec(a=0.0, b=1.0, d=d, eta=np.ones(d), rhs=_rhs_A,
+                   class_params=ClassParams(K=2.0 * d, L=2.0, rho=1.5), name=f"A{d}",
+                   rhs_vectorized=vectorized)
+
+
+def ref_A_in(d):
+    """The exact solution exp(t^2) of problem_A_in(d) in every coordinate."""
+    return ReferenceSolution.analytic(
+        lambda t: np.repeat(exact_solution_A(t)[:, None], d, axis=1), d=d)
 
 
 @pytest.fixture(scope="session")

@@ -40,7 +40,7 @@ from randode import analysis, schemes
 from randode.analysis import default_ref_cache, order_statistic_index, wilson_interval
 from randode.noise import NOISE_KINDS, ChunkOracle, derive_streams
 
-from conftest import constant_field_problem, zero_field_problem
+from conftest import constant_field_problem, problem_A_in, ref_A_in, zero_field_problem
 
 EE = SchemeKind.EXPLICIT_EULER
 RK = SchemeKind.RUNGE_KUTTA2
@@ -144,6 +144,15 @@ class TestSupErrorKernel:
         assert peak * 10 < 8 * 200 * 5000  # one (m, n) array
 
 
+def _per_replication(p, ref, scheme, n, noise, N, seed, perturb_eta):
+    """The specification of run_batch's errors: one NoisyOracle run per replication, sorted."""
+    h = (p.b - p.a) / n
+    dt = analysis._interior_offsets(h, 8)
+    ref_knots, ref_int = analysis._reference_grids(ref, p.a + h * np.arange(n + 1), dt)
+    return np.sort(analysis._chunk_errors_scalar(p, scheme, n, noise, seed, 0, N, dt, ref_knots,
+                                                 ref_int, perturb_eta))
+
+
 class TestRunBatch:
     def test_zero_field_zero_errors(self):
         p = zero_field_problem()
@@ -175,39 +184,52 @@ class TestRunBatch:
                                            scheme, kind, delta):
         noise = NoiseModel(kind, delta)
         n = 64 if scheme is IE else 11  # implicit Euler on B needs h (L + delta) < 1
-        for (p, ref), perturb_eta in itertools.product(
-                ((problem_A, ref_A), (problem_B, ref_B)), (False, True)):
-            slow = run_batch(dataclasses.replace(p, rhs_vectorized=False), ref, scheme, n,
-                             noise, 32, 77, perturb_eta=perturb_eta)
-            # the real block size, and blocks of 3 and 5 steps that put
-            # block edges inside the run
-            for steps in (schemes._BLOCK_STEPS, 3, 5):
+        # d = 9 crosses numpy's 8-wide pairwise-sum unroll in the one-norms
+        cases = [(problem_A, ref_A), (problem_B, ref_B)] + [(problem_A_in(d), ref_A_in(d))
+                                                            for d in (3, 9)]
+        for (p, ref), perturb_eta in itertools.product(cases, (False, True)):
+            want = _per_replication(p, ref, scheme, n, noise, 32, 77, perturb_eta)
+            # both rhs flavours; the real block size, and blocks of 3 and 5
+            # steps that put block edges inside the run
+            for vectorized, steps in itertools.product((True, False),
+                                                       (schemes._BLOCK_STEPS, 3, 5)):
                 with mock.patch.object(schemes, "_BLOCK_STEPS", steps):
-                    fast = run_batch(p, ref, scheme, n, noise, 32, 77, chunk_size=13,
-                                     perturb_eta=perturb_eta)
-                assert np.array_equal(fast.errors, slow.errors)
+                    got = run_batch(dataclasses.replace(p, rhs_vectorized=vectorized), ref,
+                                    scheme, n, noise, 32, 77, chunk_size=13,
+                                    perturb_eta=perturb_eta)
+                assert np.array_equal(got.errors, want)
 
     @given(scheme=st.sampled_from([EE, RK, IE]), kind=st.sampled_from(NOISE_KINDS),
            delta=st.floats(0.0, 0.1), n=st.integers(3, 40), seed=st.integers(0, 2**64),
            chunk_size=st.integers(1, 12), perturb_eta=st.booleans(),
-           block_steps=st.sampled_from([None, 3, 5]))
+           block_steps=st.sampled_from([None, 3, 5]), d=st.sampled_from([1, 3, 9]),
+           vectorized=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_batched_equals_per_replication(self, problem_A, ref_A, scheme, kind, delta, n,
-                                            seed, chunk_size, perturb_eta, block_steps):
+    def test_batched_equals_per_replication(self, scheme, kind, delta, n, seed, chunk_size,
+                                            perturb_eta, block_steps, d, vectorized):
         noise = NoiseModel(kind, 0.0 if kind == "exact" else delta)
-        per_rep = dataclasses.replace(problem_A, rhs_vectorized=False)
-        batched = functools.partial(run_batch, problem_A, ref_A, scheme, n, noise, 12, seed,
-                                    chunk_size=chunk_size, perturb_eta=perturb_eta)
-        single = functools.partial(run_batch, per_rep, ref_A, scheme, n, noise, 12, seed,
-                                   perturb_eta=perturb_eta)
-        if scheme is IE and noise.fresh:  # implicit Euler needs a fixed field on both routes
-            for run in (batched, single):
-                with pytest.raises(DomainError):
-                    run()
-            return
+        p, ref = problem_A_in(d, vectorized), ref_A_in(d)
         with mock.patch.object(schemes, "_BLOCK_STEPS", block_steps or schemes._BLOCK_STEPS):
-            fast = batched()
-        assert np.array_equal(fast.errors, single().errors)
+            got = _cell_or_error(functools.partial(run_batch, p, ref, scheme, n, noise, 12, seed,
+                                                   chunk_size=chunk_size,
+                                                   perturb_eta=perturb_eta))
+        want = _cell_or_error(functools.partial(_per_replication, p, ref, scheme, n, noise, 12,
+                                                seed, perturb_eta))
+        if isinstance(want, Exception):  # implicit Euler under fresh noise
+            assert type(got) is type(want)
+            assert getattr(got, "replication", None) == getattr(want, "replication", None)
+        else:
+            assert np.array_equal(got.errors, want)
+
+    def test_one_route_for_every_d_and_rhs(self, problem_A, ref_A):
+        # the per-replication runner is the tests' specification only
+        spec = mock.patch.object(analysis, "_chunk_errors_scalar",
+                                 side_effect=AssertionError("per-replication route taken"))
+        with spec:
+            run_batch(problem_A_in(3), ref_A_in(3), RK, 10, NoiseModel("ee", 1e-3), 20, 7,
+                      chunk_size=8)
+            run_batch(dataclasses.replace(problem_A, rhs_vectorized=False), ref_A, IE, 10,
+                      NoiseModel("ie", 1e-3), 20, 7, chunk_size=8)
 
     def test_closure_rhs_runs_serially_under_parallelism(self):
         k = 0.5
@@ -234,9 +256,7 @@ class TestRunBatch:
         assert first >= 7  # lies past the first chunk
         with pytest.raises(NumericalError) as info:
             run_batch(p, ref, EE, 1, exact_info(), 64, 7, chunk_size=7)
-        assert info.value.replication == first
-        if vectorized:
-            assert info.value.step == 1
+        assert info.value.replication == first and info.value.step == 1
 
     @pytest.mark.parametrize("vectorized", [False, True])
     def test_non_finite_names_lowest_replication_across_blocks(self, vectorized):
@@ -265,9 +285,7 @@ class TestRunBatch:
         with mock.patch.object(schemes, "_BLOCK_STEPS", 5), \
                 pytest.raises(NumericalError) as info:
             run_batch(p, ReferenceSolution.analytic(np.ones_like), EE, n, exact_info(), N, seed)
-        assert info.value.replication == low
-        if vectorized:
-            assert info.value.step == first[low]
+        assert info.value.replication == low and info.value.step == first[low]
 
     def test_chunk_memory_does_not_grow_with_n(self, problem_A, ref_A):
         def traced_peak(n):
@@ -298,6 +316,32 @@ class TestRunBatch:
         with pytest.raises(ConvergenceError) as info:
             run_batch(p, ref, IE, 1, exact_info(), 64, 7, chunk_size=7)
         assert info.value.replication == first and info.value.step == 1
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    @pytest.mark.parametrize("chunk_size", [1, 16])
+    @pytest.mark.parametrize("field", ["inf", "cycle"])
+    def test_implicit_euler_failure_names_lowest_replication(self, field, chunk_size,
+                                                             vectorized):
+        # where t n mod 1 > 0.9 the field is infinite (a non-finite iterate) or
+        # -n x, whose fixed-point map u -> u_prev - u cycles; replication 2
+        # meets such a step first (step 1), but replication 0 fails too, at
+        # step 18, and the lowest failing replication must be the one named,
+        # whatever the chunk partition
+        n, seed, N = 40, 3, 16
+
+        def rhs(t, x):
+            spike = np.asarray(t) * n % 1.0 > 0.9
+            return np.where(spike, np.inf if field == "inf" else -n * x, 0.0 * x)
+
+        p = IvpSpec(a=0.0, b=1.0, d=1, eta=np.ones(1), rhs=rhs,
+                    class_params=ClassParams(K=1.0, L=0.0, rho=1.5), name="spikes",
+                    rhs_vectorized=vectorized)
+        ref = ReferenceSolution.analytic(np.ones_like)
+        error = NumericalError if field == "inf" else ConvergenceError
+        with pytest.raises(error) as info:
+            run_batch(p, ref, IE, n, exact_info(), N, seed, chunk_size=chunk_size)
+        assert type(info.value) is error
+        assert (info.value.replication, info.value.step) == (0, 18)
 
     @pytest.mark.parametrize("kind", ["ee", "rk"])
     @pytest.mark.parametrize("route", ["per-call", "chunk"])
@@ -383,28 +427,31 @@ class TestRunCells:
            vectorized=st.sampled_from([True, True, True, False]),
            parallelism=st.sampled_from([1, 1, 1, 1, 1, 2]),
            block_steps=st.sampled_from([None, 3, 5, 20]),
-           block_elems=st.sampled_from([None, 24, 200]))
+           block_elems=st.sampled_from([None, 24, 200]), d=st.sampled_from([1, 1, 3]))
     @example(scheme=IE, columns=[("exact", 0.0), ("ee", 1e-3), ("ee", 2e-3)], one_kind=True,
              n=10, seed=7, chunk_size=5, perturb_eta=False, vectorized=True, parallelism=1,
-             block_steps=None, block_elems=None)
+             block_steps=None, block_elems=None, d=1)
     @example(scheme=RK, columns=[("rk", 0.0), ("rk", 0.02), ("rk", 0.05)], one_kind=True,
              n=45, seed=3, chunk_size=12, perturb_eta=True, vectorized=True, parallelism=2,
-             block_steps=20, block_elems=24)  # sub-block edges at 8 and 16, tape edges at 20
+             block_steps=20, block_elems=24, d=1)  # sub-block edges at 8 and 16, tape edges at 20
+    @example(scheme=EE, columns=[("ee", 0.0), ("ee", 0.02), ("ee", 0.05)], one_kind=True,
+             n=45, seed=3, chunk_size=12, perturb_eta=True, vectorized=False, parallelism=1,
+             block_steps=20, block_elems=24, d=3)
     @settings(max_examples=60, deadline=None)
-    def test_row_equals_its_cells(self, problem_A, ref_A, scheme, columns, one_kind, n, seed,
-                                  chunk_size, perturb_eta, vectorized, parallelism,
-                                  block_steps, block_elems):
+    def test_row_equals_its_cells(self, scheme, columns, one_kind, n, seed, chunk_size,
+                                  perturb_eta, vectorized, parallelism, block_steps,
+                                  block_elems, d):
         kinds = [columns[0][0] if one_kind else kind for kind, _ in columns]
         noises = [NoiseModel(kind, 0.0 if kind == "exact" else delta)
                   for kind, (_, delta) in zip(kinds, columns)]
-        p = dataclasses.replace(problem_A, rhs_vectorized=vectorized)
+        p, ref = problem_A_in(d, vectorized), ref_A_in(d)
         kw = dict(chunk_size=chunk_size, perturb_eta=perturb_eta, parallelism=parallelism)
         labels = [f"c{c}" for c in range(len(noises))]
         with mock.patch.object(schemes, "_BLOCK_STEPS", block_steps or schemes._BLOCK_STEPS), \
                 mock.patch.object(schemes, "_BLOCK_ELEMS", block_elems or schemes._BLOCK_ELEMS):
-            got = analysis.run_cells(p, ref_A, scheme, n, noises, 12, seed, delta_labels=labels,
+            got = analysis.run_cells(p, ref, scheme, n, noises, 12, seed, delta_labels=labels,
                                      **kw)
-            want = [_cell_or_error(functools.partial(run_batch, p, ref_A, scheme, n, noise, 12,
+            want = [_cell_or_error(functools.partial(run_batch, p, ref, scheme, n, noise, 12,
                                                      seed, delta_label=label, **kw))
                     for noise, label in zip(noises, labels)]
         _assert_same_cells(got, want)

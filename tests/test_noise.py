@@ -151,7 +151,7 @@ class TestChunkStreams:
         seed, lo, hi, blocks = 11, 40, 77, (3000, 1000)
         oracle = ChunkOracle(zero_field_problem(), NoiseModel("rk", 0.01), seed, lo, hi,
                              evals_per_step=2, perturb_eta=True)
-        x = np.zeros((hi - lo, 1))
+        x = np.zeros((1, hi - lo, 1))
         taus, noise = [], []
         for steps in blocks:
             block = oracle.draw_taus(steps)
@@ -162,9 +162,9 @@ class TestChunkStreams:
         for i in range(lo, hi):
             grid, stream = derive_streams(seed, i)
             assert np.array_equal(taus[:, i - lo, 0], grid.random(sum(blocks)))
-            assert oracle.eta_tilde[i - lo, 0] == 1.0 + _signed(stream.random(), 0.01)
-            assert np.array_equal(noise[:, i - lo, 0],
-                                  _signed(stream.random(2 * sum(blocks)), 0.01))
+            assert oracle.eta_tilde[0, i - lo, 0] == 1.0 + _signed(stream.random()) * 0.01
+            assert np.array_equal(noise[:, 0, i - lo, 0],
+                                  _signed(stream.random(2 * sum(blocks))) * 0.01)
 
     def test_top_of_index_range(self):
         for seed in _SEEDS:
@@ -255,7 +255,57 @@ class TestVerifyNoiseBound:
         assert verify_noise_bound(m, o.samples)
 
 
+def _l1_direction(rng, d):
+    """A unit one-norm direction: simplex point (cone measure) with random signs."""
+    e = -np.log(rng.random(d))
+    dirs = e / np.sum(e)
+    signs = np.where(rng.random(d) < 0.5, -1.0, 1.0)
+    return dirs * signs
+
+
+def _ball_point(rng, center, radius):
+    """Uniform draw from the one-norm ball B(center, radius)."""
+    d = center.shape[0]
+    if d == 1:
+        return center + (2.0 * rng.random() - 1.0) * radius
+    r = radius * rng.random() ** (1.0 / d)
+    return center + r * _l1_direction(rng, d)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
 class TestMultiDimensional:
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("kind", ["ee", "ie", "rk"])
+    def test_draws_pinned_to_formulas(self, kind, d):
+        # the eta ball and the ee/ie/rk perturbations, written out over the
+        # noise stream: the unit order is the ball draw, the ie factor with
+        # its direction, then one unit per evaluation
+        p, delta, seed = zero_field_problem(d), 0.2, 8
+        xs = np.random.default_rng(1).normal(size=(40, d))
+        for i in range(25):
+            o = NoisyOracle(p, NoiseModel(kind, delta), seed, i, perturb_eta=True)
+            rng = derive_streams(seed, i)[1]
+            assert np.array_equal(_bits(o.eta_tilde), _bits(_ball_point(rng, p.eta, delta)))
+            if kind == "ie":
+                e0 = (2.0 * rng.random() - 1.0) * delta
+                dir0 = _l1_direction(rng, d) if d > 1 else 1.0
+            for x in xs:
+                if kind == "ie":
+                    want = e0 * (1.0 + one_norm(x)) * dir0
+                elif d == 1:
+                    e = (2.0 * rng.random() - 1.0) * delta
+                    want = e * (1.0 + np.abs(x)) if kind == "ee" else e
+                else:
+                    mag = rng.random() * delta
+                    if kind == "ee":
+                        mag *= 1.0 + one_norm(x)
+                    want = mag * _l1_direction(rng, d)
+                got = o.noisy_eval(0.5, x)  # the zero field adds +0.0
+                assert np.array_equal(_bits(got), _bits(0.0 + np.broadcast_to(want, (d,))))
+
     def test_perturbation_norms_bounded_d3(self):
         p = zero_field_problem(d=3)
         for kind in ("ee", "ie", "rk"):
