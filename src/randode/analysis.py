@@ -208,7 +208,6 @@ class BatchCell:
     n: int
     noise_kind: str
     delta: float
-    delta_label: str = ""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -230,36 +229,6 @@ class ErrorBatch:
         write_csv(path, ["rank", "error"], zip(range(1, self.N + 1), self.errors))
 
 
-class _SupErrorFold:
-    """The node sink of a chunk run: folds each block of nodes into every row's sup-norm error.
-
-    A block holds nodes j0 .. j0 + steps of every row, step-major, in one
-    reused buffer; its first node is the previous block's last.  So every
-    knot deviation and interior value is computed from the same nodes as
-    over the whole run, and max is exact: ``errors`` equals
-    :func:`_sup_error_kernel` over all n + 1 nodes bit for bit.  ``state``
-    is the shape of a chunk state, (k, m, d); ``errors`` has shape (k, m).
-    """
-
-    def __init__(self, state: tuple, h: float, ref_knots, ref_int, dt):
-        self.errors = np.zeros(state[:-1])
-        self._state, self._nodes = state, None
-        self._h, self._ref_knots, self._ref_int, self._dt = h, ref_knots, ref_int, dt
-
-    def block(self, j0: int, steps: int) -> np.ndarray:
-        """Room for nodes j0 .. j0 + steps of every row, shape (steps + 1, k, m, d)."""
-        if self._nodes is None:  # the first block is the longest
-            self._nodes = np.empty((steps + 1,) + self._state)
-        return self._nodes[:steps + 1]
-
-    def take(self, j0: int, nodes: np.ndarray):
-        steps = nodes.shape[0] - 1
-        err = _sup_error_kernel(nodes.reshape(steps + 1, -1, self._state[-1]), self._h,
-                                self._ref_knots[j0:j0 + steps + 1],
-                                self._ref_int[:, j0:j0 + steps], self._dt)
-        np.maximum(self.errors, err.reshape(self.errors.shape), out=self.errors)
-
-
 def _chunk_errors_vectorized(problem: IvpSpec, scheme: SchemeKind, n: int,
                              noise: NoiseModel, master_seed, lo: int, hi: int,
                              dt, ref_knots, ref_int, perturb_eta: bool,
@@ -269,14 +238,26 @@ def _chunk_errors_vectorized(problem: IvpSpec, scheme: SchemeKind, n: int,
     The run has one column per delta of ``noise``'s kind (default: ``noise.delta``
     alone) on shared draws (:class:`ChunkOracle`), and is streamed: tapes, nodes
     and the error fold hold one block of steps, so memory does not grow with n.
+    The run calls its node sink with each block, nodes j0 .. j0 + steps of
+    every row, step-major; a block's first node is the previous block's last.
+    So every knot deviation and interior value is computed from the same
+    nodes as over the whole run, and max is exact: ``errors`` equals
+    :func:`_sup_error_kernel` over all n + 1 nodes bit for bit.
     """
     evals_per_step = 2 if scheme is SchemeKind.RUNGE_KUTTA2 else 1
     oracle = ChunkOracle(problem, noise, master_seed, lo, hi, evals_per_step, perturb_eta,
                          deltas)
-    fold = _SupErrorFold(oracle.eta_tilde.shape, (problem.b - problem.a) / n,
-                         ref_knots, ref_int, dt)
+    h = (problem.b - problem.a) / n
+    errors = np.zeros(oracle.eta_tilde.shape[:-1])
+
+    def fold(j0, nodes):
+        steps = nodes.shape[0] - 1
+        err = _sup_error_kernel(nodes.reshape(steps + 1, -1, nodes.shape[-1]), h,
+                                ref_knots[j0:j0 + steps + 1], ref_int[:, j0:j0 + steps], dt)
+        np.maximum(errors, err.reshape(errors.shape), out=errors)
+
     run_scheme(oracle, scheme, n, sink=fold)
-    return fold.errors
+    return errors
 
 
 def _chunk_errors_scalar(problem: IvpSpec, scheme: SchemeKind, n: int,
@@ -340,8 +321,7 @@ def _column_groups(noises) -> list:
 def run_cells(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind,
               n: int, noises, N: int, master_seed, *,
               parallelism: int = 1, subsamples_per_step: int = 8,
-              perturb_eta: bool = False, chunk_size: int = 8192,
-              delta_labels=()) -> list:
+              perturb_eta: bool = False, chunk_size: int = 8192) -> list:
     """The cells of one table row: one entry per noise model, as :func:`run_batch` gives it.
 
     Entry c is ``run_batch(..., noises[c], ...)``'s :class:`ErrorBatch`,
@@ -353,7 +333,6 @@ def run_cells(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind
     (:class:`ChunkOracle`): the draws are filled and the steps taken once
     for the row.  A chunk whose run fails is rerun one column at a time,
     so every failure names its own replication and step.
-    ``delta_labels[c]`` labels cell c (default: repr of its delta).
     """
     if N < 1 or n < 1:
         raise DomainError(f"N ({N}) and n ({n}) must be >= 1")
@@ -399,15 +378,13 @@ def run_cells(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind
                 errors[c, lo:lo + out.shape[0]] = out
             reran[c] |= again
 
-    labels = list(delta_labels) + [""] * k
     cells = []
     for c, noise in enumerate(noises):
         if failed[c] is not None:
             cells.append(failed[c])
             continue
         cell = BatchCell(problem=problem.name or "custom", scheme=scheme, n=n,
-                         noise_kind=noise.kind, delta=noise.delta,
-                         delta_label=labels[c] or repr(noise.delta))
+                         noise_kind=noise.kind, delta=noise.delta)
         cells.append(ErrorBatch(cell=cell, errors=np.sort(errors[c]), master_seed=master_seed,
                                 N=N, route="per-cell" if reran[c] else "row"))
     return cells
@@ -416,8 +393,7 @@ def run_cells(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind
 def run_batch(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind,
               n: int, noise: NoiseModel, N: int, master_seed, *,
               parallelism: int = 1, subsamples_per_step: int = 8,
-              perturb_eta: bool = False, chunk_size: int = 8192,
-              delta_label: str = "") -> ErrorBatch:
+              perturb_eta: bool = False, chunk_size: int = 8192) -> ErrorBatch:
     """N independent replications of the cell's sup-norm error, sorted.
 
     Replication i draws from streams keyed by (master_seed, i), so the result
@@ -431,8 +407,7 @@ def run_batch(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind
     """
     (batch,) = run_cells(problem, reference, scheme, n, [noise], N, master_seed,
                          parallelism=parallelism, subsamples_per_step=subsamples_per_step,
-                         perturb_eta=perturb_eta, chunk_size=chunk_size,
-                         delta_labels=[delta_label])
+                         perturb_eta=perturb_eta, chunk_size=chunk_size)
     if isinstance(batch, Exception):
         raise batch
     return batch

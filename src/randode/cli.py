@@ -272,8 +272,7 @@ def cmd_table(args) -> int:
         row = [str(n)]
         # one run for the whole row: its cells share the cell seed's draws
         batches = run_cells(problem, reference, scheme, n, row_noises, N, cell_seed,
-                            parallelism=parallelism, subsamples_per_step=subsamples,
-                            delta_labels=[rule.label for rule in rules])
+                            parallelism=parallelism, subsamples_per_step=subsamples)
         for rule, batch in zip(rules, batches):
             if isinstance(batch, Exception):
                 failures.append((n, rule.label, str(batch)))
@@ -395,8 +394,7 @@ def cmd_tail(args) -> int:
                                  "gamma": gamma})
     batch = run_batch(problem, reference, scheme, n, noise, N,
                       derive_cell_seed(seed, scheme, problem.name, n),
-                      parallelism=parallelism, subsamples_per_step=subsamples,
-                      delta_label=rule.label)
+                      parallelism=parallelism, subsamples_per_step=subsamples)
     denom = max(float(n) ** -gamma, delta)
     xi_max = args.xi_max if args.xi_max is not None else float(batch.errors[-1]) / denom
     grid = np.linspace(0.0, xi_max, args.xi_points)

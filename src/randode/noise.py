@@ -45,7 +45,7 @@ _BOUND_RTOL = 1e-12
 
 @dataclasses.dataclass(frozen=True)
 class NoiseModel:
-    """A noise-class selection with precision budget delta in [0, 1]."""
+    """A noise-class selection with precision budget delta in [0, 1], 0 or a normal float."""
 
     kind: str
     delta: float = 0.0
@@ -55,6 +55,9 @@ class NoiseModel:
             raise DomainError(f"unknown noise kind {self.kind!r}; expected one of {NOISE_KINDS}")
         if not 0.0 <= self.delta <= 1.0:
             raise DomainError("delta must lie in [0, 1]")
+        if 0.0 < self.delta < np.finfo(float).tiny:
+            raise DomainError(f"delta {self.delta!r} is subnormal; it must be 0 or at least "
+                              f"{float(np.finfo(float).tiny)!r}")
         if self.kind == "exact" and self.delta != 0.0:
             raise DomainError("exact information forces delta = 0")
 
@@ -106,15 +109,10 @@ _POOL_SIZE = 4
 _MAX_REPLICATIONS = 1 << 32  # a wider index takes two spawn-key words
 
 #: elements of one scratch block on the batched path (256 KiB of float64):
-#: the tape fill here and the sup-error kernel in analysis.py
+#: the tape fill here, a run's node sub-blocks in schemes.py and the
+#: sup-error kernel in analysis.py
 _BLOCK_ELEMS = 1 << 15
 _TAPE_ROWS = 16
-#: steps of one block of a chunk run: its tapes hold this many steps of every
-#: row at a time (schemes.py)
-_BLOCK_STEPS = 256
-#: a node sink takes each tape block's nodes in sub-blocks of about
-#: _BLOCK_ELEMS node values, and of at least this many steps (schemes.py)
-_MIN_SINK_STEPS = 8
 
 
 def _entropy_words(x) -> list:

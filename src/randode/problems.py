@@ -174,9 +174,6 @@ def make_problem(tag: str) -> IvpSpec:
     raise DomainError(f"unknown test problem {tag!r} (expected 'A' or 'B')")
 
 
-PROBLEM_NAMES = ("A", "B")
-
-
 # ---------------------------------------------------------------------------
 # Membership audit
 

@@ -11,8 +11,9 @@ Each scheme is written once and steps either one replication (a
 of k delta columns) with the same elementwise arithmetic, so the two give
 bitwise-identical nodes.  A run walks its steps in blocks of
 ``_BLOCK_STEPS``.  By default it keeps every node for its
-:class:`Trajectory`; a node sink instead takes each block as soon as it is
-stepped, so a chunk run holds one block of nodes and tapes whatever n is.
+:class:`Trajectory`.  A node sink, ``sink(j0, nodes)``, is instead called
+with each block as soon as it is stepped, in one reused node buffer, so a
+chunk run holds one block of nodes and tapes whatever n is.
 """
 
 from __future__ import annotations
@@ -24,8 +25,15 @@ import enum
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError, NumericalError
-from .noise import _BLOCK_ELEMS, _BLOCK_STEPS, _MIN_SINK_STEPS, ChunkOracle, NoisyOracle
+from .noise import _BLOCK_ELEMS, ChunkOracle, NoisyOracle
 from .problems import d_exact_solution_A, exact_solution_A
+
+#: steps of one block of a chunk run: its tapes hold this many steps of every
+#: row at a time
+_BLOCK_STEPS = 256
+#: a run steps each tape block in sub-blocks of about _BLOCK_ELEMS node
+#: values, and of at least this many steps
+_MIN_SINK_STEPS = 8
 
 
 class SchemeKind(enum.Enum):
@@ -128,11 +136,10 @@ class Trajectory:
 class _Run:
     """One scheme run: its grid, and its nodes walked in blocks of ``_BLOCK_STEPS`` steps.
 
-    Without a sink the run keeps all n + 1 nodes, with its taus drawn up
-    front.  A sink takes the nodes block by block instead, and the taus are
-    drawn per block.  It provides ``block(j0, steps)``, an array of shape
-    (steps + 1, *state) to hold nodes j0 .. j0 + steps, and
-    ``take(j0, nodes)``, called with each block once it is stepped.
+    The run owns its node array.  Without a sink it holds all n + 1 nodes,
+    with the taus drawn up front.  With a sink it holds one reused block of
+    nodes, the taus are drawn per block, and ``sink(j0, nodes)`` is called
+    with each block, nodes j0 .. j0 + steps of every row, once it is stepped.
 
     Each row's first failure is recorded, and the run goes on; once the last
     block is stepped, the failure of the lowest failing replication is
@@ -153,7 +160,10 @@ class _Run:
         self.grid = Grid(n=n, h=h, knots=a + h * np.arange(n + 1), taus=taus)
         self.oracle = oracle
         self.sink = sink
-        self.nodes = None if sink else np.empty((n + 1,) + oracle.eta_tilde.shape)
+        self._sub = max(_MIN_SINK_STEPS, _BLOCK_ELEMS // oracle.eta_tilde.size)
+        self.block = min(n, _BLOCK_STEPS, self._sub)  # steps of the longest block
+        held = n if sink is None else self.block
+        self.nodes = np.empty((held + 1,) + oracle.eta_tilde.shape)
         self._failed = self._stuck = None  # per row: first failing step, non-convergence
 
     def fail(self, rows, steps, stuck: bool = False):
@@ -167,45 +177,49 @@ class _Run:
     def blocks(self):
         """Yield (j0, taus, nodes) per block: step j0 + k draws taus[k - 1] and fills nodes[k].
 
-        Taus are drawn per tape block of ``_BLOCK_STEPS`` steps.  A sink
-        takes each tape block's nodes in sub-blocks of about ``_BLOCK_ELEMS``
-        values, so its node buffer stays small however many rows a state
-        has.  Each block is checked for non-finite nodes once stepped, then
-        handed to the sink while no row has failed.  After the last block
-        the lowest failing replication's error is raised: a NumericalError
-        at its first non-finite node, or a ConvergenceError.
+        Taus are drawn per tape block of ``_BLOCK_STEPS`` steps, and each
+        tape block is stepped in sub-blocks of about ``_BLOCK_ELEMS`` node
+        values, so a sink's node buffer stays small however many rows a
+        state has.  Each block is checked for non-finite nodes once stepped,
+        then handed to the sink while no row has failed.  After the last
+        block the lowest failing replication's error is raised: a
+        NumericalError at its first non-finite node or stage, or a
+        ConvergenceError.
         """
         n, taus, sink = self.grid.n, self.grid.taus, self.sink
-        sub = (_BLOCK_STEPS if sink is None
-               else max(_MIN_SINK_STEPS, _BLOCK_ELEMS // self.oracle.eta_tilde.size))
         last = self.oracle.eta_tilde
         for t0 in range(0, n, _BLOCK_STEPS):
             tape_steps = min(_BLOCK_STEPS, n - t0)
             tape = self.oracle.draw_taus(tape_steps) if taus is None else taus[t0:]
-            for j0 in range(t0, t0 + tape_steps, sub):
-                steps = min(sub, t0 + tape_steps - j0)
-                nodes = self.nodes[j0:j0 + steps + 1] if sink is None else sink.block(j0, steps)
+            for j0 in range(t0, t0 + tape_steps, self._sub):
+                steps = min(self._sub, t0 + tape_steps - j0)
+                at = j0 if sink is None else 0
+                nodes = self.nodes[at:at + steps + 1]
                 nodes[0] = last
                 yield j0, tape[j0 - t0:], nodes
                 last = nodes[steps]
-                stepped = nodes[1:]
-                # min and max are NaN or infinite iff some node is, and make no temporaries
-                if not (np.isfinite(stepped.min()) and np.isfinite(stepped.max())):
-                    ok = np.isfinite(stepped).all(axis=-1).reshape(steps, -1)
-                    self.fail(~ok.all(axis=0), j0 + 1 + np.argmin(ok, axis=0))
-                elif self._failed is None and sink is not None:
-                    sink.take(j0, nodes)
+                self.check(nodes[1:], j0)
+                if self._failed is None and sink is not None:
+                    sink(j0, nodes)
         if self._failed is not None:
             row = int(np.argmax(self._failed <= n))
             i, j = self.oracle.replication_index + row, int(self._failed[row])
             if self._stuck[row]:
                 raise ConvergenceError(f"replication {i}: fixed point did not converge at "
                                        f"step {j}", step=j, replication=i)
-            raise NumericalError(f"replication {i}: non-finite node value at step {j}",
+            raise NumericalError(f"replication {i}: non-finite value at step {j}",
                                  step=j, replication=i)
 
+    def check(self, values, j0: int):
+        """Record each row's first non-finite value among values, steps j0 + 1, j0 + 2, ..."""
+        # min and max are NaN or infinite iff some value is, and make no temporaries
+        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+            ok = np.isfinite(values).all(axis=-1).reshape(values.shape[0], -1)
+            self.fail(~ok.all(axis=0), j0 + 1 + np.argmin(ok, axis=0))
+
     def result(self, scheme: SchemeKind) -> Trajectory:
-        return Trajectory(scheme, self.grid, self.nodes, self.oracle.eval_count)
+        return Trajectory(scheme, self.grid, None if self.sink else self.nodes,
+                          self.oracle.eval_count)
 
 
 def run_explicit_euler(oracle: NoisyOracle | ChunkOracle, n: int, taus=None,
@@ -224,17 +238,22 @@ def run_explicit_euler(oracle: NoisyOracle | ChunkOracle, n: int, taus=None,
 def run_rk2(oracle: NoisyOracle | ChunkOracle, n: int, taus=None, sink=None) -> Trajectory:
     """Two-stage step: a tau-scaled stage at t_{j-1}, then the update at theta_j.
 
-    Two oracle calls per step; the stage values are transient.
+    Two oracle calls per step.  A block's stages are written into one reused
+    buffer and checked with the block: a row whose stage is non-finite
+    records a NumericalError at that step, as a node does, even if the
+    update maps it back to a finite node.
     """
     run = _Run(oracle, n, taus, sink)
     h, knots = run.grid.h, run.grid.knots
+    stages = np.empty((run.block,) + oracle.eta_tilde.shape)
     for j0, tau, nodes in run.blocks():
         v = nodes[0]
         for k in range(1, nodes.shape[0]):
             t0, htau = knots[j0 + k - 1], h * tau[k - 1]
-            stage = v + htau * oracle.noisy_eval(t0, v)
+            stage = np.add(v, htau * oracle.noisy_eval(t0, v), out=stages[k - 1])
             v = v + h * oracle.noisy_eval(t0 + htau, stage)  # at theta_j
             nodes[k] = v
+        run.check(stages[:nodes.shape[0] - 1], j0)
     return run.result(SchemeKind.RUNGE_KUTTA2)
 
 

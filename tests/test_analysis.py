@@ -204,9 +204,15 @@ class TestRunBatch:
            chunk_size=st.integers(1, 12), perturb_eta=st.booleans(),
            block_steps=st.sampled_from([None, 3, 5]), d=st.sampled_from([1, 3, 9]),
            vectorized=st.booleans())
+    @example(scheme=EE, kind="ee", delta=5e-324, n=3, seed=0, chunk_size=1, perturb_eta=False,
+             block_steps=None, d=3, vectorized=False)  # a subnormal delta is refused
     @settings(max_examples=60, deadline=None)
     def test_batched_equals_per_replication(self, scheme, kind, delta, n, seed, chunk_size,
                                             perturb_eta, block_steps, d, vectorized):
+        if kind != "exact" and _subnormal(delta):
+            with pytest.raises(DomainError, match="subnormal"):
+                NoiseModel(kind, delta)
+            return
         noise = NoiseModel(kind, 0.0 if kind == "exact" else delta)
         p, ref = problem_A_in(d, vectorized), ref_A_in(d)
         with mock.patch.object(schemes, "_BLOCK_STEPS", block_steps or schemes._BLOCK_STEPS):
@@ -257,6 +263,24 @@ class TestRunBatch:
         with pytest.raises(NumericalError) as info:
             run_batch(p, ref, EE, 1, exact_info(), 64, 7, chunk_size=7)
         assert info.value.replication == first and info.value.step == 1
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_non_finite_rk_stage_names_its_replication(self, vectorized):
+        # the field is infinite at t = 0 and 0 at any state beyond 1e300, so
+        # every row's first stage is infinite and every node stays finite:
+        # the stage fails the run as the per-call rhs check fails it
+        p = IvpSpec(a=0.0, b=1.0, d=1, eta=np.ones(1),
+                    rhs=lambda t, x: np.where(np.abs(x) > 1e300, 0.0,
+                                              np.where(np.asarray(t) == 0.0, np.inf, 0.0)),
+                    class_params=ClassParams(K=1.0, L=0.0, rho=1.5), name="stage",
+                    rhs_vectorized=vectorized)
+        ref = ReferenceSolution.analytic(np.ones_like)
+        want = _cell_or_error(functools.partial(_per_replication, p, ref, RK, 4, exact_info(),
+                                                8, 1, False))
+        got = _cell_or_error(functools.partial(run_batch, p, ref, RK, 4, exact_info(), 8, 1))
+        assert type(want) is NumericalError and want.replication == 0
+        assert type(got) is type(want) and got.replication == want.replication
+        assert got.step == 1
 
     @pytest.mark.parametrize("vectorized", [False, True])
     def test_non_finite_names_lowest_replication_across_blocks(self, vectorized):
@@ -382,10 +406,9 @@ class TestRunBatch:
         assert np.all(b.errors > 0.0) and np.all(b.errors < 0.1)
 
     def test_cell_metadata(self, problem_A, ref_A):
-        b = run_batch(problem_A, ref_A, EE, 10, NoiseModel("ee", 0.1), 100, 1,
-                      delta_label="n^-1")
+        b = run_batch(problem_A, ref_A, EE, 10, NoiseModel("ee", 0.1), 100, 1)
         assert b.cell.problem == "A" and b.cell.scheme is EE
-        assert b.cell.delta == 0.1 and b.cell.delta_label == "n^-1"
+        assert b.cell.noise_kind == "ee" and b.cell.delta == 0.1
 
     def test_batch_csv(self, problem_A, ref_A, tmp_path):
         b = run_batch(problem_A, ref_A, EE, 10, exact_info(), 10, 1)
@@ -393,6 +416,10 @@ class TestRunBatch:
         b.write_csv(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "rank,error" and len(lines) == 11
+
+
+def _subnormal(delta) -> bool:
+    return 0.0 < delta < np.finfo(float).tiny
 
 
 def _cell_or_error(run):
@@ -442,18 +469,20 @@ class TestRunCells:
                                   perturb_eta, vectorized, parallelism, block_steps,
                                   block_elems, d):
         kinds = [columns[0][0] if one_kind else kind for kind, _ in columns]
-        noises = [NoiseModel(kind, 0.0 if kind == "exact" else delta)
-                  for kind, (_, delta) in zip(kinds, columns)]
+        deltas = [0.0 if kind == "exact" else delta for kind, (_, delta) in zip(kinds, columns)]
+        if any(map(_subnormal, deltas)):
+            with pytest.raises(DomainError, match="subnormal"):
+                [NoiseModel(kind, delta) for kind, delta in zip(kinds, deltas)]
+            return
+        noises = [NoiseModel(kind, delta) for kind, delta in zip(kinds, deltas)]
         p, ref = problem_A_in(d, vectorized), ref_A_in(d)
         kw = dict(chunk_size=chunk_size, perturb_eta=perturb_eta, parallelism=parallelism)
-        labels = [f"c{c}" for c in range(len(noises))]
         with mock.patch.object(schemes, "_BLOCK_STEPS", block_steps or schemes._BLOCK_STEPS), \
                 mock.patch.object(schemes, "_BLOCK_ELEMS", block_elems or schemes._BLOCK_ELEMS):
-            got = analysis.run_cells(p, ref, scheme, n, noises, 12, seed, delta_labels=labels,
-                                     **kw)
+            got = analysis.run_cells(p, ref, scheme, n, noises, 12, seed, **kw)
             want = [_cell_or_error(functools.partial(run_batch, p, ref, scheme, n, noise, 12,
-                                                     seed, delta_label=label, **kw))
-                    for noise, label in zip(noises, labels)]
+                                                     seed, **kw))
+                    for noise in noises]
         _assert_same_cells(got, want)
 
     def test_implicit_euler_row_under_fresh_noise(self, problem_A, ref_A):
@@ -497,34 +526,34 @@ class TestRunCells:
 class TestXiHat:
     def test_hand_example(self, problem_A):
         from randode.analysis import BatchCell, ErrorBatch
-        cell = BatchCell("A", EE, 1, "exact", 0.0, "0")
+        cell = BatchCell("A", EE, 1, "exact", 0.0)
         batch = ErrorBatch(cell, np.array([1.0, 2.0, 3.0, 4.0]), 0, 4)
         q = xi_hat(batch, 0.25, gamma=0.0)  # denom = max(1^0, 0) = 1
         assert q.xi_hat == 3.0 and q.denom == 1.0
 
     def test_equal_errors(self):
         from randode.analysis import BatchCell, ErrorBatch
-        cell = BatchCell("A", EE, 10, "exact", 0.0, "0")
+        cell = BatchCell("A", EE, 10, "exact", 0.0)
         batch = ErrorBatch(cell, np.full(50, 0.7), 0, 50)
         for eps in (0.5, 0.1, 0.02):
             assert xi_hat(batch, eps, gamma=1.0).xi_hat == pytest.approx(7.0)
 
     def test_delta_enters_denominator(self):
         from randode.analysis import BatchCell, ErrorBatch
-        cell = BatchCell("A", EE, 10, "ee", 0.5, "0.5")
+        cell = BatchCell("A", EE, 10, "ee", 0.5)
         batch = ErrorBatch(cell, np.linspace(0.1, 1.0, 10), 0, 10)
         q = xi_hat(batch, 0.1, gamma=1.0)
         assert q.denom == 0.5  # max(0.1, 0.5)
 
     def test_empty_batch_rejected(self):
         from randode.analysis import BatchCell, ErrorBatch
-        cell = BatchCell("A", EE, 10, "exact", 0.0, "0")
+        cell = BatchCell("A", EE, 10, "exact", 0.0)
         with pytest.raises(DomainError):
             xi_hat(ErrorBatch(cell, np.array([]), 0, 0), 0.05, 1.0)
 
     def test_epsilon_validated(self):
         from randode.analysis import BatchCell, ErrorBatch
-        cell = BatchCell("A", EE, 10, "exact", 0.0, "0")
+        cell = BatchCell("A", EE, 10, "exact", 0.0)
         batch = ErrorBatch(cell, np.array([1.0]), 0, 1)
         with pytest.raises(DomainError):
             xi_hat(batch, 0.0, 1.0)
@@ -541,7 +570,7 @@ class TestXiHat:
 class TestTailCurve:
     def _batch(self, errors, n=10, delta=0.0):
         from randode.analysis import BatchCell, ErrorBatch
-        cell = BatchCell("A", EE, n, "exact" if delta == 0 else "ee", delta, "")
+        cell = BatchCell("A", EE, n, "exact" if delta == 0 else "ee", delta)
         return ErrorBatch(cell, np.sort(np.asarray(errors, dtype=float)), 0, len(errors))
 
     def test_endpoints(self):

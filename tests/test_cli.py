@@ -287,6 +287,8 @@ class TestTail:
     ("band", "grid-points", "1"),
     ("table", "ref-steps", "10"),
     ("table", "noise", "exact"),  # exact information with the 1e-3 column
+    ("tail", "delta", "1e-320"),  # subnormal
+    ("table", "delta-rules", "0 1e-320"),
 ])
 def test_bad_run_setting_rejected_before_output(tmp_path, capsys, command, setting, value):
     sizes = {"table": ["--n-list", "10", "--delta-rules", "0 1e-3", "--N", "100"],

@@ -1,12 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randode import (
+    ClassParams,
     ConvergenceError,
     DomainError,
+    IvpSpec,
+    NoiseModel,
     NoisyOracle,
+    NumericalError,
     SchemeKind,
     exact_info,
     gamma_of,
@@ -15,11 +21,14 @@ from randode import (
     run_explicit_euler,
     run_implicit_euler,
     run_rk2,
+    run_scheme,
     scheme_from_name,
     sup_error,
 )
+from randode import schemes
+from randode.noise import ChunkOracle
 
-from conftest import decay_problem, zero_field_problem
+from conftest import decay_problem, problem_A_in, zero_field_problem
 
 EE = SchemeKind.EXPLICIT_EULER
 IE = SchemeKind.IMPLICIT_EULER
@@ -169,6 +178,71 @@ class TestTrajectory:
         assert rows[0] == "t,x0"
         assert len(rows) == 6
         assert float(rows[1].split(",")[1]) == 1.0
+
+
+class TestNodeSink:
+    """A chunk run calls ``sink(j0, nodes)`` with each stepped block, in one reused buffer."""
+
+    @staticmethod
+    def _run(oracle, scheme, n, min_steps=None):
+        calls = []
+
+        def sink(j0, nodes):
+            calls.append((j0, nodes, nodes.copy()))
+
+        with mock.patch.object(schemes, "_BLOCK_STEPS", 5), \
+                mock.patch.object(schemes, "_BLOCK_ELEMS", 24), \
+                mock.patch.object(schemes, "_MIN_SINK_STEPS",
+                                  min_steps or schemes._MIN_SINK_STEPS):
+            try:
+                tr = run_scheme(oracle, scheme, n, sink=sink)
+            except NumericalError as exc:
+                return calls, exc
+        assert tr.nodes is None
+        return calls, None
+
+    @pytest.mark.parametrize("scheme", [EE, RK, IE])
+    @pytest.mark.parametrize("min_steps,starts", [
+        (None, [0, 5, 10, 15, 20]),  # tape blocks of 5 steps
+        (1, [0, 3, 5, 8, 10, 13, 15, 18, 20]),  # 24 values over 8 rows: 3 steps a sub-block
+    ])
+    def test_blocks_reassemble_the_run(self, scheme, min_steps, starts):
+        p, n, seed, lo, hi = problem_A_in(1), 23, 5, 3, 11
+        noise = NoiseModel("ie" if scheme is IE else scheme.value, 0.01)
+        oracle = ChunkOracle(p, noise, seed, lo, hi, 2 if scheme is RK else 1)
+        calls, failure = self._run(oracle, scheme, n, min_steps=min_steps)
+        assert failure is None
+        assert [j0 for j0, _, _ in calls] == starts
+        end = 0
+        for j0, buf, block in calls:
+            assert j0 == end and np.shares_memory(buf, calls[0][1])
+            if j0:
+                assert np.array_equal(block[0], last)
+            end, last = j0 + block.shape[0] - 1, block[-1]
+        assert end == n
+        nodes = np.concatenate([calls[0][2][:1]] + [block[1:] for _, _, block in calls])
+        for i in range(lo, hi):
+            want = run_scheme(NoisyOracle(p, noise, seed, i), scheme, n).nodes
+            assert np.array_equal(nodes[:, 0, i - lo], want)
+
+    @pytest.mark.parametrize("scheme,rhs", [
+        # infinite from t = 0.5 on: node 21 is every row's first non-finite node
+        (EE, lambda t, x: np.where(np.asarray(t) >= 0.5, np.inf, np.zeros_like(x))),
+        # infinite at t = 0.5 and 0 beyond 1e300: step 21's stage is infinite in
+        # every row, and every node stays finite
+        (RK, lambda t, x: np.where(np.abs(x) > 1e300, 0.0,
+                                   np.where(np.asarray(t) == 0.5, np.inf, 0.0))),
+    ])
+    def test_no_block_from_the_failing_one_on(self, scheme, rhs):
+        # with n = 40, step 21 lies in the block of steps 21 .. 25
+        p = IvpSpec(a=0.0, b=1.0, d=1, eta=np.ones(1), rhs=rhs,
+                    class_params=ClassParams(K=1.0, L=0.0, rho=1.5), name="wall",
+                    rhs_vectorized=True)
+        oracle = ChunkOracle(p, exact_info(), 2, 4, 12, 2 if scheme is RK else 1)
+        calls, failure = self._run(oracle, scheme, 40)
+        assert [j0 for j0, _, _ in calls] == [0, 5, 10, 15]
+        assert all(np.isfinite(block).all() for _, _, block in calls)
+        assert (failure.replication, failure.step) == (4, 21)
 
 
 class TestSchemeAccuracy:
