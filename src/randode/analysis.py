@@ -10,9 +10,9 @@ around a single run are built by :func:`confidence_band`.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -21,10 +21,10 @@ import warnings
 
 import numpy as np
 
-from .exceptions import ConvergenceError, DomainError, NumericalError, ReferenceSolutionError
+from .exceptions import DomainError, ReferenceSolutionError
 from .noise import _BLOCK_ELEMS, ChunkOracle, NoiseModel, NoisyOracle, exact_info
 from .problems import IvpSpec, exact_solution_A
-from .schemes import SchemeKind, Trajectory, run_scheme, write_csv
+from .schemes import SchemeKind, Trajectory, implicit_euler_refusal, run_scheme, write_csv
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -212,18 +212,12 @@ class BatchCell:
 
 @dataclasses.dataclass(frozen=True)
 class ErrorBatch:
-    """Sorted sup-norm errors of N independent replications of one cell.
-
-    ``route`` is "row" when every chunk of the cell came out of its row's
-    shared run (:func:`run_cells`), "per-cell" when some chunk was rerun
-    for this cell alone.
-    """
+    """Sorted sup-norm errors of N independent replications of one cell."""
 
     cell: BatchCell
     errors: np.ndarray
     master_seed: object
     N: int
-    route: str = "row"
 
     def write_csv(self, path):
         write_csv(path, ["rank", "error"], zip(range(1, self.N + 1), self.errors))
@@ -232,8 +226,9 @@ class ErrorBatch:
 def _chunk_errors_vectorized(problem: IvpSpec, scheme: SchemeKind, n: int,
                              noise: NoiseModel, master_seed, lo: int, hi: int,
                              dt, ref_knots, ref_int, perturb_eta: bool,
-                             deltas=None) -> np.ndarray:
-    """All replication errors in [lo, hi) from one scheme run over the chunk's rows, (k, hi - lo).
+                             deltas=None) -> list:
+    """Per column, the replication errors in [lo, hi) from one scheme run over the chunk's rows,
+    or the column's failure.
 
     The run has one column per delta of ``noise``'s kind (default: ``noise.delta``
     alone) on shared draws (:class:`ChunkOracle`), and is streamed: tapes, nodes
@@ -241,8 +236,10 @@ def _chunk_errors_vectorized(problem: IvpSpec, scheme: SchemeKind, n: int,
     The run calls its node sink with each block, nodes j0 .. j0 + steps of
     every row, step-major; a block's first node is the previous block's last.
     So every knot deviation and interior value is computed from the same
-    nodes as over the whole run, and max is exact: ``errors`` equals
-    :func:`_sup_error_kernel` over all n + 1 nodes bit for bit.
+    nodes as over the whole run, and max is exact: a column's errors equal
+    :func:`_sup_error_kernel` over all n + 1 nodes bit for bit.  A failed
+    column's rows may be non-finite; its maxima are discarded for the error
+    of its lowest failing replication, the one its own run raises.
     """
     evals_per_step = 2 if scheme is SchemeKind.RUNGE_KUTTA2 else 1
     oracle = ChunkOracle(problem, noise, master_seed, lo, hi, evals_per_step, perturb_eta,
@@ -252,12 +249,13 @@ def _chunk_errors_vectorized(problem: IvpSpec, scheme: SchemeKind, n: int,
 
     def fold(j0, nodes):
         steps = nodes.shape[0] - 1
-        err = _sup_error_kernel(nodes.reshape(steps + 1, -1, nodes.shape[-1]), h,
-                                ref_knots[j0:j0 + steps + 1], ref_int[:, j0:j0 + steps], dt)
+        with np.errstate(invalid="ignore"):  # inf - inf in the rows of a failed column
+            err = _sup_error_kernel(nodes.reshape(steps + 1, -1, nodes.shape[-1]), h,
+                                    ref_knots[j0:j0 + steps + 1], ref_int[:, j0:j0 + steps], dt)
         np.maximum(errors, err.reshape(errors.shape), out=errors)
 
-    run_scheme(oracle, scheme, n, sink=fold)
-    return errors
+    failures = run_scheme(oracle, scheme, n, sink=fold).failures
+    return [err if exc is None else exc for err, exc in zip(errors, failures)]
 
 
 def _chunk_errors_scalar(problem: IvpSpec, scheme: SchemeKind, n: int,
@@ -272,36 +270,13 @@ def _chunk_errors_scalar(problem: IvpSpec, scheme: SchemeKind, n: int,
     return out
 
 
-#: the failures of one cell's run; any other exception stops the whole run
-_CELL_ERRORS = (NumericalError, ConvergenceError, DomainError)
+def _batch_task(task) -> list:
+    """One chunk of a group of columns, as one scheme run: per column, its errors or failure."""
+    return _chunk_errors_vectorized(*task)
 
 
-def _batch_task(args):
-    """One chunk of a group of columns: (lo, per column errors or the exception, reran).
-
-    The group's columns run as one scheme run.  If a run of several fails,
-    each column reruns on its own, so a failure is the one that column's
-    own run raises, naming its replication and step; ``reran`` is then True.
-    """
-    problem, scheme, n, row_noise, master_seed, lo, *rest, columns = args
-    try:
-        return lo, list(_chunk_errors_vectorized(problem, scheme, n, row_noise, master_seed, lo,
-                                                 *rest, [c.delta for c in columns])), False
-    except _CELL_ERRORS as exc:
-        if len(columns) == 1:
-            return lo, [exc], False
-    out = []
-    for noise in columns:
-        try:
-            out.append(_chunk_errors_vectorized(problem, scheme, n, noise, master_seed, lo,
-                                                *rest)[0])
-        except _CELL_ERRORS as exc:
-            out.append(exc)
-    return lo, out, True
-
-
-def _column_groups(noises) -> list:
-    """Split a row's columns into runs on shared draws: (run model, column indices) per run.
+def _column_groups(columns: dict) -> list:
+    """Split a row's columns, {index: noise}, into runs on shared draws: (run model, indices).
 
     What a column draws depends on its noise kind and on whether its delta
     is 0, never on the delta's value, so the columns of one kind share every
@@ -309,12 +284,14 @@ def _column_groups(noises) -> list:
     joins the first run.  A run's model is its kind with the largest delta.
     """
     kinds = {}
-    for c, noise in enumerate(noises):
+    for c, noise in columns.items():
         kinds.setdefault(noise.kind if noise.delta > 0.0 else None, []).append(c)
     zeros = kinds.pop(None, [])
-    groups = [(NoiseModel(kind, max(noises[c].delta for c in cols)), cols)
-              for kind, cols in kinds.items()] or [(exact_info(), [])]
-    groups[0] = (groups[0][0], sorted(groups[0][1] + zeros))
+    groups = [(NoiseModel(kind, max(columns[c].delta for c in cols)), cols)
+              for kind, cols in kinds.items()]
+    if zeros:
+        model, cols = groups[0] if groups else (exact_info(), [])
+        groups[:1] = [(model, sorted(cols + zeros))]
     return groups
 
 
@@ -331,26 +308,28 @@ def run_cells(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind
     only the delta factor differs.  So the columns run together, one chunk
     of replications at a time, as one scheme run with k columns
     (:class:`ChunkOracle`): the draws are filled and the steps taken once
-    for the row.  A chunk whose run fails is rerun one column at a time,
-    so every failure names its own replication and step.
+    for the row, and each column's failure is read from that run.  A column
+    that implicit Euler refuses joins no run; any other exception out of a
+    run propagates.
     """
     if N < 1 or n < 1:
         raise DomainError(f"N ({N}) and n ({n}) must be >= 1")
     if subsamples_per_step < 1:
         raise DomainError("subsamples_per_step must be >= 1")
+    if chunk_size < 1 or parallelism < 1:
+        raise DomainError(f"chunk_size ({chunk_size}) and parallelism ({parallelism}) "
+                          f"must be >= 1")
     h = (problem.b - problem.a) / n
     knots = problem.a + h * np.arange(n + 1)
     dt = _interior_offsets(h, subsamples_per_step)
     ref_knots, ref_int = _reference_grids(reference, knots, dt)
 
-    groups = _column_groups(noises)
-    tasks, task_cols = [], []
-    for lo in range(0, N, chunk_size):
-        hi = min(lo + chunk_size, N)
-        for row_noise, cols in groups:
-            tasks.append((problem, scheme, n, row_noise, master_seed, lo, hi,
-                          dt, ref_knots, ref_int, perturb_eta, [noises[c] for c in cols]))
-            task_cols.append(cols)
+    cells = [implicit_euler_refusal(problem, noise, n) if scheme is SchemeKind.IMPLICIT_EULER
+             else None for noise in noises]
+    groups = _column_groups({c: noise for c, noise in enumerate(noises) if cells[c] is None})
+    tasks = [(problem, scheme, n, model, master_seed, lo, min(lo + chunk_size, N),
+              dt, ref_knots, ref_int, perturb_eta, [noises[c].delta for c in cols])
+             for lo in range(0, N, chunk_size) for model, cols in groups]
 
     pooled = parallelism > 1 and len(tasks) > 1
     if pooled:
@@ -361,32 +340,27 @@ def run_cells(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind
                           f"processes ({exc})", RuntimeWarning, stacklevel=2)
             pooled = False
     if pooled:
+        import concurrent.futures  # here, not at module level: only a pool needs it
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
             results = list(pool.map(_batch_task, tasks))
     else:
         results = [_batch_task(task) for task in tasks]
 
-    k = len(noises)
-    errors = np.empty((k, N))
-    failed, reran = [None] * k, [False] * k
-    for cols, (lo, outs, again) in zip(task_cols, results):  # chunks in order of lo
+    errors = np.empty((len(noises), N))
+    for task, (_, cols), outs in zip(tasks, itertools.cycle(groups), results):
+        lo = task[5]  # chunks in order of lo, so a column keeps its lowest failure
         for c, out in zip(cols, outs):
-            if isinstance(out, Exception):
-                if failed[c] is None:
-                    failed[c] = out
-            else:
+            if not isinstance(out, Exception):
                 errors[c, lo:lo + out.shape[0]] = out
-            reran[c] |= again
-
-    cells = []
+            elif cells[c] is None:
+                cells[c] = out
     for c, noise in enumerate(noises):
-        if failed[c] is not None:
-            cells.append(failed[c])
-            continue
-        cell = BatchCell(problem=problem.name or "custom", scheme=scheme, n=n,
-                         noise_kind=noise.kind, delta=noise.delta)
-        cells.append(ErrorBatch(cell=cell, errors=np.sort(errors[c]), master_seed=master_seed,
-                                N=N, route="per-cell" if reran[c] else "row"))
+        if cells[c] is None:
+            cell = BatchCell(problem=problem.name or "custom", scheme=scheme, n=n,
+                             noise_kind=noise.kind, delta=noise.delta)
+            cells[c] = ErrorBatch(cell=cell, errors=np.sort(errors[c]),
+                                  master_seed=master_seed, N=N)
     return cells
 
 

@@ -78,7 +78,7 @@ class Manifest:
         self.command = command
         self.config = config
         self.outputs = {}
-        self.cells = None  # table: per cell, n, delta label, route and NA reason
+        self.cells = None  # table: per cell, n, delta label and NA reason
         self._t0 = time.monotonic()
 
     def add(self, path):
@@ -274,16 +274,13 @@ def cmd_table(args) -> int:
         batches = run_cells(problem, reference, scheme, n, row_noises, N, cell_seed,
                             parallelism=parallelism, subsamples_per_step=subsamples)
         for rule, batch in zip(rules, batches):
-            if isinstance(batch, Exception):
-                failures.append((n, rule.label, str(batch)))
-                row.append("NA")
-                # a failed column of a row of several fails in its own rerun
-                route, reason = "per-cell" if len(rules) > 1 else "row", str(batch)
-            else:
+            reason = str(batch) if isinstance(batch, Exception) else None
+            if reason is None:
                 row.append(repr(xi_hat(batch, epsilon, gamma).xi_hat))
-                route, reason = batch.route, None
-            manifest.cells.append({"n": n, "delta": rule.label, "route": route,
-                                   "na_reason": reason})
+            else:
+                failures.append((n, rule.label, reason))
+                row.append("NA")
+            manifest.cells.append({"n": n, "delta": rule.label, "na_reason": reason})
         rows.append(row)
         print(f"n={n:6d} done (N={N})")
 

@@ -25,8 +25,8 @@ import enum
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError, NumericalError
-from .noise import _BLOCK_ELEMS, ChunkOracle, NoisyOracle
-from .problems import d_exact_solution_A, exact_solution_A
+from .noise import _BLOCK_ELEMS, ChunkOracle, NoiseModel, NoisyOracle
+from .problems import IvpSpec, d_exact_solution_A, exact_solution_A
 
 #: steps of one block of a chunk run: its tapes hold this many steps of every
 #: row at a time
@@ -101,6 +101,7 @@ class Trajectory:
     grid: Grid
     nodes: np.ndarray   # (n+1, d); a chunk: (n+1, k, m, d); None when a node sink took them
     eval_count: int
+    failures: list = None  # with a node sink: per column, its error or None (_Run.failures)
 
     @property
     def a(self) -> float:
@@ -139,11 +140,12 @@ class _Run:
     The run owns its node array.  Without a sink it holds all n + 1 nodes,
     with the taus drawn up front.  With a sink it holds one reused block of
     nodes, the taus are drawn per block, and ``sink(j0, nodes)`` is called
-    with each block, nodes j0 .. j0 + steps of every row, once it is stepped.
+    with every block, nodes j0 .. j0 + steps of every row, once it is stepped.
 
-    Each row's first failure is recorded, and the run goes on; once the last
-    block is stepped, the failure of the lowest failing replication is
-    raised, naming its step.
+    Each row's first failure is recorded, and the run goes on; rows are
+    independent, so each delta column's failure is its lowest failing
+    replication's (:meth:`failures`).  A run without a sink raises the
+    first of them once the last block is stepped.
     """
 
     def __init__(self, oracle, n: int, taus, sink):
@@ -164,15 +166,36 @@ class _Run:
         self.block = min(n, _BLOCK_STEPS, self._sub)  # steps of the longest block
         held = n if sink is None else self.block
         self.nodes = np.empty((held + 1,) + oracle.eta_tilde.shape)
-        self._failed = self._stuck = None  # per row: first failing step, non-convergence
+        rows = oracle.eta_tilde[..., 0].size
+        # per row: first failing step (n + 1 while it has none), and whether it did not converge
+        self._failed, self._stuck = np.full(rows, n + 1), np.zeros(rows, dtype=bool)
 
     def fail(self, rows, steps, stuck: bool = False):
         """Record a failure at steps for the flagged rows, unless they failed earlier."""
         rows = np.reshape(rows, -1)
-        if self._failed is None:
-            self._failed, self._stuck = np.full(rows.shape, self.grid.n + 1), np.zeros_like(rows)
         new = rows & (steps < self._failed)
         self._failed[new], self._stuck[new] = np.broadcast_to(steps, rows.shape)[new], stuck
+
+    def failures(self) -> list:
+        """Per delta column, its lowest failing replication's error, or None.
+
+        A NumericalError at that row's first non-finite node or stage, or a
+        ConvergenceError, naming the replication and step.
+        """
+        k = self.oracle.eta_tilde.shape[0] if self.oracle.eta_tilde.ndim == 3 else 1
+        out = []
+        for failed, stuck in zip(self._failed.reshape(k, -1), self._stuck.reshape(k, -1)):
+            row = int(np.argmax(failed <= self.grid.n))  # the lowest failing replication
+            i, j = self.oracle.replication_index + row, int(failed[row])
+            if j > self.grid.n:
+                out.append(None)
+            elif stuck[row]:
+                out.append(ConvergenceError(f"replication {i}: fixed point did not converge at "
+                                            f"step {j}", step=j, replication=i))
+            else:
+                out.append(NumericalError(f"replication {i}: non-finite value at step {j}",
+                                          step=j, replication=i))
+        return out
 
     def blocks(self):
         """Yield (j0, taus, nodes) per block: step j0 + k draws taus[k - 1] and fills nodes[k].
@@ -181,10 +204,8 @@ class _Run:
         tape block is stepped in sub-blocks of about ``_BLOCK_ELEMS`` node
         values, so a sink's node buffer stays small however many rows a
         state has.  Each block is checked for non-finite nodes once stepped,
-        then handed to the sink while no row has failed.  After the last
-        block the lowest failing replication's error is raised: a
-        NumericalError at its first non-finite node or stage, or a
-        ConvergenceError.
+        then handed to the sink.  Without a sink, the first failing column's
+        error (:meth:`failures`) is raised after the last block.
         """
         n, taus, sink = self.grid.n, self.grid.taus, self.sink
         last = self.oracle.eta_tilde
@@ -199,16 +220,10 @@ class _Run:
                 yield j0, tape[j0 - t0:], nodes
                 last = nodes[steps]
                 self.check(nodes[1:], j0)
-                if self._failed is None and sink is not None:
+                if sink is not None:
                     sink(j0, nodes)
-        if self._failed is not None:
-            row = int(np.argmax(self._failed <= n))
-            i, j = self.oracle.replication_index + row, int(self._failed[row])
-            if self._stuck[row]:
-                raise ConvergenceError(f"replication {i}: fixed point did not converge at "
-                                       f"step {j}", step=j, replication=i)
-            raise NumericalError(f"replication {i}: non-finite value at step {j}",
-                                 step=j, replication=i)
+        if sink is None and (self._failed <= n).any():
+            raise next(exc for exc in self.failures() if exc is not None)
 
     def check(self, values, j0: int):
         """Record each row's first non-finite value among values, steps j0 + 1, j0 + 2, ..."""
@@ -219,7 +234,7 @@ class _Run:
 
     def result(self, scheme: SchemeKind) -> Trajectory:
         return Trajectory(scheme, self.grid, None if self.sink else self.nodes,
-                          self.oracle.eval_count)
+                          self.oracle.eval_count, self.failures() if self.sink else None)
 
 
 def run_explicit_euler(oracle: NoisyOracle | ChunkOracle, n: int, taus=None,
@@ -257,6 +272,20 @@ def run_rk2(oracle: NoisyOracle | ChunkOracle, n: int, taus=None, sink=None) -> 
     return run.result(SchemeKind.RUNGE_KUTTA2)
 
 
+def implicit_euler_refusal(base: IvpSpec, model: NoiseModel, n: int):
+    """The DomainError that implicit Euler refuses model's noise on base with, or None.
+
+    Fresh ``ee``/``rk`` noise would redraw the map on every fixed-point
+    iteration, and n steps must keep the contraction margin h (L + delta) < 1.
+    """
+    if model.fresh:
+        return DomainError(f"implicit Euler needs exact or ie noise, not fresh {model.kind}")
+    q = (base.b - base.a) / n * (base.class_params.L + model.delta) if n >= 1 else 0.0
+    if not q < 1.0:
+        return DomainError(f"contraction margin violated: h(L + delta) = {q} >= 1")
+    return None
+
+
 def run_implicit_euler(oracle: NoisyOracle | ChunkOracle, n: int, tol: float = 1e-12,
                        max_iter: int = 100, taus=None, sink=None) -> Trajectory:
     """U_j = U_{j-1} + h f~(theta_j, U_j), solved by fixed-point iteration.
@@ -273,18 +302,16 @@ def run_implicit_euler(oracle: NoisyOracle | ChunkOracle, n: int, tol: float = 1
     row whose iterate is non-finite records a NumericalError at that step
     and stays at its previous node; a row still iterating after ``max_iter``
     iterations records a ConvergenceError and goes on from its last iterate.
-    The other rows keep stepping, and the run raises the lowest failing
-    replication's error.
+    The other rows keep stepping, and each column fails with its lowest
+    failing replication's error (:meth:`_Run.failures`).
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
-    if oracle.model.fresh:
-        raise DomainError(f"implicit Euler needs exact or ie noise, not fresh {oracle.model.kind}")
+    refusal = implicit_euler_refusal(oracle.base, oracle.model, n)
+    if refusal is not None:
+        raise refusal
     run = _Run(oracle, n, taus, sink)
     h, knots = run.grid.h, run.grid.knots
-    q = h * (oracle.base.class_params.L + oracle.model.delta)
-    if not q < 1.0:
-        raise DomainError(f"contraction margin violated: h(L + delta) = {q} >= 1")
     for j0, tau, nodes in run.blocks():
         u = nodes[0]
         for k in range(1, nodes.shape[0]):

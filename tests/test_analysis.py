@@ -486,22 +486,75 @@ class TestRunCells:
         _assert_same_cells(got, want)
 
     def test_implicit_euler_row_under_fresh_noise(self, problem_A, ref_A):
-        # the row's run is refused, so each column reruns alone: the delta 0
-        # column computes, each noisy one fails with run_batch's own error
+        # the noisy columns are refused and join no run: the delta 0 column
+        # computes, each noisy one fails with run_batch's own error
         noises = [exact_info(), NoiseModel("ee", 1e-3), NoiseModel("ee", 2e-3)]
         got = analysis.run_cells(problem_A, ref_A, IE, 10, noises, 20, 7, chunk_size=7)
         exact = run_batch(problem_A, ref_A, IE, 10, exact_info(), 20, 7)
-        assert np.array_equal(got[0].errors, exact.errors) and got[0].route == "per-cell"
+        assert np.array_equal(got[0].errors, exact.errors)
         for noise, cell in zip(noises[1:], got[1:]):
             with pytest.raises(DomainError) as info:
                 run_batch(problem_A, ref_A, IE, 10, noise, 20, 7)
             assert type(cell) is DomainError and str(cell) == str(info.value)
 
-    def test_row_route(self, problem_A, ref_A):
-        noises = [exact_info(), NoiseModel("ee", 1e-3)]
-        assert [b.route for b in analysis.run_cells(problem_A, ref_A, EE, 10, noises,
-                                                    20, 7)] == ["row", "row"]
-        assert run_batch(problem_A, ref_A, EE, 10, noises[1], 20, 7).route == "row"
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_failing_columns_come_out_of_the_row_run(self, vectorized):
+        # the field is infinite off a 1e-2 band around 1, and 0 beyond 1e300,
+        # so a row fails the step after its noise takes it off the band: the
+        # columns of one run fail in different replications (one in the
+        # second chunk) and steps, or not at all
+        p = IvpSpec(a=0.0, b=1.0, d=1, eta=np.ones(1),
+                    rhs=lambda t, x: np.where(np.abs(x) > 1e300, 0.0,
+                                              np.where(np.abs(x - 1.0) > 1e-2, np.inf, 0.0)),
+                    class_params=ClassParams(K=1.0, L=0.0, rho=1.5), name="band",
+                    rhs_vectorized=vectorized)
+        ref = ReferenceSolution.analytic(np.ones_like)
+        noises = [exact_info(), NoiseModel("rk", 0.5), NoiseModel("rk", 0.03),
+                  NoiseModel("rk", 1e-3)]
+        want = [_cell_or_error(functools.partial(run_batch, p, ref, EE, 4, noise, 16, 5,
+                                                 chunk_size=8))
+                for noise in noises]
+        assert [type(w) for w in want] == [analysis.ErrorBatch, NumericalError,
+                                           NumericalError, analysis.ErrorBatch]
+        assert [(w.replication, w.step) for w in want[1:3]] == [(0, 4), (15, 3)]
+        with mock.patch.object(analysis, "run_scheme", wraps=schemes.run_scheme) as runs:
+            got = analysis.run_cells(p, ref, EE, 4, noises, 16, 5, chunk_size=8)
+        assert runs.call_count == 2  # one run per row chunk
+        _assert_same_cells(got, want)
+
+    def test_contraction_margin_refuses_its_column_only(self, problem_B, ref_B):
+        # problem B has L = 50, so at n = 51 delta 1 breaks h (L + delta) < 1
+        noises = [exact_info(), NoiseModel("ie", 1.0)]
+        got = analysis.run_cells(problem_B, ref_B, IE, 51, noises, 20, 7, chunk_size=8)
+        want = [_cell_or_error(functools.partial(run_batch, problem_B, ref_B, IE, 51, noise,
+                                                 20, 7, chunk_size=8))
+                for noise in noises]
+        assert type(want[1]) is DomainError and "contraction margin" in str(want[1])
+        _assert_same_cells(got, want)
+
+    @pytest.mark.parametrize("kw", [dict(chunk_size=0), dict(chunk_size=-3),
+                                    dict(parallelism=0), dict(parallelism=-2)],
+                             ids=["chunk0", "chunk-3", "par0", "par-2"])
+    def test_bad_chunk_size_or_parallelism_rejected(self, problem_A, ref_A, kw):
+        with pytest.raises(DomainError, match="must be >= 1"):
+            run_batch(problem_A, ref_A, EE, 10, exact_info(), 20, 1, **kw)
+        with pytest.raises(DomainError, match="must be >= 1"):
+            analysis.run_cells(problem_A, ref_A, EE, 10, [exact_info()] * 2, 20, 1, **kw)
+
+    def test_no_columns_no_cells(self, problem_A, ref_A):
+        assert analysis.run_cells(problem_A, ref_A, EE, 10, [], 20, 1) == []
+
+    def test_a_raising_rhs_propagates(self):
+        # only a run's own failures become cells; anything else stops the row
+        def rhs(t, x):
+            raise DomainError("outside the field's domain")
+
+        p = IvpSpec(a=0.0, b=1.0, d=1, eta=np.ones(1), rhs=rhs,
+                    class_params=ClassParams(K=1.0, L=0.0, rho=1.5), name="raising",
+                    rhs_vectorized=True)
+        with pytest.raises(DomainError, match="field's domain"):
+            analysis.run_cells(p, ReferenceSolution.analytic(np.ones_like), EE, 4,
+                               [exact_info(), NoiseModel("ee", 1e-3)], 8, 1)
 
     @pytest.mark.parametrize("n", [100, 5000])
     def test_row_chunk_memory_is_that_of_one_cell(self, problem_A, ref_A, n):

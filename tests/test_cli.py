@@ -1,9 +1,13 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import randode
 from randode.cli import main
 
 
@@ -148,8 +152,8 @@ class TestTable:
                 "not fresh ee") in capsys.readouterr().err
 
     def test_manifest_records_each_cell(self, tmp_path):
-        # the fresh-noise row cannot run as one, so each cell reruns alone;
-        # the NA cell's reason is in the manifest, not only on stderr
+        # the fresh-noise cell is refused and the delta 0 cell computes; the
+        # NA cell's reason is in the manifest, not only on stderr
         rc = run_cli("table", "--problem", "A", "--scheme", "ie", "--noise", "ee",
                      "--n-list", "10 20", "--delta-rules", "0 1e-3", "--N", "100",
                      "--out", str(tmp_path / "ie"))
@@ -157,14 +161,14 @@ class TestTable:
         cells = json.loads((tmp_path / "ie" / "manifest.json").read_text())["cells"]
         reason = "implicit Euler needs exact or ie noise, not fresh ee"
         assert cells == [
-            {"n": n, "delta": label, "route": "per-cell", "na_reason": na}
+            {"n": n, "delta": label, "na_reason": na}
             for n in (10, 20) for label, na in (("0", None), ("1e-3", reason))]
-        # a row that runs as one
+        # a row without a failure
         assert run_cli("table", "--problem", "A", "--scheme", "ee", "--n-list", "10",
                        "--delta-rules", "0 1e-3", "--N", "100",
                        "--out", str(tmp_path / "ee")) == 0
         cells = json.loads((tmp_path / "ee" / "manifest.json").read_text())["cells"]
-        assert [(c["route"], c["na_reason"]) for c in cells] == [("row", None)] * 2
+        assert [c["na_reason"] for c in cells] == [None] * 2
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "exp.ini"
@@ -350,6 +354,15 @@ class TestBuildRef:
         assert cache.exists()
         out1 = capsys.readouterr().out
         assert "100001 grid values" in out1
+
+
+def test_import_leaves_the_process_pool_out():
+    # concurrent.futures is imported only once a run starts a process pool
+    src = os.path.dirname(os.path.dirname(randode.__file__))
+    code = "import sys, randode.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "False\n"
 
 
 @pytest.mark.slow

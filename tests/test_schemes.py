@@ -194,12 +194,9 @@ class TestNodeSink:
                 mock.patch.object(schemes, "_BLOCK_ELEMS", 24), \
                 mock.patch.object(schemes, "_MIN_SINK_STEPS",
                                   min_steps or schemes._MIN_SINK_STEPS):
-            try:
-                tr = run_scheme(oracle, scheme, n, sink=sink)
-            except NumericalError as exc:
-                return calls, exc
+            tr = run_scheme(oracle, scheme, n, sink=sink)
         assert tr.nodes is None
-        return calls, None
+        return calls, tr.failures
 
     @pytest.mark.parametrize("scheme", [EE, RK, IE])
     @pytest.mark.parametrize("min_steps,starts", [
@@ -210,8 +207,8 @@ class TestNodeSink:
         p, n, seed, lo, hi = problem_A_in(1), 23, 5, 3, 11
         noise = NoiseModel("ie" if scheme is IE else scheme.value, 0.01)
         oracle = ChunkOracle(p, noise, seed, lo, hi, 2 if scheme is RK else 1)
-        calls, failure = self._run(oracle, scheme, n, min_steps=min_steps)
-        assert failure is None
+        calls, failures = self._run(oracle, scheme, n, min_steps=min_steps)
+        assert failures == [None]
         assert [j0 for j0, _, _ in calls] == starts
         end = 0
         for j0, buf, block in calls:
@@ -232,17 +229,23 @@ class TestNodeSink:
         # every row, and every node stays finite
         (RK, lambda t, x: np.where(np.abs(x) > 1e300, 0.0,
                                    np.where(np.asarray(t) == 0.5, np.inf, 0.0))),
-    ])
-    def test_no_block_from_the_failing_one_on(self, scheme, rhs):
+    ], ids=["ee-node", "rk-stage"])
+    def test_every_block_after_a_failure(self, scheme, rhs):
         # with n = 40, step 21 lies in the block of steps 21 .. 25
         p = IvpSpec(a=0.0, b=1.0, d=1, eta=np.ones(1), rhs=rhs,
                     class_params=ClassParams(K=1.0, L=0.0, rho=1.5), name="wall",
                     rhs_vectorized=True)
         oracle = ChunkOracle(p, exact_info(), 2, 4, 12, 2 if scheme is RK else 1)
-        calls, failure = self._run(oracle, scheme, 40)
-        assert [j0 for j0, _, _ in calls] == [0, 5, 10, 15]
-        assert all(np.isfinite(block).all() for _, _, block in calls)
+        calls, (failure,) = self._run(oracle, scheme, 40)
+        assert [j0 for j0, _, _ in calls] == list(range(0, 40, 5))
+        assert all(np.isfinite(block).all() for _, _, block in calls[:4])
+        assert np.isfinite(calls[4][2]).all() == (scheme is RK)
+        assert type(failure) is NumericalError
         assert (failure.replication, failure.step) == (4, 21)
+        with pytest.raises(NumericalError) as info:  # a run without a sink raises it
+            run_scheme(ChunkOracle(p, exact_info(), 2, 4, 12, 2 if scheme is RK else 1),
+                       scheme, 40)
+        assert str(info.value) == str(failure)
 
 
 class TestSchemeAccuracy:
