@@ -15,6 +15,7 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 import os
 import pickle
 import warnings
@@ -312,13 +313,10 @@ def run_cells(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind
     that implicit Euler refuses joins no run; any other exception out of a
     run propagates.
     """
-    if N < 1 or n < 1:
-        raise DomainError(f"N ({N}) and n ({n}) must be >= 1")
-    if subsamples_per_step < 1:
-        raise DomainError("subsamples_per_step must be >= 1")
-    if chunk_size < 1 or parallelism < 1:
-        raise DomainError(f"chunk_size ({chunk_size}) and parallelism ({parallelism}) "
-                          f"must be >= 1")
+    for name, count in (("n", n), ("N", N), ("subsamples_per_step", subsamples_per_step),
+                        ("chunk_size", chunk_size), ("parallelism", parallelism)):
+        if not isinstance(count, numbers.Integral) or count < 1:
+            raise DomainError(f"{name} must be >= 1 and an integer, got {count!r}")
     h = (problem.b - problem.a) / n
     knots = problem.a + h * np.arange(n + 1)
     dt = _interior_offsets(h, subsamples_per_step)

@@ -1,10 +1,16 @@
 """Command-line front end: solve, table, band, tail, diagnose, build-ref.
 
-Configuration comes from an INI file ("key = value" under an [experiment]
-section) with command-line flags taking precedence.  Every command that
-writes files also writes a manifest.json recording the resolved
-configuration, the package version, wall-clock time and a checksum per
-output file; re-running with the same inputs reproduces the checksums.
+Each setting is declared once, in SETTINGS: its flag --name ("_" written as
+"-"), type, default and help.  COMMANDS names the settings each command reads
+and its own defaults.  Every setting is also a config key: an INI file given
+as --config ("key = value" under an [experiment] section) sets the command's
+defaults, so a flag still wins.  A key may be spelt with "_" or "-", and
+master_seed, output_dir and subsamples_per_step stand for seed, out and
+subsamples.  A key the command does not read, or two keys for one setting,
+is a usage error.  Every command that writes files also writes a
+manifest.json recording the resolved configuration, the package version,
+wall-clock time and a checksum per output file; re-running with the same
+inputs reproduces the checksums.
 
 Exit codes: 0 success, 1 failed checks or incomplete tables, 2 usage errors.
 """
@@ -48,9 +54,6 @@ from .schemes import (
     write_csv,
 )
 
-DEFAULT_SEED = 12345
-DEFAULT_EPSILON = 0.05
-DEFAULT_N_LIST = "10 20 50 100 200 500 1000 2000 5000"
 EE_DELTA_RULES = "0 n^-1.1 n^-1 n^-0.9 2e-3 1e-4"
 RK_DELTA_RULES = "0 n^-1.6 n^-1.5 n^-1.4 2e-3 1e-4"
 
@@ -101,51 +104,43 @@ class Manifest:
         return path
 
 
-def _load_config(path) -> dict:
-    if not path:
-        return {}
+_CONFIG_ALIASES = {"master_seed": "seed", "output_dir": "out", "subsamples_per_step": "subsamples"}
+
+
+def _config_defaults(path, command: str) -> dict:
+    """The [experiment] values of a config file as the command's defaults, each one
+    converted with its setting's type."""
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keys are case-sensitive: N (replications) is not n (steps)
-    parser.read(path)
-    section = "experiment" if parser.has_section("experiment") else parser.default_section
-    return dict(parser[section])
-
-
-_CONFIG_ALIASES = {
-    "seed": ("master_seed",),
-    "out": ("output_dir",),
-    "subsamples": ("subsamples_per_step",),
-}
-
-def _resolve(args, cfg: dict, key: str, default=None, cast=str):
-    """The flag, else the config value, else default; removes the key's spellings from cfg."""
-    raw = None
-    for name in (key, key.replace("_", "-")) + _CONFIG_ALIASES.get(key, ()):
-        value = cfg.pop(name, None)
-        if raw is None:
-            raw = value
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if raw is None:
-        return default
     try:
-        return cast(raw)
-    except ValueError as exc:
-        raise UsageError(f"bad config value {key} = {raw!r}: {exc}") from exc
-
-
-def _reject_unread(cfg: dict, command: str):
-    """Once a command has resolved its settings, a key left in cfg is one it does not read."""
-    if cfg:
-        raise UsageError(f"config key(s) not read by {command}: {', '.join(sorted(cfg))}")
+        parser.read(path)
+        section = "experiment" if parser.has_section("experiment") else parser.default_section
+        items = list(parser[section].items())
+    except configparser.Error as exc:
+        raise UsageError(f"bad config file {path}: {exc}") from exc
+    reads = COMMANDS[command][2].split()
+    defaults = {}
+    for key, raw in items:
+        name = _CONFIG_ALIASES.get(key, key).replace("-", "_")
+        if name not in reads:
+            raise UsageError(f"config key {key} is not read by {command}")
+        if name in defaults:
+            raise UsageError(f"config key {key} sets {name} a second time")
+        spec = SETTINGS[name]
+        try:
+            defaults[name] = spec.get("type", str)(raw)
+            if "choices" in spec and defaults[name] not in spec["choices"]:
+                raise ValueError(f"not one of {spec['choices']}")
+        except ValueError as exc:
+            raise UsageError(f"bad config value {key} = {raw!r}: {exc}") from exc
+    return defaults
 
 
 def _noise_for(kind: str, scheme: SchemeKind, delta: float) -> NoiseModel:
     """Noise model for one run; kind 'auto' follows the scheme, delta 0 is exact."""
-    if kind in (None, "auto"):
+    if kind == "auto":
         kind = scheme.value
     if delta == 0.0:
         kind = "exact"
@@ -181,28 +176,17 @@ def _int_list(text: str):
 
 
 def cmd_solve(args) -> int:
-    cfg = _load_config(args.config)
-    problem = make_problem(_resolve(args, cfg, "problem", "A"))
-    scheme = scheme_from_name(_resolve(args, cfg, "scheme", "ee"))
-    n = _resolve(args, cfg, "n", 10, int)
+    problem = make_problem(args.problem)
+    scheme = scheme_from_name(args.scheme)
+    n, out = args.n, args.out
     _check_steps([n])
-    seed = _resolve(args, cfg, "seed", DEFAULT_SEED, int)
-    out = _resolve(args, cfg, "out", "out")
-    rule = parse_delta_rule(_resolve(args, cfg, "delta", "0"))
-    delta = rule.value_for(n)
-    noise = _noise_for(_resolve(args, cfg, "noise", "auto"), scheme, delta)
-    _reject_unread(cfg, "solve")
-
-    taus = None
-    if args.force_tau is not None:
-        if not 0.0 <= args.force_tau <= 1.0:
-            raise UsageError("--force-tau must lie in [0, 1]")
-        taus = np.full(n, args.force_tau)
+    delta = parse_delta_rule(args.delta).value_for(n)
+    noise = _noise_for(args.noise, scheme, delta)
 
     manifest = Manifest("solve", {"problem": problem.name, "scheme": scheme.value,
                                   "n": n, "noise": noise.kind, "delta": delta,
-                                  "seed": seed, "force_tau": args.force_tau})
-    tr = run_scheme(NoisyOracle(problem, noise, seed, 0), scheme, n, taus=taus)
+                                  "seed": args.seed})
+    tr = run_scheme(NoisyOracle(problem, noise, args.seed, 0), scheme, n)
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "trajectory.csv")
     tr.write_csv(path)
@@ -223,33 +207,20 @@ def cmd_solve(args) -> int:
 # table
 
 
-def _cell_N(n: int, explicit_N) -> int:
-    if explicit_N is not None:
-        return explicit_N
-    return 10_000 if n >= 1000 else 100_000
-
-
 def cmd_table(args) -> int:
-    cfg = _load_config(args.config)
-    problem = make_problem(_resolve(args, cfg, "problem", "A"))
-    scheme = scheme_from_name(_resolve(args, cfg, "scheme", "ee"))
-    ns = _int_list(_resolve(args, cfg, "n_list", DEFAULT_N_LIST))
+    problem = make_problem(args.problem)
+    scheme = scheme_from_name(args.scheme)
+    ns = _int_list(args.n_list)
     _check_steps(ns)
-    default_rules = RK_DELTA_RULES if scheme is SchemeKind.RUNGE_KUTTA2 else EE_DELTA_RULES
-    rules = [parse_delta_rule(v)
-             for v in _resolve(args, cfg, "delta_rules", default_rules).replace(",", " ").split()]
-    epsilon = _resolve(args, cfg, "epsilon", DEFAULT_EPSILON, float)
-    explicit_N = _resolve(args, cfg, "N", None, int)
-    seed = _resolve(args, cfg, "seed", DEFAULT_SEED, int)
-    out = _resolve(args, cfg, "out", "out")
-    parallelism = _resolve(args, cfg, "parallelism", 1, int)
-    subsamples = _resolve(args, cfg, "subsamples", 8, int)
-    kind = _resolve(args, cfg, "noise", "auto")
-    _reject_unread(cfg, "table")
-    _check_run(epsilon, args.ref_steps, subsamples, parallelism)
+    rules = args.delta_rules
+    if rules is None:
+        rules = RK_DELTA_RULES if scheme is SchemeKind.RUNGE_KUTTA2 else EE_DELTA_RULES
+    rules = [parse_delta_rule(v) for v in rules.replace(",", " ").split()]
+    epsilon, explicit_N, seed, out = args.epsilon, args.N, args.seed, args.out
+    _check_run(epsilon, args.ref_steps, args.subsamples, args.parallelism)
     if explicit_N is not None and explicit_N < 100:
         raise UsageError("table requires N >= 100")
-    noises = [[_noise_for(kind, scheme, rule.value_for(n)) for rule in rules] for n in ns]
+    noises = [[_noise_for(args.noise, scheme, rule.value_for(n)) for rule in rules] for n in ns]
     os.makedirs(out, exist_ok=True)
     if explicit_N is not None and explicit_N < 10.0 / epsilon:
         print(f"warning: N = {explicit_N} is below 10/epsilon = {10.0 / epsilon:.0f}; "
@@ -261,18 +232,18 @@ def cmd_table(args) -> int:
         "problem": problem.name, "scheme": scheme.value, "n_list": ns,
         "delta_rules": [r.label for r in rules], "epsilon": epsilon,
         "N": explicit_N, "seed": seed, "gamma": gamma,
-        "parallelism": parallelism, "subsamples": subsamples})
+        "parallelism": args.parallelism, "subsamples": args.subsamples})
 
     rows = []
     failures = []
     manifest.cells = []
     for n, row_noises in zip(ns, noises):
         cell_seed = derive_cell_seed(seed, scheme, problem.name, n)
-        N = _cell_N(n, explicit_N)
+        N = explicit_N or (10_000 if n >= 1000 else 100_000)
         row = [str(n)]
         # one run for the whole row: its cells share the cell seed's draws
         batches = run_cells(problem, reference, scheme, n, row_noises, N, cell_seed,
-                            parallelism=parallelism, subsamples_per_step=subsamples)
+                            parallelism=args.parallelism, subsamples_per_step=args.subsamples)
         for rule, batch in zip(rules, batches):
             reason = str(batch) if isinstance(batch, Exception) else None
             if reason is None:
@@ -301,32 +272,22 @@ def cmd_table(args) -> int:
 
 
 def cmd_band(args) -> int:
-    cfg = _load_config(args.config)
-    problem = make_problem(_resolve(args, cfg, "problem", "A"))
-    scheme = scheme_from_name(_resolve(args, cfg, "scheme", "ee"))
-    n = _resolve(args, cfg, "n", 25, int)
+    problem = make_problem(args.problem)
+    scheme = scheme_from_name(args.scheme)
+    n, xi, epsilon, seed, out = args.n, args.xi, args.epsilon, args.seed, args.out
     _check_steps([n])
-    xi = _resolve(args, cfg, "xi", None, float)
     if xi is None or xi <= 0:
         raise UsageError("band requires --xi > 0")
-    epsilon = _resolve(args, cfg, "epsilon", DEFAULT_EPSILON, float)
-    seed = _resolve(args, cfg, "seed", DEFAULT_SEED, int)
-    out = _resolve(args, cfg, "out", "out")
-    grid_points = _resolve(args, cfg, "grid_points", 201, int)
-    if grid_points < 2:
-        raise UsageError(f"--grid-points must be >= 2, got {grid_points}")
+    if args.grid_points < 2:
+        raise UsageError(f"--grid-points must be >= 2, got {args.grid_points}")
     gamma = gamma_of(scheme, problem.class_params.rho)
 
-    delta_text = _resolve(args, cfg, "delta", None)
-    if delta_text is None:
-        delta = float(n) ** -gamma
-        delta_label = f"n^-{gamma:g}"
+    if args.delta is None:
+        delta, delta_label = float(n) ** -gamma, f"n^-{gamma:g}"
     else:
-        rule = parse_delta_rule(delta_text)
-        delta = rule.value_for(n)
-        delta_label = rule.label
-    noise = _noise_for(_resolve(args, cfg, "noise", "auto"), scheme, delta)
-    _reject_unread(cfg, "band")
+        rule = parse_delta_rule(args.delta)
+        delta, delta_label = rule.value_for(n), rule.label
+    noise = _noise_for(args.noise, scheme, delta)
     _check_run(epsilon, args.ref_steps)
     reference = reference_for(problem, cache_path=args.ref_cache, n_ref=args.ref_steps)
 
@@ -335,7 +296,7 @@ def cmd_band(args) -> int:
                                  "delta_label": delta_label, "epsilon": epsilon,
                                  "seed": seed, "gamma": gamma})
     tr = run_scheme(NoisyOracle(problem, noise, seed, 0), scheme, n)
-    band = confidence_band(tr, gamma, delta, xi, grid_points=grid_points, epsilon=epsilon)
+    band = confidence_band(tr, gamma, delta, xi, grid_points=args.grid_points, epsilon=epsilon)
     ref_vals = reference.values_at(band.ts)
 
     os.makedirs(out, exist_ok=True)
@@ -359,24 +320,15 @@ def cmd_band(args) -> int:
 
 
 def cmd_tail(args) -> int:
-    cfg = _load_config(args.config)
-    problem = make_problem(_resolve(args, cfg, "problem", "A"))
-    scheme = scheme_from_name(_resolve(args, cfg, "scheme", "ee"))
-    n = _resolve(args, cfg, "n", 100, int)
+    problem = make_problem(args.problem)
+    scheme = scheme_from_name(args.scheme)
+    n, N, epsilon, seed, out = args.n, args.N, args.epsilon, args.seed, args.out
     _check_steps([n])
-    N = _resolve(args, cfg, "N", 100_000, int)
     if N < 100:
         raise UsageError("tail requires N >= 100")
-    epsilon = _resolve(args, cfg, "epsilon", DEFAULT_EPSILON, float)
-    seed = _resolve(args, cfg, "seed", DEFAULT_SEED, int)
-    out = _resolve(args, cfg, "out", "out")
-    parallelism = _resolve(args, cfg, "parallelism", 1, int)
-    subsamples = _resolve(args, cfg, "subsamples", 8, int)
-    rule = parse_delta_rule(_resolve(args, cfg, "delta", "0"))
-    delta = rule.value_for(n)
-    noise = _noise_for(_resolve(args, cfg, "noise", "auto"), scheme, delta)
-    _reject_unread(cfg, "tail")
-    _check_run(epsilon, args.ref_steps, subsamples, parallelism)
+    delta = parse_delta_rule(args.delta).value_for(n)
+    noise = _noise_for(args.noise, scheme, delta)
+    _check_run(epsilon, args.ref_steps, args.subsamples, args.parallelism)
     if args.xi_points < 1 or (args.xi_max is not None and args.xi_max < 0):
         raise UsageError(f"xi-points ({args.xi_points}) must be >= 1 and xi-max "
                          f"({args.xi_max}) >= 0")
@@ -391,7 +343,7 @@ def cmd_tail(args) -> int:
                                  "gamma": gamma})
     batch = run_batch(problem, reference, scheme, n, noise, N,
                       derive_cell_seed(seed, scheme, problem.name, n),
-                      parallelism=parallelism, subsamples_per_step=subsamples)
+                      parallelism=args.parallelism, subsamples_per_step=args.subsamples)
     denom = max(float(n) ** -gamma, delta)
     xi_max = args.xi_max if args.xi_max is not None else float(batch.errors[-1]) / denom
     grid = np.linspace(0.0, xi_max, args.xi_points)
@@ -410,13 +362,8 @@ def cmd_tail(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    cfg = _load_config(args.config)
-    problem = make_problem(_resolve(args, cfg, "problem", "A"))
-    seed = _resolve(args, cfg, "seed", DEFAULT_SEED, int)
-    out = _resolve(args, cfg, "out", "out")
-    reps = _resolve(args, cfg, "reps", 100_000, int)
-    slope_N = _resolve(args, cfg, "N", 128, int)
-    _reject_unread(cfg, "diagnose")
+    problem = make_problem(args.problem)
+    seed, out, reps, slope_N = args.seed, args.out, args.reps, args.N
     if slope_N < 1 or reps < 2:
         raise UsageError(f"diagnose requires N >= 1 and reps >= 2, got N = {slope_N}, "
                          f"reps = {reps}")
@@ -445,12 +392,9 @@ def cmd_diagnose(args) -> int:
             t = problem.a + (problem.b - problem.a) * rng.random()
             x = problem.eta + rng.normal(size=problem.d)
             oracle.noisy_eval(t, x)
-        samples = oracle.samples
-        if args.tamper_noise:
-            samples = [(t, x, 2.0 * p) for t, x, p in samples]
-        ok = verify_noise_bound(noise, samples)
+        ok = verify_noise_bound(noise, oracle.samples)
         checks.append({"name": f"noise_bound_{kind}", "passed": bool(ok),
-                       "samples": len(samples), "tampered": bool(args.tamper_noise)})
+                       "samples": len(oracle.samples)})
 
     passed = all(c["passed"] for c in checks)
     report = {"passed": passed, "problem": problem.name, "seed": seed, "checks": checks}
@@ -471,8 +415,7 @@ def cmd_build_ref(args) -> int:
     cache = args.ref_cache or default_ref_cache(args.ref_steps)
     ref = build_reference_B(n_ref=args.ref_steps, cache_path=cache)
     print(f"reference for B at {cache}: {ref.grid_values.shape[0]} grid values on "
-          f"[{ref.a}, {ref.b}], "
-          f"sha256={ref.provenance.get('sha256', '')[:16]}...")
+          f"[{ref.a}, {ref.b}], sha256={ref.provenance.get('sha256', '')[:16]}...")
     return 0
 
 
@@ -480,91 +423,75 @@ def cmd_build_ref(args) -> int:
 # parser
 
 
-def _add_common(p, *names):
-    if "problem" in names:
-        p.add_argument("--problem", help="test problem name (A or B)")
-    if "scheme" in names:
-        p.add_argument("--scheme", help="integrator: ee, ie or rk")
-    if "n" in names:
-        p.add_argument("--n", type=int, help="step count")
-    if "noise" in names:
-        p.add_argument("--noise", choices=["auto", "exact", "ee", "ie", "rk"],
-                       help="noise class (default: matches the scheme; exact when delta=0)")
-    if "delta" in names:
-        p.add_argument("--delta", help="noise budget: literal or n^-p rule")
-    if "epsilon" in names:
-        p.add_argument("--epsilon", type=float, help="quantile level (default 0.05)")
-    if "N" in names:
-        p.add_argument("--N", type=int, help="Monte Carlo replications")
-    if "seed" in names:
-        p.add_argument("--seed", type=int, help="master seed (default 12345)")
-    if "out" in names:
-        p.add_argument("--out", help="output directory (default ./out)")
-    if "parallelism" in names:
-        p.add_argument("--parallelism", type=int, help="worker processes (default 1)")
-    if "subsamples" in names:
-        p.add_argument("--subsamples", type=int,
-                       help="interior sup-norm samples per subinterval (default 8)")
-    if "ref" in names:
-        p.add_argument("--ref-cache", help="reference cache file for problem B")
-        p.add_argument("--ref-steps", type=int, default=DEFAULT_REF_STEPS,
-                       help="reference build steps for problem B (default 2e6)")
+# Every setting once: flag --name ("_" written as "-"), type, default and help.
+SETTINGS = {
+    "problem": dict(default="A", help="test problem name (A or B)"),
+    "scheme": dict(default="ee", help="integrator: ee, ie or rk"),
+    "n": dict(type=int, help="step count"),
+    "n_list": dict(default="10 20 50 100 200 500 1000 2000 5000",
+                   help="step counts, space or comma separated"),
+    "noise": dict(default="auto", choices=["auto", "exact", "ee", "ie", "rk"],
+                  help="noise class; auto matches the scheme, and delta 0 is exact"),
+    "delta": dict(help="noise budget: literal or n^-p rule"),
+    "delta_rules": dict(help="delta columns, e.g. '0 n^-1 2e-3'; None: the paper's six"),
+    "epsilon": dict(type=float, default=0.05, help="quantile level"),
+    "N": dict(type=int, help="Monte Carlo replications; table's None: 1e5, 1e4 from n = 1000"),
+    "seed": dict(type=int, default=12345, help="master seed"),
+    "out": dict(default="out", help="output directory"),
+    "parallelism": dict(type=int, default=1, help="worker processes"),
+    "subsamples": dict(type=int, default=8, help="interior sup-norm samples per subinterval"),
+    "ref_cache": dict(help="reference cache file for problem B"),
+    "ref_steps": dict(type=int, default=DEFAULT_REF_STEPS, help="problem B's reference steps"),
+    "dense": dict(type=int, help="also write the interpolant on this many points"),
+    "xi": dict(type=float, help="band multiplier (required, > 0)"),
+    "grid_points": dict(type=int, default=201, help="band evaluation grid size"),
+    "xi_max": dict(type=float, help="largest xi on the grid; None: the largest error's"),
+    "xi_points": dict(type=int, default=41, help="xi grid size"),
+    "reps": dict(type=int, default=100_000, help="replications for the mean-zero check"),
+}
+
+_REF = "ref_cache ref_steps"
+# command: (function, help, the settings it reads, its own defaults)
+COMMANDS = {
+    "solve": (cmd_solve, "run one trajectory and write it as CSV",
+              "problem scheme n noise delta seed out dense", dict(n=10, delta="0")),
+    "table": (cmd_table, "quantile multiplier table over (n, delta) cells",
+              f"problem scheme n_list noise delta_rules epsilon N seed out parallelism "
+              f"subsamples {_REF}", {}),
+    "band": (cmd_band, "confidence band around one noisy run",
+             f"problem scheme n noise delta xi epsilon grid_points seed out {_REF}", dict(n=25)),
+    "tail": (cmd_tail, "empirical exceedance curve for one cell",
+             f"problem scheme n noise delta epsilon N seed out parallelism subsamples "
+             f"xi_max xi_points {_REF}", dict(n=100, N=100_000, delta="0")),
+    "diagnose": (cmd_diagnose, "self checks: mean-zero local errors, order slopes, "
+                               "noise bounds", f"problem N reps seed out {_REF}", dict(N=128)),
+    "build-ref": (cmd_build_ref, "build (or refresh) the problem-B reference cache", _REF, {}),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The parser, and each command's subparser by name."""
     ap = argparse.ArgumentParser(prog="randode",
                                  description="Randomized ODE scheme experiments")
     ap.add_argument("--config", help="INI config file ([experiment] section)")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="run one trajectory and write it as CSV")
-    _add_common(p, "problem", "scheme", "n", "noise", "delta", "seed", "out")
-    p.add_argument("--dense", type=int, help="also write the interpolant on K points")
-    p.add_argument("--force-tau", type=float,
-                   help="test hook: fix every step's tau to this value")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("table", help="quantile multiplier table over (n, delta) cells")
-    _add_common(p, "problem", "scheme", "noise", "epsilon", "N", "seed", "out",
-                "parallelism", "subsamples", "ref")
-    p.add_argument("--n-list", dest="n_list", help="step counts, space or comma separated")
-    p.add_argument("--delta-rules", dest="delta_rules",
-                   help="delta columns, e.g. '0 n^-1 2e-3'")
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("band", help="confidence band around one noisy run")
-    _add_common(p, "problem", "scheme", "n", "noise", "delta", "epsilon", "seed", "out",
-                "ref")
-    p.add_argument("--xi", type=float, help="band multiplier (required, > 0)")
-    p.add_argument("--grid-points", dest="grid_points", type=int,
-                   help="band evaluation grid size (default 201)")
-    p.set_defaults(func=cmd_band)
-
-    p = sub.add_parser("tail", help="empirical exceedance curve for one cell")
-    _add_common(p, "problem", "scheme", "n", "noise", "delta", "epsilon", "N",
-                "seed", "out", "parallelism", "subsamples", "ref")
-    p.add_argument("--xi-max", type=float, help="largest xi on the grid (default: auto)")
-    p.add_argument("--xi-points", type=int, default=41, help="grid size (default 41)")
-    p.set_defaults(func=cmd_tail)
-
-    p = sub.add_parser("diagnose", help="self checks: mean-zero local errors, "
-                                        "order slopes, noise bounds")
-    _add_common(p, "problem", "N", "seed", "out", "ref")
-    p.add_argument("--reps", type=int, help="replications for the mean-zero check")
-    p.add_argument("--tamper-noise", action="store_true",
-                   help="test hook: double recorded perturbations so the bound check fails")
-    p.set_defaults(func=cmd_diagnose)
-
-    p = sub.add_parser("build-ref", help="build (or refresh) the problem-B reference cache")
-    _add_common(p, "ref")
-    p.set_defaults(func=cmd_build_ref)
-    return ap
+    parsers = {}
+    for command, (func, text, reads, defaults) in COMMANDS.items():
+        p = parsers[command] = sub.add_parser(
+            command, help=text, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        for name in reads.split():
+            p.add_argument("--" + name.replace("_", "-"), **SETTINGS[name])
+        p.set_defaults(func=func, **defaults)
+    return ap, parsers
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap, parsers = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.config:  # its values become the command's defaults, so a flag still wins
+            parsers[args.command].set_defaults(**_config_defaults(args.config, args.command))
+            args = ap.parse_args(argv)
         return args.func(args)
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

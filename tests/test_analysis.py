@@ -533,13 +533,24 @@ class TestRunCells:
         _assert_same_cells(got, want)
 
     @pytest.mark.parametrize("kw", [dict(chunk_size=0), dict(chunk_size=-3),
-                                    dict(parallelism=0), dict(parallelism=-2)],
-                             ids=["chunk0", "chunk-3", "par0", "par-2"])
+                                    dict(parallelism=0), dict(parallelism=-2),
+                                    dict(chunk_size=2.5), dict(parallelism=1.5),
+                                    dict(N=20.0), dict(n=10.0)],
+                             ids=["chunk0", "chunk-3", "par0", "par-2",
+                                  "chunk2.5", "par1.5", "N20.0", "n10.0"])
     def test_bad_chunk_size_or_parallelism_rejected(self, problem_A, ref_A, kw):
+        kw = {"n": 10, "N": 20, **kw}
+        n, N = kw.pop("n"), kw.pop("N")
         with pytest.raises(DomainError, match="must be >= 1"):
-            run_batch(problem_A, ref_A, EE, 10, exact_info(), 20, 1, **kw)
+            run_batch(problem_A, ref_A, EE, n, exact_info(), N, 1, **kw)
         with pytest.raises(DomainError, match="must be >= 1"):
-            analysis.run_cells(problem_A, ref_A, EE, 10, [exact_info()] * 2, 20, 1, **kw)
+            analysis.run_cells(problem_A, ref_A, EE, n, [exact_info()] * 2, N, 1, **kw)
+
+    def test_numpy_integer_sizes_accepted(self, problem_A, ref_A):
+        want = run_batch(problem_A, ref_A, EE, 10, exact_info(), 20, 1, chunk_size=8)
+        got = run_batch(problem_A, ref_A, EE, np.int64(10), exact_info(), np.int32(20), 1,
+                        chunk_size=np.int64(8), parallelism=np.int64(1))
+        assert np.array_equal(got.errors, want.errors)
 
     def test_no_columns_no_cells(self, problem_A, ref_A):
         assert analysis.run_cells(problem_A, ref_A, EE, 10, [], 20, 1) == []

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import randode
+from randode import cli
 from randode.cli import main
 
 
@@ -34,13 +35,6 @@ class TestSolve:
         rows = read_csv(tmp_path / "trajectory.csv")
         assert len(rows) == 12  # header + 11 knots
         assert float(rows[1][1]) == 1.0
-
-    def test_forced_tau_matches_hand_value(self, tmp_path):
-        rc = run_cli("solve", "--problem", "A", "--scheme", "rk", "--n", "1",
-                     "--noise", "exact", "--force-tau", "0.5", "--out", str(tmp_path))
-        assert rc == 0
-        rows = read_csv(tmp_path / "trajectory.csv")
-        assert float(rows[-1][1]) == pytest.approx(2.0, abs=1e-14)
 
     def test_invalid_scheme_exits_2(self, tmp_path, capsys):
         rc = run_cli("solve", "--problem", "A", "--scheme", "nope", "--out", str(tmp_path))
@@ -201,6 +195,25 @@ class TestTable:
         cfg.write_text("[experiment]\nproblem = A\nxi = 3\n")
         assert run_cli("--config", str(cfg), "table", "--out", str(tmp_path)) == 2
         assert "xi" in capsys.readouterr().err
+        # a value its flag would refuse, even where delta 0 would make it exact
+        cfg.write_text("[experiment]\nnoise = fresh\n")
+        assert run_cli("--config", str(cfg), "solve", "--out", str(tmp_path)) == 2
+        assert "noise = 'fresh'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keys", [("seed = 1", "master_seed = 2"),
+                                      ("n_list = 10", "n-list = 20"),
+                                      ("seed = 1", "seed = 2")],
+                             ids=["alias", "dash", "repeated"])
+    def test_one_setting_twice_rejected(self, tmp_path, capsys, keys):
+        cfg = tmp_path / "exp.ini"
+        body = "\n".join(("[experiment]", "delta_rules = 0", "N = 100") + keys)
+        cfg.write_text(body + "\n")
+        out = tmp_path / "out"
+        assert run_cli("--config", str(cfg), "table", "--n-list", "10",
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and keys[1].split()[0] in err
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli("--config", str(tmp_path / "nope.ini"), "table") == 2
@@ -220,6 +233,58 @@ class TestTable:
         doc = json.loads((tmp_path / "aliased" / "manifest.json").read_text())
         assert doc["config"]["seed"] == 11
         assert doc["config"]["subsamples"] == 4
+
+
+# every setting each command reads, with a config value and a different flag
+# value for it, each written so that str() of the converted value gives it back
+READS = {
+    "solve": "problem scheme n noise delta seed out dense",
+    "table": "problem scheme n_list noise delta_rules epsilon N seed out parallelism "
+             "subsamples ref_cache ref_steps",
+    "band": "problem scheme n noise delta xi epsilon grid_points seed out ref_cache ref_steps",
+    "tail": "problem scheme n noise delta epsilon N seed out parallelism subsamples "
+            "xi_max xi_points ref_cache ref_steps",
+    "diagnose": "problem N reps seed out ref_cache ref_steps",
+    "build-ref": "ref_cache ref_steps",
+}
+VALUES = {
+    "problem": ("B", "A"), "scheme": ("rk", "ie"), "n": ("7", "9"),
+    "n_list": ("10 20", "30"), "noise": ("ee", "rk"), "delta": ("1e-3", "n^-1"),
+    "delta_rules": ("0 1e-3", "n^-1"), "epsilon": ("0.1", "0.2"), "N": ("300", "400"),
+    "seed": ("3", "4"), "out": ("o1", "o2"), "parallelism": ("2", "3"),
+    "subsamples": ("4", "5"), "ref_cache": ("r1.bin", "r2.bin"),
+    "ref_steps": ("200000", "300000"), "dense": ("5", "6"), "xi": ("1.5", "2.5"),
+    "grid_points": ("11", "12"), "xi_max": ("3.5", "4.5"), "xi_points": ("13", "14"),
+    "reps": ("500", "600"),
+}
+
+
+@pytest.mark.parametrize("command,name", [(c, name) for c, names in READS.items()
+                                          for name in names.split()])
+def test_every_setting_is_a_config_key_and_its_flag_wins(tmp_path, monkeypatch,
+                                                          command, name):
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, command,
+                        (lambda args: seen.append(args) or 0, *cli.COMMANDS[command][1:]))
+    in_file, on_flag = VALUES[name]
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[experiment]\n{name} = {in_file}\n")
+    assert main(["--config", str(cfg), command]) == 0
+    assert main(["--config", str(cfg), command, "--" + name.replace("_", "-"), on_flag]) == 0
+    from_file, from_flag = (getattr(args, name) for args in seen)
+    assert (str(from_file), str(from_flag)) == (in_file, on_flag)
+    assert type(from_file) is type(from_flag)
+
+
+@pytest.mark.parametrize("command", list(READS))
+def test_help_lists_every_setting_with_its_default(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    text = capsys.readouterr().out
+    for name in READS[command].split():
+        assert "--" + name.replace("_", "-") in text
+    assert "(default: " in text
 
 
 class TestBand:
@@ -330,10 +395,10 @@ class TestDiagnose:
         assert {"martingale_mean_zero", "order_slope_ee", "order_slope_rk",
                 "noise_bound_ee", "noise_bound_ie", "noise_bound_rk"} <= names
 
-    def test_tampered_noise_fails(self, tmp_path):
+    def test_tampered_noise_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("randode.cli.verify_noise_bound", lambda noise, samples: False)
         rc = run_cli("diagnose", "--problem", "A", "--seed", "6",
-                     "--reps", "5000", "--N", "64", "--tamper-noise",
-                     "--out", str(tmp_path))
+                     "--reps", "5000", "--N", "64", "--out", str(tmp_path))
         assert rc == 1
         doc = json.loads((tmp_path / "diagnose.json").read_text())
         failed = [c for c in doc["checks"] if not c["passed"]]
