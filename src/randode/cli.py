@@ -216,6 +216,8 @@ def cmd_table(args) -> int:
     if rules is None:
         rules = RK_DELTA_RULES if scheme is SchemeKind.RUNGE_KUTTA2 else EE_DELTA_RULES
     rules = [parse_delta_rule(v) for v in rules.replace(",", " ").split()]
+    if not rules:
+        raise UsageError("table needs at least one delta column")
     epsilon, explicit_N, seed, out = args.epsilon, args.N, args.seed, args.out
     _check_run(epsilon, args.ref_steps, args.subsamples, args.parallelism)
     if explicit_N is not None and explicit_N < 100:

@@ -1,8 +1,9 @@
 """Noisy right-hand-side oracles.
 
-A :class:`NoisyOracle` wraps a problem's f into a seeded, evaluation-counted
-callable f~(t, x) = f(t, x) + perturbation, where the perturbation respects
-one of four noise classes with budget delta:
+A :class:`ChunkOracle` wraps a problem's f, for a chunk of replications at
+once, into a seeded, evaluation-counted f~(t, x) = f(t, x) + perturbation,
+and :class:`NoisyOracle` is its one-replication view.  The perturbation
+respects one of four noise classes with budget delta:
 
 * ``exact`` - no perturbation (delta = 0),
 * ``ee``    - fresh per call, bounded by delta * (1 + ||x||),
@@ -11,20 +12,19 @@ one of four noise classes with budget delta:
   Lipschitz-in-x bound delta * ||x - y|| required by the implicit scheme,
 * ``rk``    - fresh per call, bounded by delta in one-norm.
 
-Randomness contract (frozen): every oracle owns two counter-based child
-streams derived from SeedSequence(master_seed, spawn_key=(replication_index, k))
-with k = 0 for grid draws (the tau's consumed by the schemes) and k = 1 for
-noise draws.  The noise stream is read in units of 1 uniform at d = 1 and
-1 + 2d above (a factor draw, then the d exponential and d sign draws of a
-unit one-norm direction): the initial-value ball draw (only when
-``perturb_eta`` and delta > 0), then the ``ie`` factor, then one unit per
-noisy evaluation in call order.  At d = 1 a unit u gives the factor
-(2u - 1) delta.  Two oracles built from the same (master_seed,
-replication_index) therefore share identical grid draws regardless of their
-noise model, which couples exact and noisy runs.  A :class:`ChunkOracle`
-makes the same draws for a chunk of replications at once, and can evaluate
-several deltas of one noise kind on the same draws.  Both oracles turn units
-into perturbations with :func:`_unit_factor` and :func:`_perturb`.
+Randomness contract (frozen): every replication owns two counter-based
+child streams, :func:`derive_streams`: Philox keyed by
+SeedSequence(master_seed, spawn_key=(replication_index, k)) with k = 0 for
+grid draws (the tau's consumed by the schemes) and k = 1 for noise draws.
+The noise stream is read in units of 1 uniform at d = 1 and 1 + 2d above (a
+factor draw, then the d exponential and d sign draws of a unit one-norm
+direction): the initial-value ball draw (only when ``perturb_eta`` and
+delta > 0), then the ``ie`` factor, then one unit per noisy evaluation in
+call order.  At d = 1 a unit u gives the factor (2u - 1) delta.  Oracles of
+the same (master_seed, replication_index) therefore share identical grid
+draws regardless of their noise model, which couples exact and noisy runs,
+and the draws never depend on delta's value, so one chunk run can evaluate
+several deltas of one noise kind on the same draws.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def _mix_into(pool: list, word, hash_const: int) -> int:
 
 
 def stream_keys(master_seed, lo: int, hi: int, substream: int) -> np.ndarray:
-    """Philox keys, shape (hi - lo, 2), of derive_streams(master_seed, i)[substream], lo <= i < hi."""
+    """Philox keys, shape (hi - lo, 2), of stream ``substream`` of replications lo <= i < hi."""
     if not 0 <= lo <= hi:
         raise DomainError("replication range must satisfy 0 <= lo <= hi")
     if hi > _MAX_REPLICATIONS:
@@ -286,86 +286,23 @@ def _perturb(kind: str, e, direction, x):
     return e if direction is None else e * direction
 
 
-class NoisyOracle:
-    """A seeded, counted, perturbed view of one problem's (eta, f).
-
-    By default the initial value is passed through unperturbed (eta_tilde =
-    eta); ``perturb_eta=True`` draws eta_tilde uniformly from the one-norm
-    ball B(eta, delta) instead.  Either way eta_tilde lies in B(eta, delta).
-
-    Single-threaded: the draw streams and the evaluation counter are mutable.
-    Build one oracle per replication; distinct oracles may run concurrently.
-    """
-
-    def __init__(self, base: IvpSpec, model: NoiseModel, master_seed, replication_index: int,
-                 perturb_eta: bool = False, record_samples: bool = False):
-        self.base = base
-        self.model = model
-        self.master_seed = master_seed
-        self.replication_index = int(replication_index)
-        self.grid_stream, self.noise_stream = derive_streams(master_seed, replication_index)
-        self.eval_count = 0
-        self.samples = [] if record_samples else None
-        self._record = record_samples
-
-        self.eta_tilde = (base.eta + _perturb("rk", *self._unit("ball"), None)
-                          if perturb_eta and model.delta > 0.0 else base.eta.copy())
-        self._ie = self._unit("ie") if model.kind == "ie" and model.delta > 0.0 else None
-
-    def draw_taus(self, n: int) -> np.ndarray:
-        """The next n U(0,1) draws of the dedicated grid stream."""
-        return self.grid_stream.random(n)
-
-    def _unit(self, role: str):
-        """The next draw unit of the noise stream as (factor, direction)."""
-        d = self.base.d
-        u = self.noise_stream.random(_unit_width(d))
-        return _unit_factor(_signed(u) if d == 1 else u, self.model.delta, d, role)
-
-    def _perturbation(self, x: np.ndarray) -> np.ndarray:
-        m = self.model
-        if m.kind == "exact" or m.delta == 0.0:
-            return np.zeros(self.base.d)
-        return _perturb(m.kind, *(self._ie if m.kind == "ie" else self._unit("fresh")), x)
-
-    def noisy_eval(self, t: float, x) -> np.ndarray:
-        """f(t, x) + perturbation; increments the evaluation counter."""
-        x = np.asarray(x, dtype=float)
-        i = self.replication_index
-        base = np.atleast_1d(np.asarray(self.base.rhs(t, x), dtype=float))
-        if not np.all(np.isfinite(base)):
-            raise NumericalError(f"replication {i}: rhs returned a non-finite value at t={t}",
-                                 replication=i)
-        pert = self._perturbation(x)
-        size, bound = one_norm(pert), self.model.bound(x)
-        if not size <= bound * (1.0 + _BOUND_RTOL):
-            raise NumericalError(f"replication {i}: perturbation of one-norm {size!r} at t={t} "
-                                 f"exceeds its {self.model.kind} noise-class bound {bound!r}",
-                                 replication=i)
-        self.eval_count += 1
-        if self._record:
-            self.samples.append((t, x.copy(), pert.copy()))
-        return base + pert
-
-
 class ChunkOracle:
     """The oracles of replications [lo, hi), evaluated together.
 
     States have shape (k, m, d), one row per replication in each of k delta
     columns; times have shape (m, 1), or are one time for all rows.  Row i
-    draws exactly what ``NoisyOracle(base, model, master_seed, lo + i,
-    perturb_eta)`` draws, in the same order, from step-major tapes of draw
-    units, (units, m, w), filled from that replication's streams
-    (:func:`stream_keys`, :func:`_step_major_tape`).  The constructor takes
-    the lead units (the ball draw, then the ``ie`` factor); each
-    :meth:`draw_taus` call fills the next steps' grid draws and, for fresh
-    noise, the units of their ``evals_per_step`` evaluations a step, entering
-    each stream at its next draw (:func:`fill_uniform_rows`).  Evaluation is
-    rhs plus the perturbation, without :meth:`NoisyOracle.noisy_eval`'s
-    per-call checks; ``eval_count`` counts calls, each covering every row,
-    and ``replication_index`` is lo.  A vectorized rhs
-    (``base.rhs_vectorized``) is called once for all rows, any other once
-    per row with its time and (d,) state, as :class:`NoisyOracle` calls it.
+    reads replication lo + i's streams (:func:`derive_streams`) in the order
+    of the module docstring, from step-major tapes, (units, m, w), each
+    entering its streams at their next draw (:func:`_step_major_tape`).
+    :meth:`draw_taus` fills the next steps' grid draws.  Noise units are
+    taken at one site, :meth:`_unit`, which refills a used-up tape with the
+    units of the last :meth:`draw_taus` steps' evaluations, ``evals_per_step``
+    a step (before any steps: the lead units, the ball draw and the ``ie``
+    factor, or else one).  Evaluation is rhs plus the perturbation, without
+    :class:`NoisyOracle`'s per-call checks; ``eval_count`` counts calls, each
+    covering every row, and ``replication_index`` is lo.  A vectorized rhs
+    (``base.rhs_vectorized``) is called once for all rows, any other once per
+    row with its time and (d,) state, as :class:`NoisyOracle` calls it.
 
     Column c is the oracle of ``model`` with delta ``deltas[c]`` (default:
     ``model.delta`` alone).  The draws do not depend on delta, so every
@@ -386,19 +323,15 @@ class ChunkOracle:
         self._evals_per_step = evals_per_step
         self._deltas = np.asarray(model.delta if deltas is None else deltas,
                                   dtype=float).reshape(-1, 1, 1)
-        d = base.d
         ball = perturb_eta and model.delta > 0.0
         ie = model.kind == "ie" and model.delta > 0.0
         self._grid_keys = stream_keys(master_seed, lo, hi, 0)
         self._noise_keys = (stream_keys(master_seed, lo, hi, 1)
                             if ball or ie or model.fresh else None)
-        self._taus = None
-        self._grid_pos = 0  # grid draws taken, per row
-        self._noise_pos = ball + ie  # noise units taken, per row
-        self._noise = (self._tape(None, self._noise_keys, self._noise_pos, 0, noise=True)
-                       if self._noise_pos else None)
-        self._next = 0
-        self.eta_tilde = np.empty((self._deltas.shape[0], self._m, d))
+        self._taus = self._noise = np.empty((0, self._m, 1))  # used-up tapes
+        self._grid_pos = self._noise_pos = 0  # grid draws and noise units filled, per row
+        self._next, self._fill = 0, ball + ie or 1  # next unit of the tape; size of the next tape
+        self.eta_tilde = np.empty((self._deltas.shape[0], self._m, base.d))
         self.eta_tilde[...] = (base.eta + _perturb("rk", *self._unit("ball"), None) if ball
                                else base.eta)
         self._ie = self._unit("ie") if ie else None
@@ -407,30 +340,26 @@ class ChunkOracle:
         """Units start .. start + steps - 1 of keys' streams (:func:`_step_major_tape`): noise
         draw units, or single grid draws; in the front of buf when it is long enough."""
         w = _unit_width(self.base.d) if noise else 1
-        if buf is None or buf.shape[0] < steps:
+        if buf.shape[0] < steps:
             buf = np.empty((steps, self._m, w))
         return _step_major_tape(keys, buf[:steps], start, signed=noise and w == 1)
 
     def _unit(self, role: str):
         """Every row's next noise unit as (factor, direction) for every column."""
-        unit = self._noise[self._next]
+        if self._next == self._noise.shape[0]:
+            self._noise = self._tape(self._noise, self._noise_keys, self._fill, self._noise_pos,
+                                     noise=True)
+            self._noise_pos += self._fill
+            self._next = 0
         self._next += 1
-        return _unit_factor(unit, self._deltas, self.base.d, role)
+        return _unit_factor(self._noise[self._next - 1], self._deltas, self.base.d, role)
 
     def draw_taus(self, n: int) -> np.ndarray:
-        """Every row's next n grid draws, step-major: C-contiguous, shape (n, m, 1).
-
-        For fresh noise this also fills the noise units of those n steps'
-        evaluations.  Both tapes are buffers that the next call reuses.
-        """
+        """Every row's next n grid draws, step-major: C-contiguous, shape (n, m, 1), in a
+        buffer that later calls reuse; the next noise tape holds these steps' units."""
         self._taus = self._tape(self._taus, self._grid_keys, n, self._grid_pos)
         self._grid_pos += n
-        if self.model.fresh:
-            units = n * self._evals_per_step
-            self._noise = self._tape(self._noise, self._noise_keys, units, self._noise_pos,
-                                     noise=True)
-            self._noise_pos += units
-            self._next = 0
+        self._fill = n * self._evals_per_step
         return self._taus
 
     def _rhs(self, t, x) -> np.ndarray:
@@ -441,14 +370,69 @@ class ChunkOracle:
             f[c, i] = np.atleast_1d(np.asarray(self.base.rhs(ts[i], x[c, i]), dtype=float))
         return f
 
+    def _perturbation(self, x):
+        """Every row's perturbation at states x, (k, m, d); None for exact or delta 0."""
+        kind = self.model.kind
+        if kind == "exact" or self.model.delta == 0.0:
+            return None
+        return _perturb(kind, *(self._ie if kind == "ie" else self._unit("fresh")), x)
+
     def noisy_eval(self, t, x) -> np.ndarray:
         """rhs(t, x) plus every row's perturbation."""
         self.eval_count += 1
         f = self._rhs(t, x)
-        kind = self.model.kind
-        if kind == "exact" or self.model.delta == 0.0:
-            return f
-        return f + _perturb(kind, *(self._ie if kind == "ie" else self._unit("fresh")), x)
+        pert = self._perturbation(x)
+        return f if pert is None else f + pert
+
+
+class NoisyOracle(ChunkOracle):
+    """A seeded, counted, perturbed view of one problem's (eta, f): replication
+    ``replication_index`` as a one-row :class:`ChunkOracle`, with states of shape (d,).
+
+    By default the initial value is passed through unperturbed (eta_tilde =
+    eta); ``perturb_eta=True`` draws eta_tilde uniformly from the one-norm
+    ball B(eta, delta) instead.  Either way eta_tilde lies in B(eta, delta).
+    Each evaluation checks that the rhs is finite and the perturbation
+    within its class bound, and ``record_samples`` keeps every (t, x,
+    perturbation).
+
+    Single-threaded: the draw tapes and the evaluation counter are mutable.
+    Build one oracle per replication; distinct oracles may run concurrently.
+    """
+
+    def __init__(self, base: IvpSpec, model: NoiseModel, master_seed, replication_index: int,
+                 perturb_eta: bool = False, record_samples: bool = False):
+        i = int(replication_index)
+        super().__init__(base, model, master_seed, i, i + 1, perturb_eta=perturb_eta)
+        self.eta_tilde = self.eta_tilde[0, 0]
+        self.samples = [] if record_samples else None
+
+    def draw_taus(self, n: int) -> np.ndarray:
+        """The next n draws of the grid stream, shape (n,), in a fresh array."""
+        return super().draw_taus(n)[:, 0, 0].copy()
+
+    def _perturbation(self, x: np.ndarray) -> np.ndarray:
+        pert = super()._perturbation(x[None, None])
+        return np.zeros(self.base.d) if pert is None else pert[0, 0]
+
+    def noisy_eval(self, t: float, x) -> np.ndarray:
+        """f(t, x) + perturbation; increments the evaluation counter."""
+        x = np.asarray(x, dtype=float)
+        i = self.replication_index
+        base = np.atleast_1d(np.asarray(self.base.rhs(t, x), dtype=float))
+        if not np.all(np.isfinite(base)):
+            raise NumericalError(f"replication {i}: rhs returned a non-finite value at t={t}",
+                                 replication=i)
+        pert = self._perturbation(x)
+        size, bound = one_norm(pert), self.model.bound(x)
+        if not size <= bound * (1.0 + _BOUND_RTOL):
+            raise NumericalError(f"replication {i}: perturbation of one-norm {size!r} at t={t} "
+                                 f"exceeds its {self.model.kind} noise-class bound {bound!r}",
+                                 replication=i)
+        self.eval_count += 1
+        if self.samples is not None:
+            self.samples.append((t, x.copy(), pert.copy()))
+        return base + pert
 
 
 def verify_noise_bound(m: NoiseModel, samples) -> bool:

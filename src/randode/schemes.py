@@ -5,10 +5,10 @@ noisy oracle at a uniformly random intermediate point theta_j drawn per step
 from the oracle's grid stream.  The continuous output is the linear
 interpolant of the node values.
 
-Each scheme is written once and steps either one replication (a
-:class:`NoisyOracle`, state shape (d,)) or a whole chunk of replications (a
-:class:`ChunkOracle`, state shape (k, m, d), one row per replication in each
-of k delta columns) with the same elementwise arithmetic, so the two give
+Each scheme is written once and steps a :class:`ChunkOracle`: a whole chunk
+of replications (state shape (k, m, d), one row per replication in each of
+k delta columns) or one replication (its :class:`NoisyOracle` view, state
+shape (d,)) with the same elementwise arithmetic, so the two give
 bitwise-identical nodes.  A run walks its steps in blocks of
 ``_BLOCK_STEPS``.  By default it keeps every node for its
 :class:`Trajectory`.  A node sink, ``sink(j0, nodes)``, is instead called
@@ -25,7 +25,7 @@ import enum
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError, NumericalError
-from .noise import _BLOCK_ELEMS, ChunkOracle, NoiseModel, NoisyOracle
+from .noise import _BLOCK_ELEMS, ChunkOracle, NoiseModel
 from .problems import IvpSpec, d_exact_solution_A, exact_solution_A
 
 #: steps of one block of a chunk run: its tapes hold this many steps of every
@@ -237,8 +237,7 @@ class _Run:
                           self.oracle.eval_count, self.failures() if self.sink else None)
 
 
-def run_explicit_euler(oracle: NoisyOracle | ChunkOracle, n: int, taus=None,
-                       sink=None) -> Trajectory:
+def run_explicit_euler(oracle: ChunkOracle, n: int, taus=None, sink=None) -> Trajectory:
     """W_j = W_{j-1} + h f~(theta_j, W_{j-1}); one oracle call per step."""
     run = _Run(oracle, n, taus, sink)
     h, knots = run.grid.h, run.grid.knots
@@ -250,7 +249,7 @@ def run_explicit_euler(oracle: NoisyOracle | ChunkOracle, n: int, taus=None,
     return run.result(SchemeKind.EXPLICIT_EULER)
 
 
-def run_rk2(oracle: NoisyOracle | ChunkOracle, n: int, taus=None, sink=None) -> Trajectory:
+def run_rk2(oracle: ChunkOracle, n: int, taus=None, sink=None) -> Trajectory:
     """Two-stage step: a tau-scaled stage at t_{j-1}, then the update at theta_j.
 
     Two oracle calls per step.  A block's stages are written into one reused
@@ -286,7 +285,7 @@ def implicit_euler_refusal(base: IvpSpec, model: NoiseModel, n: int):
     return None
 
 
-def run_implicit_euler(oracle: NoisyOracle | ChunkOracle, n: int, tol: float = 1e-12,
+def run_implicit_euler(oracle: ChunkOracle, n: int, tol: float = 1e-12,
                        max_iter: int = 100, taus=None, sink=None) -> Trajectory:
     """U_j = U_{j-1} + h f~(theta_j, U_j), solved by fixed-point iteration.
 
@@ -336,7 +335,7 @@ def run_implicit_euler(oracle: NoisyOracle | ChunkOracle, n: int, tol: float = 1
     return run.result(SchemeKind.IMPLICIT_EULER)
 
 
-def run_scheme(oracle: NoisyOracle | ChunkOracle, scheme: SchemeKind, n: int,
+def run_scheme(oracle: ChunkOracle, scheme: SchemeKind, n: int,
                taus=None, sink=None) -> Trajectory:
     if scheme is SchemeKind.EXPLICIT_EULER:
         return run_explicit_euler(oracle, n, taus=taus, sink=sink)

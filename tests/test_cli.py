@@ -1,4 +1,7 @@
+import contextlib
 import csv
+import hashlib
+import io
 import json
 import math
 import os
@@ -319,6 +322,49 @@ class TestBand:
         assert run_cli("band", "--problem", "A", "--out", str(tmp_path)) == 2
 
 
+# sha256 of single-run outputs: solve and band draw through one NoisyOracle,
+# and no benchmark workload runs them, so these pin its draws and arithmetic
+@pytest.mark.parametrize("problem,scheme,delta,digest", [
+    ("A", "ee", "0",
+     "6d0f256d623cb2e0d2b7ac3f154452519090364947aff75c5fd6a2302378dda8"),
+    ("A", "ee", "1e-2",
+     "6046802705fe9b92cbe43ca7bed9c2b859620b783a35759bcb02a7db3df9e6a3"),
+    ("A", "rk", "0",
+     "a91f574e8b41f7974321f0f93bc70304bbe254cc24845f16a219a7fd14744ee5"),
+    ("A", "rk", "1e-2",
+     "15ebd5387778a8c053806f994555c15d837c4d43e9040bb991bfe4d16fba573f"),
+    ("A", "ie", "0",
+     "44ce68240856af626aa54b944eda87a538d86e5881529fc4e2d47b43db3b7ce1"),
+    ("A", "ie", "1e-2",
+     "a174b538200c145c1d89755a53d5816b557cc700d23a812aa5e6f7a44224288b"),
+    ("B", "ee", "0",
+     "d8bc98d5fcf5d3a481904e53b515f949b08bc66eaa247a4d0f670fea67303577"),
+    ("B", "ee", "1e-2",
+     "75ad9fff9096cdd7dd65ffcae0c3e0ad492adb96ff82bbd3e2f3349e335f70d8"),
+    ("B", "rk", "0",
+     "9dcce2c6126341295cce70cb608b04b59f6b236043f7e9f065a937a1dc08d761"),
+    ("B", "rk", "1e-2",
+     "1e6cf7a01b7858125e1e8ed3e2dc694c52230a5accba7fc35ac99a122420f775"),
+    ("B", "ie", "0",
+     "ae7a84da31fe5fdbcfd9ce0a587a52d9153d0c5495a829fa476570c9c71933fa"),
+    ("B", "ie", "1e-2",
+     "424c2497139acfa929fd8aef242201ffac2777654dea16ddbda9d2ae3c1e7d6b"),
+])
+def test_solve_trajectory_is_pinned(tmp_path, problem, scheme, delta, digest):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli("solve", "--problem", problem, "--scheme", scheme, "--n", "64",
+                       "--delta", delta, "--seed", "7", "--out", str(tmp_path)) == 0
+    assert hashlib.sha256((tmp_path / "trajectory.csv").read_bytes()).hexdigest() == digest
+
+
+def test_band_csv_is_pinned(tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli("band", "--problem", "A", "--scheme", "rk", "--n", "30", "--xi", "2",
+                       "--grid-points", "21", "--seed", "7", "--out", str(tmp_path)) == 0
+    digest = hashlib.sha256((tmp_path / "band_rk_A.csv").read_bytes()).hexdigest()
+    assert digest == "eab6db37cbc5100fb382d3b5c18e6785c818a3f99c32e0960a260a2ff6f797e0"
+
+
 class TestTail:
     def test_tail_csv(self, tmp_path):
         rc = run_cli("tail", "--problem", "A", "--scheme", "ee", "--n", "20",
@@ -358,6 +404,8 @@ class TestTail:
     ("table", "noise", "exact"),  # exact information with the 1e-3 column
     ("tail", "delta", "1e-320"),  # subnormal
     ("table", "delta-rules", "0 1e-320"),
+    ("table", "delta-rules", ""),  # no delta column
+    ("table", "delta-rules", " , "),
 ])
 def test_bad_run_setting_rejected_before_output(tmp_path, capsys, command, setting, value):
     sizes = {"table": ["--n-list", "10", "--delta-rules", "0 1e-3", "--N", "100"],
@@ -373,6 +421,7 @@ def test_bad_run_setting_rejected_before_output(tmp_path, capsys, command, setti
     ("band", ["--n", "10", "--xi", "3", "--grid-points", "1"]),
     ("diagnose", ["--N", "0"]),
     ("diagnose", ["--reps", "1"]),
+    ("table", ["--n-list", "10", "--delta-rules", "", "--N", "100"]),
 ])
 def test_bad_setting_rejected_before_reference_build(tmp_path, capsys, command, args):
     # problem B with a fresh cache: a bad setting must not cost a reference build

@@ -18,9 +18,11 @@ from randode import (
     run_rk2,
     verify_noise_bound,
 )
+from randode import noise as noise_module
 from randode.noise import (
     ChunkOracle,
     _signed,
+    _step_major_tape,
     derive_streams,
     fill_uniform_rows,
     stream_keys,
@@ -88,7 +90,7 @@ class TestOracle:
         draws = {}
         for i in range(8):
             o = NoisyOracle(problem_A, m, 42, i)
-            draws[i] = tuple(o.grid_stream.random(128))
+            draws[i] = tuple(o.draw_taus(128))
         assert len(set(draws.values())) == 8
 
     def test_grid_draws_shared_across_noise_models(self, problem_A):
@@ -144,11 +146,18 @@ class TestChunkStreams:
             want = derive_streams(seed, i)[k].random(start + width)[start:]
             assert np.array_equal(rows[i - lo], want)
 
-    def test_chunk_tapes_are_step_major(self):
+    def test_chunk_tapes_are_step_major(self, monkeypatch):
         # 3000 draws a row puts 16 rows in a fill block: blocks of 16, 16 and 5
         # rows; the second block starts every grid stream at draw 3000 and,
         # after the ball draw, every noise stream at draw 6001
         seed, lo, hi, blocks = 11, 40, 77, (3000, 1000)
+        fills = []
+
+        def counted(keys, out, *args, **kwargs):
+            fills.append(out.shape[0])
+            return _step_major_tape(keys, out, *args, **kwargs)
+
+        monkeypatch.setattr(noise_module, "_step_major_tape", counted)
         oracle = ChunkOracle(zero_field_problem(), NoiseModel("rk", 0.01), seed, lo, hi,
                              evals_per_step=2, perturb_eta=True)
         x = np.zeros((1, hi - lo, 1))
@@ -158,6 +167,8 @@ class TestChunkStreams:
             assert block.shape == (steps, hi - lo, 1) and block.flags.c_contiguous
             taus.append(block.copy())
             noise += [oracle.noisy_eval(0.0, x) for _ in range(2 * steps)]
+        # one fill per tape and block: the ball draw, then taus and noise units
+        assert fills == [1, 3000, 6000, 1000, 2000]
         taus, noise = np.concatenate(taus), np.stack(noise)
         for i in range(lo, hi):
             grid, stream = derive_streams(seed, i)
@@ -183,12 +194,16 @@ class TestChunkStreams:
         with pytest.raises(DomainError):
             stream_keys(5, 1 << 32, (1 << 32) + 1, 0)
 
-    def test_bad_seed_and_substream_rejected(self):
+    def test_bad_seed_and_substream_rejected(self, problem_A):
         for seed in (-1, None, 1.5, "7"):
             with pytest.raises(DomainError):
                 stream_keys(seed, 0, 2, 0)
+            with pytest.raises(DomainError):
+                NoisyOracle(problem_A, exact_info(), seed, 0)
         with pytest.raises(DomainError):
             stream_keys(5, 0, 2, 2)
+        with pytest.raises(DomainError):
+            NoisyOracle(problem_A, exact_info(), 5, 1 << 32)
 
 
 class TestEvalCounting:
@@ -255,21 +270,36 @@ class TestVerifyNoiseBound:
         assert verify_noise_bound(m, o.samples)
 
 
-def _l1_direction(rng, d):
-    """A unit one-norm direction: simplex point (cone measure) with random signs."""
-    e = -np.log(rng.random(d))
-    dirs = e / np.sum(e)
-    signs = np.where(rng.random(d) < 0.5, -1.0, 1.0)
-    return dirs * signs
+def _l1_direction(u, d):
+    """A unit one-norm direction from 2d uniforms: simplex point (cone measure), random signs."""
+    e = -np.log(u[:d])
+    return e / np.sum(e) * np.where(u[d:] < 0.5, -1.0, 1.0)
 
 
-def _ball_point(rng, center, radius):
+def _unit(rng, d):
+    """The next noise unit of rng: its lead uniform and its direction (1.0 at d = 1)."""
+    u = rng.random(1 if d == 1 else 1 + 2 * d)
+    return float(u[0]), (_l1_direction(u[1:], d) if d > 1 else 1.0)
+
+
+def _ball_point(unit, center, radius, d):
     """Uniform draw from the one-norm ball B(center, radius)."""
-    d = center.shape[0]
+    u, direction = unit
     if d == 1:
-        return center + (2.0 * rng.random() - 1.0) * radius
-    r = radius * rng.random() ** (1.0 / d)
-    return center + r * _l1_direction(rng, d)
+        return center + (2.0 * u - 1.0) * radius
+    return center + radius * u ** (1.0 / d) * direction
+
+
+def _perturbation(kind, unit, delta, x, d):
+    """The perturbation at x from one unit: the ie factor's, or the evaluation's own."""
+    u, direction = unit
+    if kind == "ie" or d == 1:
+        e = (2.0 * u - 1.0) * delta
+        return (e if kind == "rk" else e * (1.0 + one_norm(x))) * direction
+    mag = u * delta
+    if kind == "ee":
+        mag *= 1.0 + one_norm(x)
+    return mag * direction
 
 
 def _bits(a):
@@ -288,23 +318,43 @@ class TestMultiDimensional:
         for i in range(25):
             o = NoisyOracle(p, NoiseModel(kind, delta), seed, i, perturb_eta=True)
             rng = derive_streams(seed, i)[1]
-            assert np.array_equal(_bits(o.eta_tilde), _bits(_ball_point(rng, p.eta, delta)))
-            if kind == "ie":
-                e0 = (2.0 * rng.random() - 1.0) * delta
-                dir0 = _l1_direction(rng, d) if d > 1 else 1.0
+            assert np.array_equal(_bits(o.eta_tilde), _bits(_ball_point(_unit(rng, d), p.eta,
+                                                                        delta, d)))
+            ie = _unit(rng, d) if kind == "ie" else None
             for x in xs:
-                if kind == "ie":
-                    want = e0 * (1.0 + one_norm(x)) * dir0
-                elif d == 1:
-                    e = (2.0 * rng.random() - 1.0) * delta
-                    want = e * (1.0 + np.abs(x)) if kind == "ee" else e
-                else:
-                    mag = rng.random() * delta
-                    if kind == "ee":
-                        mag *= 1.0 + one_norm(x)
-                    want = mag * _l1_direction(rng, d)
+                want = _perturbation(kind, ie or _unit(rng, d), delta, x, d)
                 got = o.noisy_eval(0.5, x)  # the zero field adds +0.0
                 assert np.array_equal(_bits(got), _bits(0.0 + np.broadcast_to(want, (d,))))
+
+        # a chunk of 6 replications in two delta columns, on the same
+        # formulas: 3 evaluations before any steps are drawn, then 4 steps'
+        # worth plus 3 past them, then 2 steps' worth
+        lo, hi, deltas = 3, 9, (0.05, delta)
+        for evals_per_step in (1, 2):
+            o = ChunkOracle(p, NoiseModel(kind, delta), seed, lo, hi, evals_per_step,
+                            perturb_eta=True, deltas=deltas)
+            schedule = [(0, 3), (4, 4 * evals_per_step + 3), (2, 2 * evals_per_step)]
+            xs = np.random.default_rng(2).normal(size=(sum(e for _, e in schedule), 2,
+                                                       hi - lo, d))
+            taus, got = [], []
+            for steps, evals in schedule:
+                if steps:
+                    taus.append(o.draw_taus(steps)[:, :, 0].copy())
+                got += [o.noisy_eval(0.5, x) for x in xs[len(got):len(got) + evals]]
+            taus, got = np.concatenate(taus), np.stack(got)
+            for r in range(hi - lo):
+                grid, rng = derive_streams(seed, lo + r)
+                assert np.array_equal(taus[:, r], grid.random(6))
+                ball = _unit(rng, d)
+                ie = _unit(rng, d) if kind == "ie" else None
+                units = [ie or _unit(rng, d) for _ in xs]
+                for c, col_delta in enumerate(deltas):
+                    assert np.array_equal(_bits(o.eta_tilde[c, r]),
+                                          _bits(_ball_point(ball, p.eta, col_delta, d)))
+                    for e, unit in enumerate(units):
+                        want = _perturbation(kind, unit, col_delta, xs[e, c, r], d)
+                        assert np.array_equal(_bits(got[e, c, r]),
+                                              _bits(0.0 + np.broadcast_to(want, (d,))))
 
     def test_perturbation_norms_bounded_d3(self):
         p = zero_field_problem(d=3)
