@@ -134,52 +134,200 @@ def _scratch(buf: np.ndarray, shape) -> np.ndarray:
     return buf[:math.prod(shape)].reshape(shape)
 
 
-def _sup_error_kernel(nodes: np.ndarray, h: float, ref_knots: np.ndarray,
-                      ref_int: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """Max one-norm deviation over knots and interior offsets.
+#: the pruning bound's rounding margin, in units of d u (u the unit roundoff)
+_MARGIN_ULPS = 64
+_U = np.finfo(float).eps / 2
+_TINY = np.finfo(float).tiny
 
-    ``nodes`` has shape (n+1, M, d), step-major; returns (M,).  This is the
-    frozen evaluation rule shared by :func:`sup_error` and the batched
-    runner, so the two produce bitwise-identical results.  The interior
-    value at offset dt[k] of step j is nodes[j-1] + dt[k] * slope_j, with
-    slope_j = (nodes[j] - nodes[j-1]) / h, rounded in that order.
+
+def _step_terms(ref_knots: np.ndarray, ref_int: np.ndarray, theta: np.ndarray):
+    """Per step j of a block: c_j = max_k ||(1 - theta_k) R_{j-1} + theta_k R_j -
+    ref_int[k, j]||_1, the chord's largest deviation from the reference, and Rt_j =
+    max(||R_{j-1}||_1, ||R_j||_1) + c_j, which bounds the one-norm of every reference
+    value of the step."""
+    th = theta[:, None, None]
+    chord = (1.0 - th) * ref_knots[:-1] + th * ref_knots[1:]
+    c = np.sum(np.abs(chord - ref_int), axis=2).max(axis=0)
+    at_knots = np.sum(np.abs(ref_knots), axis=1)
+    return c, np.maximum(at_knots[:-1], at_knots[1:]) + c
+
+
+def _kernel_buffers(steps: int, M: int, d: int, K: int) -> tuple:
+    """The kernel's scratch for blocks of up to steps steps of M rows and K offsets: slopes,
+    deviations (at least the K offsets' deviations and references of one pair, for the
+    gathered pass), their one-norms (d > 1), the live flags and one value a row."""
+    dev = np.empty(max((steps + 1) * M, 2 * K) * d)
+    return (np.empty(steps * M * d), dev, np.empty(dev.size // d) if d > 1 else None,
+            np.empty(steps * M, dtype=bool), np.empty(M))
+
+
+def _sup_error_kernel(nodes: np.ndarray, h: float, ref_knots: np.ndarray,
+                      ref_int: np.ndarray, dt: np.ndarray, err: np.ndarray = None,
+                      scratch: dict = None) -> np.ndarray:
+    """Max one-norm deviation over knots and interior offsets, folded into ``err``.
+
+    ``nodes`` has shape (n+1, M, d), step-major; returns (M,): ``err``
+    itself, updated in place, when it is given (a running max), else a new
+    array.  This is the frozen evaluation rule shared by :func:`sup_error`
+    and the batched runner, so the two produce bitwise-identical results.
+    The interior value at offset dt[k] of step j is nodes[j-1] + dt[k] *
+    slope_j, with slope_j = (nodes[j] - nodes[j-1]) / h, rounded in that
+    order.
 
     Steps are taken in blocks of about ``_BLOCK_ELEMS`` node values (at
-    least one step), each a contiguous slab of every row.  Every deviation
-    of a block is written into one reused scratch array, so the kernel needs
-    O(block) memory whatever n is, and its working set stays in cache.  A
-    block repeats the previous block's last knot; max is exact, so that
-    changes nothing.
+    least one step), each a contiguous slab of every row, in reused scratch
+    of O(block) size, so the kernel's memory does not grow with n and its
+    working set stays in cache.  A block repeats the previous block's last
+    knot; max is exact, so that changes nothing.  ``scratch``, a dict that a
+    caller passes to every call of one run, keeps that scratch from one call
+    to the next.
+
+    **Certified pruning.**  A block folds its knot deviations D_j first.
+    Max is exact, so an interior deviation that cannot exceed its row's
+    running max E, which is at most the row's final max, cannot change the
+    result.  With theta_k = dt[k] / h, the interior value minus the
+    reference is (1 - theta_k)(x_{j-1} - R_{j-1}) + theta_k (x_j - R_j) +
+    (chord - ref), so in exact arithmetic every interior deviation of step
+    j is at most P + c_j, with P = max(D_{j-1}, D_j) and c_j the chord's
+    largest deviation from the reference, which does not depend on the row
+    (:func:`_step_terms`; it also gives Rt_j, a bound on the one-norm of
+    each of the step's reference values).  A (step, row) pair is evaluated
+    only when
+
+        P + c_j + kappa (Rt_j + (1 + h) tiny) > min((1 - kappa) E, lim),
+        kappa = ``_MARGIN_ULPS`` d u
+
+    with u the unit roundoff and tiny the smallest normal number.  Below
+    that its computed deviations cannot exceed E, by the standard model
+    fl(a op b) = (a op b)(1 + e), |e| <= u (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., ch. 2-3):
+
+    * each node is within P of its reference in one-norm, so
+      ||x_{j-1}|| + ||x_j|| <= 2 (P + Rt_j);
+    * an interior value's five rounded operations (the slope's subtraction
+      and division, the product with dt[k], the sum, the subtraction of the
+      reference) err by at most 5.01 u (|x_{j-1}| + |x_j|) + u |e| a
+      component, and the one-norm's d - 1 additions by a factor 1 + (d - 1) u;
+    * the computed D_j are low by at most a factor 1 - d u, and the
+      computed c_j by at most (d + 1) u c_j + 6.2 u Rt_j (theta_k, 1 -
+      theta_k, the two products, the sum and the subtraction), with c_j <=
+      Rt_j;
+
+    so a computed interior deviation is at most P + c_j + (4.1 d + 18.4) u
+    (P + Rt_j).  The test's own roundings (the sums, the product with
+    kappa and the scaling of E) cost at most 3.1 u (E + Rt_j), and P <= E,
+    because E includes the block's knots: kappa = 64 d u covers (4.1 d +
+    21.5) u for every d >= 1.  The (1 + h) tiny term covers underflow: a
+    multiplication or division that underflows errs by up to half the
+    smallest subnormal, at most 5 d times a deviation, each scaled by at
+    most dt[k] < h; additions and subtractions are exact there.  The
+    standard model also needs no overflow: lim = min(h, 1) max_float / (16
+    d) keeps every intermediate of a pruned pair finite, and a block whose
+    Rt_j exceeds lim is evaluated whole.  A row whose E is inf or NaN, from
+    non-finite nodes (a failed run, whose maxima are discarded), has no
+    live pair, and it stays inf or NaN.  The test is per pair, so one row's
+    non-finite nodes change no other row's test and no block's pass.
+
+    A block with more than ``1 / _DENSE_SHARE`` of its pairs live takes the
+    dense pass over every pair; one with fewer evaluates the live pairs
+    only, gathered (:func:`_fold_live`).  The count is the block's own, so
+    rows whose errors grow with t, which keep many pairs live, pay for the
+    test and nothing else.
     """
     n1, M, d = nodes.shape
-    steps = max(1, min(n1 - 1, _BLOCK_ELEMS // (M * d)))
-    slope_buf = np.empty(steps * M * d)
-    dev_buf = np.empty((steps + 1) * M * d)
-    sum_buf = np.empty((steps + 1) * M) if d > 1 else None
-    step_max = np.empty(M)
-    err = np.zeros(M)
+    steps = max(1, min(n1 - 1, -(-_BLOCK_ELEMS // (M * d))))
+    shape = (M, d, dt.shape[0])
+    bufs = None if scratch is None else scratch.get(shape)
+    if bufs is None or bufs[0].size < steps * M * d:
+        bufs = _kernel_buffers(steps, *shape)
+        if scratch is not None:
+            scratch[shape] = bufs
+    slope_buf, dev_buf, sum_buf, live_buf, row_buf = bufs
+    err = np.zeros(M) if err is None else err
+    kappa = _MARGIN_ULPS * d * _U
+    theta = dt / h
+    # no intermediate of a pruned pair's interior values can overflow below this
+    finite_lim = min(h, 1.0) * np.finfo(float).max / (16 * d)
+    tiny = (1.0 + h) * _TINY
+
+    def norms(dev):
+        """The one-norms of dev's rows (..., d), through the reused scratch."""
+        np.abs(dev, out=dev)
+        return dev[..., 0] if d == 1 else np.sum(dev, axis=-1,
+                                                 out=_scratch(sum_buf, dev.shape[:-1]))
 
     def fold(dev):
         """Fold the largest one-norm of each row of dev (b, M, d) into err."""
-        np.abs(dev, out=dev)
-        norms = dev[..., 0] if d == 1 else np.sum(dev, axis=2,
-                                                  out=_scratch(sum_buf, dev.shape[:2]))
-        np.maximum(err, np.max(norms, axis=0, out=step_max), out=err)
+        np.maximum(err, np.max(norms(dev), axis=0, out=row_buf), out=err)
 
     for s0 in range(0, n1 - 1, steps):
         s1 = min(s0 + steps, n1 - 1)
+        S = s1 - s0
         knots = nodes[s0:s1 + 1]
-        fold(np.subtract(knots, ref_knots[s0:s1 + 1, None], out=_scratch(dev_buf, knots.shape)))
-        slopes = np.subtract(nodes[s0 + 1:s1 + 1], nodes[s0:s1],
-                             out=_scratch(slope_buf, (s1 - s0, M, d)))
-        np.divide(slopes, h, out=slopes)
-        dev = _scratch(dev_buf, slopes.shape)
-        for k in range(dt.shape[0]):
-            np.multiply(dt[k], slopes, out=dev)
-            np.add(nodes[s0:s1], dev, out=dev)
-            np.subtract(dev, ref_int[k, s0:s1, None], out=dev)
-            fold(dev)
+        dev = norms(np.subtract(knots, ref_knots[s0:s1 + 1, None],
+                                out=_scratch(dev_buf, knots.shape)))
+        np.maximum(err, np.max(dev, axis=0, out=row_buf), out=err)
+        c, rt = _step_terms(ref_knots[s0:s1 + 1], ref_int[:, s0:s1], theta)
+        below = np.multiply(err, 1.0 - kappa, out=row_buf)
+        np.minimum(below, finite_lim, out=below, where=below < np.inf)
+        bound = np.maximum(dev[:-1], dev[1:], out=_scratch(slope_buf, (S, M)))
+        np.add(bound, (c + kappa * (rt + tiny))[:, None], out=bound)
+        live = np.greater(bound, below, out=_scratch(live_buf, (S, M)))
+        count = np.count_nonzero(live)
+        if count * _DENSE_SHARE > S * M or not rt.max() <= finite_lim:
+            slopes = np.subtract(nodes[s0 + 1:s1 + 1], nodes[s0:s1],
+                                 out=_scratch(slope_buf, (S, M, d)))
+            np.divide(slopes, h, out=slopes)
+            dev = _scratch(dev_buf, slopes.shape)
+            for k in range(dt.shape[0]):
+                np.multiply(dt[k], slopes, out=dev)
+                np.add(nodes[s0:s1], dev, out=dev)
+                np.subtract(dev, ref_int[k, s0:s1, None], out=dev)
+                fold(dev)
+        elif count:
+            _fold_live(nodes[s0:s1 + 1], h, ref_int[:, s0:s1], dt, live, err,
+                       slope_buf, dev_buf, norms)
     return err
+
+
+#: a block takes the dense pass when more than 1 / _DENSE_SHARE of its pairs are live: a
+#: gathered pair costs three to five dense ones, so the gathered pass stops paying near a
+#: quarter of the pairs, and up to there its scratch fits in the dense pass's
+_DENSE_SHARE = 4
+
+
+def _fold_live(knots, h, ref_int, dt, live, err, slope_buf, dev_buf, norms):
+    """Fold the interior deviations of a block's live (step, row) pairs into err.
+
+    ``knots`` (S+1, M, d) are the block's nodes and ``live`` (S, M) flags
+    the pairs.  Each value is rounded as the dense pass rounds it; the
+    gathered pairs and their deviations are held in the kernel's scratch.
+    """
+    M, d = knots.shape[1:]
+    idx = np.flatnonzero(live)
+    L = idx.size
+    flat = knots.reshape(-1, d)
+    # mode "clip" writes straight into out (the indices are in range); flat[M:] is
+    # every pair's second node
+    x0 = np.take(flat, idx, axis=0, out=_scratch(slope_buf, (L, d)), mode="clip")
+    slopes = np.take(flat[M:], idx, axis=0, out=_scratch(slope_buf[L * d:], (L, d)), mode="clip")
+    np.subtract(slopes, x0, out=slopes)
+    np.divide(slopes, h, out=slopes)
+    best = _scratch(slope_buf[2 * L * d:], (L,))
+    step, row = np.divmod(idx, M, out=(idx, _scratch(slope_buf[(2 * d + 1) * L:].view(np.intp),
+                                                      (L,))))
+    # every offset of a group of pairs at once: its deviations and their references
+    K = dt.shape[0]
+    group = dev_buf.size // (2 * K * d)
+    for g0 in range(0, L, group):
+        g = slice(g0, min(g0 + group, L))
+        shape = (K, g.stop - g0, d)
+        dev = np.multiply(dt[:, None, None], slopes[g], out=_scratch(dev_buf, shape))
+        np.add(x0[g], dev, out=dev)
+        np.subtract(dev, np.take(ref_int, step[g], axis=1, mode="clip",
+                                 out=_scratch(dev_buf[dev.size:], shape)), out=dev)
+        np.max(norms(dev), axis=0, out=best[g])
+    np.maximum.at(err, row, best)
 
 
 def sup_error(tr: Trajectory, ref: ReferenceSolution, subsamples_per_step: int = 8) -> float:
@@ -246,14 +394,14 @@ def _chunk_errors_vectorized(problem: IvpSpec, scheme: SchemeKind, n: int,
     oracle = ChunkOracle(problem, noise, master_seed, lo, hi, evals_per_step, perturb_eta,
                          deltas)
     h = (problem.b - problem.a) / n
-    errors = np.zeros(oracle.eta_tilde.shape[:-1])
+    errors, scratch = np.zeros(oracle.eta_tilde.shape[:-1]), {}
 
     def fold(j0, nodes):
         steps = nodes.shape[0] - 1
         with np.errstate(invalid="ignore"):  # inf - inf in the rows of a failed column
-            err = _sup_error_kernel(nodes.reshape(steps + 1, -1, nodes.shape[-1]), h,
-                                    ref_knots[j0:j0 + steps + 1], ref_int[:, j0:j0 + steps], dt)
-        np.maximum(errors, err.reshape(errors.shape), out=errors)
+            _sup_error_kernel(nodes.reshape(steps + 1, -1, nodes.shape[-1]), h,
+                              ref_knots[j0:j0 + steps + 1], ref_int[:, j0:j0 + steps], dt,
+                              errors.reshape(-1), scratch)
 
     failures = run_scheme(oracle, scheme, n, sink=fold).failures
     return [err if exc is None else exc for err, exc in zip(errors, failures)]

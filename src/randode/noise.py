@@ -176,15 +176,19 @@ def stream_keys(master_seed, lo: int, hi: int, substream: int) -> np.ndarray:
         hash_const = _mix_into(pool, w, hash_const)
 
     m = hi - lo
-    pool = [np.full(m, p, dtype=np.uint32) for p in pool]
-    for w in (np.arange(lo, hi, dtype=np.uint32), np.full(m, substream, dtype=np.uint32)):
+    if m == 1:  # one row: mixed as Python ints, far cheaper than arrays of one element
+        spawn_key = (lo, substream)
+    else:
+        pool = [np.full(m, p, dtype=np.uint32) for p in pool]
+        spawn_key = (np.arange(lo, hi, dtype=np.uint32), np.full(m, substream, dtype=np.uint32))
+    for w in spawn_key:
         hash_const = _mix_into(pool, w, hash_const)
 
     hash_const = _INIT_B
     state = []
     for p in pool:
         v, hash_const = _hash(p, hash_const, _MULT_B)
-        state.append(v.astype(np.uint64))
+        state.append(v if m == 1 else v.astype(np.uint64))
     keys = np.empty((m, 2), dtype=np.uint64)
     keys[:, 0] = state[0] | (state[1] << 32)
     keys[:, 1] = state[2] | (state[3] << 32)
@@ -296,13 +300,15 @@ class ChunkOracle:
     entering its streams at their next draw (:func:`_step_major_tape`).
     :meth:`draw_taus` fills the next steps' grid draws.  Noise units are
     taken at one site, :meth:`_unit`, which refills a used-up tape with the
-    units of the last :meth:`draw_taus` steps' evaluations, ``evals_per_step``
-    a step (before any steps: the lead units, the ball draw and the ``ie``
-    factor, or else one).  Evaluation is rhs plus the perturbation, without
-    :class:`NoisyOracle`'s per-call checks; ``eval_count`` counts calls, each
-    covering every row, and ``replication_index`` is lo.  A vectorized rhs
-    (``base.rhs_vectorized``) is called once for all rows, any other once per
-    row with its time and (d,) state, as :class:`NoisyOracle` calls it.
+    units of the evaluations that the last :meth:`draw_taus` announced,
+    ``evals_per_step`` a step, or, with none announced, with a block of
+    about ``_BLOCK_ELEMS`` values (before any steps the lead units come
+    first: the ball draw and the ``ie`` factor).  Evaluation is rhs plus
+    the perturbation, without :class:`NoisyOracle`'s per-call checks;
+    ``eval_count`` counts calls, each covering every row, and
+    ``replication_index`` is lo.  A vectorized rhs (``base.rhs_vectorized``)
+    is called once for all rows, any other once per row with its time and
+    (d,) state, as :class:`NoisyOracle` calls it.
 
     Column c is the oracle of ``model`` with delta ``deltas[c]`` (default:
     ``model.delta`` alone).  The draws do not depend on delta, so every
@@ -310,6 +316,13 @@ class ChunkOracle:
     deltas in the rounding order of one oracle (:func:`_unit_factor`,
     :func:`_perturb`).  ``model`` must be the kind with the largest of the
     deltas, which decides what is drawn; a delta 0 column is the exact one.
+
+    Fresh units are scaled ahead, a run at a time: the next units of the
+    tape, up to about ``_BLOCK_ELEMS`` factor and direction values, go
+    through :func:`_unit_factor` in one call, (run, k, m, 1) factors and, at
+    d > 1, (run, 1, m, d) directions, and each evaluation takes the next of
+    them.  Every value is the elementwise product or function that one
+    unit's call would give, so scaling ahead changes no bit.
     """
 
     def __init__(self, base: IvpSpec, model: NoiseModel, master_seed, lo: int, hi: int,
@@ -330,11 +343,15 @@ class ChunkOracle:
                             if ball or ie or model.fresh else None)
         self._taus = self._noise = np.empty((0, self._m, 1))  # used-up tapes
         self._grid_pos = self._noise_pos = 0  # grid draws and noise units filled, per row
-        self._next, self._fill = 0, ball + ie or 1  # next unit of the tape; size of the next tape
-        self.eta_tilde = np.empty((self._deltas.shape[0], self._m, base.d))
-        self.eta_tilde[...] = (base.eta + _perturb("rk", *self._unit("ball"), None) if ball
+        # the next unit of the tape; units of the next tape (None: a block of them)
+        self._next, self._fill = 0, ball + ie or None
+        d, k = base.d, self._deltas.shape[0]
+        self._run, self._run_next = (np.empty(0), None), 0  # fresh units scaled ahead
+        self._run_max = max(1, _BLOCK_ELEMS // (self._m * (k + (d if d > 1 else 0))))
+        self.eta_tilde = np.empty((k, self._m, d))
+        self.eta_tilde[...] = (base.eta + _perturb("rk", *self._lead("ball"), None) if ball
                                else base.eta)
-        self._ie = self._unit("ie") if ie else None
+        self._ie = self._lead("ie") if ie else None
 
     def _tape(self, buf, keys, steps: int, start: int, noise: bool = False) -> np.ndarray:
         """Units start .. start + steps - 1 of keys' streams (:func:`_step_major_tape`): noise
@@ -344,15 +361,33 @@ class ChunkOracle:
             buf = np.empty((steps, self._m, w))
         return _step_major_tape(keys, buf[:steps], start, signed=noise and w == 1)
 
-    def _unit(self, role: str):
-        """Every row's next noise unit as (factor, direction) for every column."""
+    def _unit(self, count: int) -> np.ndarray:
+        """Every row's next noise units, (units, m, w): at most count, and at least one."""
         if self._next == self._noise.shape[0]:
-            self._noise = self._tape(self._noise, self._noise_keys, self._fill, self._noise_pos,
+            fill = self._fill or max(1, _BLOCK_ELEMS // (self._m * _unit_width(self.base.d)))
+            self._noise = self._tape(self._noise, self._noise_keys, fill, self._noise_pos,
                                      noise=True)
-            self._noise_pos += self._fill
-            self._next = 0
-        self._next += 1
-        return _unit_factor(self._noise[self._next - 1], self._deltas, self.base.d, role)
+            self._noise_pos += fill
+            self._next, self._fill = 0, None
+        units = self._noise[self._next:self._next + count]
+        self._next += units.shape[0]
+        return units
+
+    def _lead(self, role: str):
+        """Every row's next noise unit as the (factor, direction) of a ``ball`` or ``ie`` draw."""
+        return _unit_factor(self._unit(1)[0], self._deltas, self.base.d, role)
+
+    def _fresh(self):
+        """Every row's next fresh unit as (factor, direction) for every column."""
+        e, direction = self._run
+        if self._run_next == e.shape[0]:
+            units = self._unit(self._run_max)
+            self._run = e, direction = _unit_factor(units[:, None], self._deltas, self.base.d,
+                                                    "fresh")
+            self._run_next = 0
+        i = self._run_next
+        self._run_next += 1
+        return e[i], None if direction is None else direction[i]
 
     def draw_taus(self, n: int) -> np.ndarray:
         """Every row's next n grid draws, step-major: C-contiguous, shape (n, m, 1), in a
@@ -375,7 +410,7 @@ class ChunkOracle:
         kind = self.model.kind
         if kind == "exact" or self.model.delta == 0.0:
             return None
-        return _perturb(kind, *(self._ie if kind == "ie" else self._unit("fresh")), x)
+        return _perturb(kind, *(self._ie if kind == "ie" else self._fresh()), x)
 
     def noisy_eval(self, t, x) -> np.ndarray:
         """rhs(t, x) plus every row's perturbation."""

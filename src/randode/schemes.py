@@ -10,7 +10,8 @@ of replications (state shape (k, m, d), one row per replication in each of
 k delta columns) or one replication (its :class:`NoisyOracle` view, state
 shape (d,)) with the same elementwise arithmetic, so the two give
 bitwise-identical nodes.  A run walks its steps in blocks of
-``_BLOCK_STEPS``.  By default it keeps every node for its
+``_BLOCK_STEPS``, and computes a block's evaluation times in one array op
+(:meth:`_Run.blocks`).  By default it keeps every node for its
 :class:`Trajectory`.  A node sink, ``sink(j0, nodes)``, is instead called
 with each block as soon as it is stepped, in one reused node buffer, so a
 chunk run holds one block of nodes and tapes whatever n is.
@@ -198,16 +199,20 @@ class _Run:
         return out
 
     def blocks(self):
-        """Yield (j0, taus, nodes) per block: step j0 + k draws taus[k - 1] and fills nodes[k].
+        """Yield (j0, htaus, thetas, nodes) per block: step j = j0 + k fills nodes[k], with
+        htaus[k - 1] = h tau_j and its evaluation point thetas[k - 1] = t_{j-1} + h tau_j.
 
-        Taus are drawn per tape block of ``_BLOCK_STEPS`` steps, and each
+        A block's times are computed in one array op each, shaped as the
+        taus: (steps,) for one replication, (steps, m, 1) for a chunk.  Taus
+        are drawn per tape block of ``_BLOCK_STEPS`` steps, and each
         tape block is stepped in sub-blocks of about ``_BLOCK_ELEMS`` node
         values, so a sink's node buffer stays small however many rows a
         state has.  Each block is checked for non-finite nodes once stepped,
         then handed to the sink.  Without a sink, the first failing column's
         error (:meth:`failures`) is raised after the last block.
         """
-        n, taus, sink = self.grid.n, self.grid.taus, self.sink
+        n, h, knots, taus, sink = (self.grid.n, self.grid.h, self.grid.knots, self.grid.taus,
+                                   self.sink)
         last = self.oracle.eta_tilde
         for t0 in range(0, n, _BLOCK_STEPS):
             tape_steps = min(_BLOCK_STEPS, n - t0)
@@ -217,7 +222,9 @@ class _Run:
                 at = j0 if sink is None else 0
                 nodes = self.nodes[at:at + steps + 1]
                 nodes[0] = last
-                yield j0, tape[j0 - t0:], nodes
+                htaus = h * tape[j0 - t0:j0 - t0 + steps]
+                left = knots[j0:j0 + steps].reshape((steps,) + (1,) * (htaus.ndim - 1))
+                yield j0, htaus, left + htaus, nodes
                 last = nodes[steps]
                 self.check(nodes[1:], j0)
                 if sink is not None:
@@ -240,12 +247,11 @@ class _Run:
 def run_explicit_euler(oracle: ChunkOracle, n: int, taus=None, sink=None) -> Trajectory:
     """W_j = W_{j-1} + h f~(theta_j, W_{j-1}); one oracle call per step."""
     run = _Run(oracle, n, taus, sink)
-    h, knots = run.grid.h, run.grid.knots
-    for j0, tau, nodes in run.blocks():
+    h = run.grid.h
+    for _, _, thetas, nodes in run.blocks():
         w = nodes[0]
         for k in range(1, nodes.shape[0]):
-            w = w + h * oracle.noisy_eval(knots[j0 + k - 1] + h * tau[k - 1], w)
-            nodes[k] = w
+            w = np.add(w, h * oracle.noisy_eval(thetas[k - 1], w), out=nodes[k])
     return run.result(SchemeKind.EXPLICIT_EULER)
 
 
@@ -260,13 +266,12 @@ def run_rk2(oracle: ChunkOracle, n: int, taus=None, sink=None) -> Trajectory:
     run = _Run(oracle, n, taus, sink)
     h, knots = run.grid.h, run.grid.knots
     stages = np.empty((run.block,) + oracle.eta_tilde.shape)
-    for j0, tau, nodes in run.blocks():
+    for j0, htaus, thetas, nodes in run.blocks():
         v = nodes[0]
         for k in range(1, nodes.shape[0]):
-            t0, htau = knots[j0 + k - 1], h * tau[k - 1]
-            stage = np.add(v, htau * oracle.noisy_eval(t0, v), out=stages[k - 1])
-            v = v + h * oracle.noisy_eval(t0 + htau, stage)  # at theta_j
-            nodes[k] = v
+            stage = np.add(v, htaus[k - 1] * oracle.noisy_eval(knots[j0 + k - 1], v),
+                           out=stages[k - 1])
+            v = np.add(v, h * oracle.noisy_eval(thetas[k - 1], stage), out=nodes[k])
         run.check(stages[:nodes.shape[0] - 1], j0)
     return run.result(SchemeKind.RUNGE_KUTTA2)
 
@@ -310,12 +315,12 @@ def run_implicit_euler(oracle: ChunkOracle, n: int, tol: float = 1e-12,
     if refusal is not None:
         raise refusal
     run = _Run(oracle, n, taus, sink)
-    h, knots = run.grid.h, run.grid.knots
-    for j0, tau, nodes in run.blocks():
+    h = run.grid.h
+    for j0, _, thetas, nodes in run.blocks():
         u = nodes[0]
         for k in range(1, nodes.shape[0]):
             j = j0 + k
-            theta = knots[j - 1] + h * tau[k - 1]
+            theta = thetas[k - 1]
             cur = u
             active = np.ones(u.shape[:-1], dtype=bool)
             for _ in range(max_iter):

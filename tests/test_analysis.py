@@ -112,6 +112,39 @@ def _kernel_inputs(M, n, d, subsamples, seed):
     return nodes, h, ref_knots, ref_int, dt
 
 
+def _near_chord_inputs(M, n, d, subsamples, scale, node_dev, ref_dev, seed):
+    """Kernel inputs (nodes row-major) near the pruning bound, all of magnitude scale: a
+    reference within ref_dev (relative) of its knots' chords and nodes within node_dev of it."""
+    rng = np.random.default_rng(seed)
+    h = 1.0 / n
+    dt = analysis._interior_offsets(h, subsamples)
+    theta = (dt / h)[:, None, None]
+    ref_knots = scale * (1.0 + 0.5 * rng.random((n + 1, d)))
+    chord = (1.0 - theta) * ref_knots[:-1] + theta * ref_knots[1:]
+    ref_int = chord + scale * ref_dev * rng.standard_normal(chord.shape)
+    nodes = ref_knots + scale * node_dev * rng.standard_normal((M, n + 1, d))
+    return nodes, h, ref_knots, ref_int, dt
+
+
+def _interior_sup_inputs(M, n, d, subsamples):
+    """Nodes equal to the reference t^4 (times 1, 2, ... per component) at every knot but the
+    first, which row r raises by r * 1e-6: the chord's deviation from t^4 grows with t, so
+    every row's sup sits at an interior offset of the last step."""
+    h = 1.0 / n
+    dt = analysis._interior_offsets(h, subsamples)
+    knots = h * np.arange(n + 1)
+    scale = np.arange(1.0, d + 1.0)
+    ref_knots = knots[:, None] ** 4 * scale
+    ref_int = (knots[:-1][None, :] + dt[:, None])[..., None] ** 4 * scale
+    nodes = np.repeat(ref_knots[None], M, axis=0)
+    nodes[:, 0] += 1e-6 * np.arange(M)[:, None]
+    return nodes, h, ref_knots, ref_int, dt
+
+
+def _step_major(nodes):
+    return np.ascontiguousarray(nodes.transpose(1, 0, 2))
+
+
 class TestSupErrorKernel:
     @given(M=st.integers(1, 40), n=st.integers(1, 60), d=st.sampled_from([1, 3]),
            subsamples=st.integers(1, 9), block=st.sampled_from([None, 1, 5, 64, 700]),
@@ -142,6 +175,75 @@ class TestSupErrorKernel:
         block_bytes = 8 * analysis._BLOCK_ELEMS
         assert peak <= 4 * block_bytes  # two scratch blocks and small change
         assert peak * 10 < 8 * 200 * 5000  # one (m, n) array
+
+    @given(M=st.integers(1, 30), n=st.integers(1, 40), d=st.sampled_from([1, 3]),
+           subsamples=st.integers(1, 9), block=st.sampled_from([None, 1, 5, 64, 700]),
+           scale=st.integers(-300, 8).map(lambda e: 10.0 ** e),
+           node_dev=st.sampled_from([0.0, 1e-16, 4e-16, 1e-13, 1e-6, 1e-2]),
+           ref_dev=st.sampled_from([0.0, 1e-16, 1e-10, 1e-3]),
+           start=st.sampled_from([None, 0.0, 0.5, 1.0, 2.0]), seed=st.integers(0, 2**32 - 1))
+    @example(M=3, n=40, d=1, subsamples=8, block=None, scale=1e-300, node_dev=1e-16,
+             ref_dev=1e-16, start=None, seed=0)  # subnormal deviations
+    @example(M=2, n=40, d=3, subsamples=8, block=5, scale=1e8, node_dev=4e-16, ref_dev=0.0,
+             start=1.0, seed=1)  # deviations of an ulp or two, and a running max they tie
+    @settings(max_examples=150, deadline=None)
+    def test_pruned_matches_unblocked(self, M, n, d, subsamples, block, scale, node_dev,
+                                      ref_dev, start, seed):
+        # with and without a running max to start from, the kernel folds max(err, the
+        # specification) into it, however close the deviations come to its pruning bound
+        nodes, *rest = _near_chord_inputs(M, n, d, subsamples, scale, node_dev, ref_dev, seed)
+        want = unblocked_sup_error_kernel(nodes, *rest)
+        err = None if start is None else start * want
+        if err is not None:
+            want = np.maximum(err, want)
+        with mock.patch.object(analysis, "_BLOCK_ELEMS", block or analysis._BLOCK_ELEMS):
+            got = analysis._sup_error_kernel(_step_major(nodes), *rest, err)
+        assert np.array_equal(got, want)
+        assert err is None or got is err
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("block", [None, 5])
+    def test_sup_at_an_interior_point(self, d, block):
+        nodes, *rest = _interior_sup_inputs(4, 50, d, 7)
+        want = unblocked_sup_error_kernel(nodes, *rest)
+        knot_max = np.sum(np.abs(nodes - rest[1]), axis=2).max(axis=1)
+        assert (want > 100 * knot_max).all()
+        with mock.patch.object(analysis, "_BLOCK_ELEMS", block or analysis._BLOCK_ELEMS):
+            got = analysis._sup_error_kernel(_step_major(nodes), *rest)
+        assert np.array_equal(got, want)
+
+    def test_pruning_needs_the_chord_term(self):
+        # row r > 0 has its knot max, r * 1e-6, at its first knot: without c_j the pairs of
+        # every other step are pruned, and the sup at the last step's interior is missed
+        nodes, *rest = _interior_sup_inputs(8, 50, 1, 7)
+        step_terms = analysis._step_terms
+
+        def no_chord(*args):
+            c, rt = step_terms(*args)
+            return np.zeros_like(c), rt
+
+        want = unblocked_sup_error_kernel(nodes, *rest)
+        with mock.patch.object(analysis, "_step_terms", no_chord):
+            got = analysis._sup_error_kernel(_step_major(nodes), *rest)
+        assert np.array_equal(got[1:], 1e-6 * np.arange(1, 8)) and (got[1:] < want[1:]).all()
+
+    def test_pruning_needs_the_rounding_margin(self):
+        # one step whose knots both sit 1e-10 above a reference equal to its chord, so
+        # c_j = 0: in exact arithmetic every interior deviation is 1e-10, but the
+        # computed ones exceed the computed knot deviations by a few ulps
+        h = 0.1
+        dt = analysis._interior_offsets(h, 8)
+        theta = dt / h
+        ref_knots = np.array([[1.3], [1.6]])
+        ref_int = ((1.0 - theta) * 1.3 + theta * 1.6)[:, None, None]
+        nodes = (ref_knots + 1e-10)[None]
+        args = (h, ref_knots, ref_int, dt)
+        want = unblocked_sup_error_kernel(nodes, *args)
+        assert want[0] > np.abs(nodes[0] - ref_knots).max()
+        assert np.array_equal(analysis._sup_error_kernel(_step_major(nodes), *args), want)
+        with mock.patch.object(analysis, "_MARGIN_ULPS", 0):
+            got = analysis._sup_error_kernel(_step_major(nodes), *args)
+        assert got[0] == np.abs(nodes[0] - ref_knots).max() < want[0]
 
 
 def _per_replication(p, ref, scheme, n, noise, N, seed, perturb_eta):
@@ -520,6 +622,33 @@ class TestRunCells:
         with mock.patch.object(analysis, "run_scheme", wraps=schemes.run_scheme) as runs:
             got = analysis.run_cells(p, ref, EE, 4, noises, 16, 5, chunk_size=8)
         assert runs.call_count == 2  # one run per row chunk
+        _assert_same_cells(got, want)
+
+    def test_failing_column_leaves_an_interior_sup_alone(self):
+        # the band field above and a reference 1 + 1e-3 t, plus 0.25 at one interior
+        # offset of step 30 only: the exact column's nodes stay at 1, so its sup is there,
+        # in the run's one block, where the rk 0.5 column's rows go non-finite; the
+        # block's few live pairs are gathered
+        n = 40
+        p = IvpSpec(a=0.0, b=1.0, d=1, eta=np.ones(1),
+                    rhs=lambda t, x: np.where(np.abs(x) > 1e300, 0.0,
+                                              np.where(np.abs(x - 1.0) > 1e-2, np.inf, 0.0)),
+                    class_params=ClassParams(K=1.0, L=0.0, rho=1.5), name="band",
+                    rhs_vectorized=True)
+        h = 1.0 / n
+        spike = (h * np.arange(n + 1))[29] + analysis._interior_offsets(h, 8)[3]
+        ref = ReferenceSolution.analytic(
+            lambda t: 1.0 + 1e-3 * np.asarray(t) + 0.25 * (np.asarray(t) == spike))
+        noises = [exact_info(), NoiseModel("rk", 0.5), NoiseModel("rk", 1e-3)]
+        with mock.patch.object(analysis, "_fold_live", wraps=analysis._fold_live) as gathered:
+            got = analysis.run_cells(p, ref, EE, n, noises, 16, 5, chunk_size=8)
+        assert gathered.call_count == 2  # one block in each row chunk
+        want = [_cell_or_error(functools.partial(run_batch, p, ref, EE, n, noise, 16, 5,
+                                                 chunk_size=8))
+                for noise in noises]
+        assert [type(w) for w in want] == [analysis.ErrorBatch, NumericalError,
+                                           analysis.ErrorBatch]
+        assert np.all(want[0].errors == ref.values_at([spike])[0, 0] - 1.0)
         _assert_same_cells(got, want)
 
     def test_contraction_margin_refuses_its_column_only(self, problem_B, ref_B):

@@ -101,6 +101,26 @@ class TestOracle:
         b.noisy_eval(0.1, [1.0])  # noise consumption must not shift taus
         assert np.array_equal(a.draw_taus(32), b.draw_taus(32))
 
+    def test_fresh_noise_before_steps_fills_a_block(self, monkeypatch):
+        # evaluations before any draw_taus read their units from one tape of a block of
+        # them, after the ball draw's own tape, and in stream order
+        fills = []
+
+        def counted(keys, out, *args, **kwargs):
+            fills.append(out.shape[1])
+            return fill_uniform_rows(keys, out, *args, **kwargs)
+
+        monkeypatch.setattr(noise_module, "fill_uniform_rows", counted)
+        o = NoisyOracle(zero_field_problem(), NoiseModel("ee", 0.05), 11, 3, perturb_eta=True)
+        xs = np.random.default_rng(0).normal(size=(100, 1))
+        got = [o.noisy_eval(0.5, x) for x in xs]
+        assert fills == [1, noise_module._BLOCK_ELEMS]
+        rng = derive_streams(11, 3)[1]
+        _unit(rng, 1)  # the ball draw
+        for x, pert in zip(xs, got):
+            want = _perturbation("ee", _unit(rng, 1), 0.05, x, 1)
+            assert np.array_equal(_bits(pert), _bits(0.0 + np.broadcast_to(want, (1,))))
+
     def test_bound_violation_raises(self, problem_A, monkeypatch):
         # an explicit check, not an assert, so python -O keeps it
         o = NoisyOracle(problem_A, NoiseModel("rk", 0.01), 3, 0)

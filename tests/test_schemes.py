@@ -25,6 +25,7 @@ from randode import (
     scheme_from_name,
     sup_error,
 )
+from randode import noise as noise_module
 from randode import schemes
 from randode.noise import ChunkOracle
 
@@ -246,6 +247,37 @@ class TestNodeSink:
             run_scheme(ChunkOracle(p, exact_info(), 2, 4, 12, 2 if scheme is RK else 1),
                        scheme, 40)
         assert str(info.value) == str(failure)
+
+
+class TestBlockTimesAndFactors:
+    """A run computes a block's evaluation times, and its oracle a run of noise factors,
+    in one array op each."""
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("route", ["one", "chunk"])
+    @pytest.mark.parametrize("scheme", [EE, RK, IE])
+    def test_nodes_do_not_depend_on_the_blocks(self, scheme, route, d):
+        # tape blocks of 5 steps, sub-blocks of 3 (one replication: 24 values a sub-block)
+        # and noise runs of a unit or a few give the nodes of the default blocks bit for
+        # bit, on one replication's (n,) taus and on a chunk's (n, m, 1) taus
+        p, n, seed = problem_A_in(d), 23, 5
+        noise = NoiseModel("ie" if scheme is IE else scheme.value, 0.01)
+
+        def nodes():
+            if route == "one":
+                oracle = NoisyOracle(p, noise, seed, 3, perturb_eta=True)
+            else:
+                oracle = ChunkOracle(p, noise, seed, 3, 11, 2 if scheme is RK else 1,
+                                     perturb_eta=True, deltas=[0.0, 0.004, 0.01])
+            return run_scheme(oracle, scheme, n).nodes
+
+        want = nodes()
+        with mock.patch.object(schemes, "_BLOCK_STEPS", 5), \
+                mock.patch.object(schemes, "_BLOCK_ELEMS", 24), \
+                mock.patch.object(schemes, "_MIN_SINK_STEPS", 1), \
+                mock.patch.object(noise_module, "_BLOCK_ELEMS", 20):
+            got = nodes()
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestSchemeAccuracy:
