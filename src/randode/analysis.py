@@ -390,9 +390,7 @@ def _chunk_errors_vectorized(problem: IvpSpec, scheme: SchemeKind, n: int,
     column's rows may be non-finite; its maxima are discarded for the error
     of its lowest failing replication, the one its own run raises.
     """
-    evals_per_step = 2 if scheme is SchemeKind.RUNGE_KUTTA2 else 1
-    oracle = ChunkOracle(problem, noise, master_seed, lo, hi, evals_per_step, perturb_eta,
-                         deltas)
+    oracle = ChunkOracle(problem, noise, master_seed, lo, hi, perturb_eta, deltas)
     h = (problem.b - problem.a) / n
     errors, scratch = np.zeros(oracle.eta_tilde.shape[:-1]), {}
 
@@ -731,7 +729,10 @@ def derive_cell_seed(master_seed, scheme: SchemeKind, problem_name: str, n: int)
     pid = _PROBLEM_IDS.get(problem_name)
     if pid is None:
         pid = int(hashlib.sha256(problem_name.encode()).hexdigest()[:8], 16)
-    ss = np.random.SeedSequence(master_seed, spawn_key=(_SCHEME_IDS[scheme], pid, int(n)))
+    try:
+        ss = np.random.SeedSequence(master_seed, spawn_key=(_SCHEME_IDS[scheme], pid, int(n)))
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"bad master seed {master_seed!r}: {exc}") from None
     return int.from_bytes(ss.generate_state(4).tobytes(), "little")
 
 

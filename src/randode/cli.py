@@ -6,8 +6,8 @@ and its own defaults.  Every setting is also a config key: an INI file given
 as --config ("key = value" under an [experiment] section) sets the command's
 defaults, so a flag still wins.  A key may be spelt with "_" or "-", and
 master_seed, output_dir and subsamples_per_step stand for seed, out and
-subsamples.  A key the command does not read, or two keys for one setting,
-is a usage error.  Every command that writes files also writes a
+subsamples.  A key the command does not read, two keys for one setting, or
+a section other than [experiment] is a usage error.  Every command that writes files also writes a
 manifest.json recording the resolved configuration, the package version,
 wall-clock time and a checksum per output file; re-running with the same
 inputs reproduces the checksums.
@@ -109,17 +109,20 @@ _CONFIG_ALIASES = {"master_seed": "seed", "output_dir": "out", "subsamples_per_s
 
 def _config_defaults(path, command: str) -> dict:
     """The [experiment] values of a config file as the command's defaults, each one
-    converted with its setting's type."""
-    if not os.path.exists(path):
-        raise UsageError(f"config file not found: {path}")
+    converted with its setting's type; [DEFAULT] is the only other section it may have."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keys are case-sensitive: N (replications) is not n (steps)
     try:
-        parser.read(path)
-        section = "experiment" if parser.has_section("experiment") else parser.default_section
-        items = list(parser[section].items())
-    except configparser.Error as exc:
+        with open(path) as fh:
+            parser.read_file(fh)
+    except (OSError, configparser.Error) as exc:
         raise UsageError(f"bad config file {path}: {exc}") from exc
+    other = [name for name in parser.sections() if name != "experiment"]
+    if other:
+        raise UsageError(f"config file {path} has section [{other[0]}]; only [experiment] "
+                         f"is read")
+    section = "experiment" if parser.has_section("experiment") else parser.default_section
+    items = list(parser[section].items())
     reads = COMMANDS[command][2].split()
     defaults = {}
     for key, raw in items:
@@ -180,6 +183,8 @@ def cmd_solve(args) -> int:
     scheme = scheme_from_name(args.scheme)
     n, out = args.n, args.out
     _check_steps([n])
+    if args.dense is not None and args.dense < 0:
+        raise UsageError(f"--dense must be >= 0, got {args.dense}")
     delta = parse_delta_rule(args.delta).value_for(n)
     noise = _noise_for(args.noise, scheme, delta)
 
@@ -494,6 +499,8 @@ def main(argv=None) -> int:
         if args.config:  # its values become the command's defaults, so a flag still wins
             parsers[args.command].set_defaults(**_config_defaults(args.config, args.command))
             args = ap.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

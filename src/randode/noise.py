@@ -298,15 +298,15 @@ class ChunkOracle:
     reads replication lo + i's streams (:func:`derive_streams`) in the order
     of the module docstring, from step-major tapes, (units, m, w), each
     entering its streams at their next draw (:func:`_step_major_tape`).
-    :meth:`draw_taus` fills the next steps' grid draws.  Noise units are
-    taken at one site, :meth:`_unit`, which refills a used-up tape with the
-    units of the evaluations that the last :meth:`draw_taus` announced,
-    ``evals_per_step`` a step, or, with none announced, with a block of
-    about ``_BLOCK_ELEMS`` values (before any steps the lead units come
-    first: the ball draw and the ``ie`` factor).  Evaluation is rhs plus
-    the perturbation, without :class:`NoisyOracle`'s per-call checks;
-    ``eval_count`` counts calls, each covering every row, and
-    ``replication_index`` is lo.  A vectorized rhs (``base.rhs_vectorized``)
+    :meth:`draw_taus` fills the next steps' grid draws, and the scheme
+    announces its evaluations per step with them.  Noise units are taken at
+    one site, :meth:`_unit`, which refills a used-up tape with the units of
+    the evaluations that the last :meth:`draw_taus` announced, or, with none
+    announced, with a block of about ``_BLOCK_ELEMS`` values (before any
+    steps the lead units come first: the ball draw and the ``ie`` factor).
+    Evaluation is rhs plus the perturbation, without :class:`NoisyOracle`'s
+    per-call checks; ``eval_count`` counts calls, each covering every row,
+    and ``replication_index`` is lo.  A vectorized rhs (``base.rhs_vectorized``)
     is called once for all rows, any other once per row with its time and
     (d,) state, as :class:`NoisyOracle` calls it.
 
@@ -326,14 +326,13 @@ class ChunkOracle:
     """
 
     def __init__(self, base: IvpSpec, model: NoiseModel, master_seed, lo: int, hi: int,
-                 evals_per_step: int = 1, perturb_eta: bool = False, deltas=None):
+                 perturb_eta: bool = False, deltas=None):
         self.base = base
         self.model = model
         self.master_seed = master_seed
         self.replication_index = lo
         self.eval_count = 0
         self._m = hi - lo
-        self._evals_per_step = evals_per_step
         self._deltas = np.asarray(model.delta if deltas is None else deltas,
                                   dtype=float).reshape(-1, 1, 1)
         ball = perturb_eta and model.delta > 0.0
@@ -389,12 +388,13 @@ class ChunkOracle:
         self._run_next += 1
         return e[i], None if direction is None else direction[i]
 
-    def draw_taus(self, n: int) -> np.ndarray:
+    def draw_taus(self, n: int, evals_per_step: int = 1) -> np.ndarray:
         """Every row's next n grid draws, step-major: C-contiguous, shape (n, m, 1), in a
-        buffer that later calls reuse; the next noise tape holds these steps' units."""
+        buffer that later calls reuse; the next noise tape holds the units of these
+        steps' ``evals_per_step`` evaluations a step."""
         self._taus = self._tape(self._taus, self._grid_keys, n, self._grid_pos)
         self._grid_pos += n
-        self._fill = n * self._evals_per_step
+        self._fill = n * evals_per_step
         return self._taus
 
     def _rhs(self, t, x) -> np.ndarray:
@@ -442,9 +442,9 @@ class NoisyOracle(ChunkOracle):
         self.eta_tilde = self.eta_tilde[0, 0]
         self.samples = [] if record_samples else None
 
-    def draw_taus(self, n: int) -> np.ndarray:
+    def draw_taus(self, n: int, evals_per_step: int = 1) -> np.ndarray:
         """The next n draws of the grid stream, shape (n,), in a fresh array."""
-        return super().draw_taus(n)[:, 0, 0].copy()
+        return super().draw_taus(n, evals_per_step)[:, 0, 0].copy()
 
     def _perturbation(self, x: np.ndarray) -> np.ndarray:
         pert = super()._perturbation(x[None, None])

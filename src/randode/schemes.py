@@ -9,12 +9,14 @@ Each scheme is written once and steps a :class:`ChunkOracle`: a whole chunk
 of replications (state shape (k, m, d), one row per replication in each of
 k delta columns) or one replication (its :class:`NoisyOracle` view, state
 shape (d,)) with the same elementwise arithmetic, so the two give
-bitwise-identical nodes.  A run walks its steps in blocks of
-``_BLOCK_STEPS``, and computes a block's evaluation times in one array op
-(:meth:`_Run.blocks`).  By default it keeps every node for its
-:class:`Trajectory`.  A node sink, ``sink(j0, nodes)``, is instead called
-with each block as soon as it is stepped, in one reused node buffer, so a
-chunk run holds one block of nodes and tapes whatever n is.
+bitwise-identical nodes.  Every run is streamed: it draws its taus one
+block of ``_BLOCK_STEPS`` steps at a time, announcing the scheme's oracle
+evaluations per step, steps each block into one reused node block, and
+computes a block's evaluation times in one array op (:meth:`_Run.blocks`).
+A node sink, ``sink(j0, nodes)``, is called with each block as soon as it
+is stepped, so a chunk run holds one block of nodes and tapes whatever n
+is.  Without a sink, the run copies every block into the nodes of its
+:class:`Trajectory`.
 """
 
 from __future__ import annotations
@@ -77,21 +79,11 @@ def write_csv(path, header, rows):
 
 @dataclasses.dataclass(frozen=True)
 class Grid:
-    """Uniform knots plus the random evaluation points of one run.
-
-    ``taus`` has shape (n,) for one replication and (n, m, 1) for a chunk,
-    so ``taus[j - 1]`` is step j's draw of every row; it is None when a node
-    sink took the run, whose taus were drawn block by block.
-    """
+    """The uniform knots of one run."""
 
     n: int
     h: float
     knots: np.ndarray   # (n+1,)
-    taus: np.ndarray
-
-    def theta(self, j: int):
-        """Step j's evaluation point theta_j = t_{j-1} + tau_j h in [t_{j-1}, t_j)."""
-        return self.knots[j - 1] + self.h * self.taus[j - 1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,12 +128,13 @@ class Trajectory:
 
 
 class _Run:
-    """One scheme run: its grid, and its nodes walked in blocks of ``_BLOCK_STEPS`` steps.
+    """One scheme run: its grid, and its nodes stepped in blocks into one reused node block.
 
-    The run owns its node array.  Without a sink it holds all n + 1 nodes,
-    with the taus drawn up front.  With a sink it holds one reused block of
-    nodes, the taus are drawn per block, and ``sink(j0, nodes)`` is called
-    with every block, nodes j0 .. j0 + steps of every row, once it is stepped.
+    The taus are drawn a tape block of ``_BLOCK_STEPS`` steps at a time,
+    announcing ``evals_per_step`` oracle evaluations a step, and
+    ``sink(j0, nodes)`` is called with every block, nodes j0 .. j0 + steps
+    of every row, once it is stepped.  Without a sink, the run's own sink
+    copies every block into the (n + 1, ...) nodes of its trajectory.
 
     Each row's first failure is recorded, and the run goes on; rows are
     independent, so each delta column's failure is its lowest failing
@@ -149,27 +142,26 @@ class _Run:
     first of them once the last block is stepped.
     """
 
-    def __init__(self, oracle, n: int, taus, sink):
+    def __init__(self, oracle, n: int, sink, evals_per_step: int = 1):
         if n < 1:
             raise DomainError("n must be >= 1")
-        if taus is not None:
-            taus = np.asarray(taus, dtype=float)
-            if taus.shape != (n,):
-                raise DomainError(f"taus override must have shape ({n},)")
-        elif sink is None:
-            taus = oracle.draw_taus(n)
         a, b = oracle.base.a, oracle.base.b
         h = (b - a) / n
-        self.grid = Grid(n=n, h=h, knots=a + h * np.arange(n + 1), taus=taus)
+        self.grid = Grid(n=n, h=h, knots=a + h * np.arange(n + 1))
         self.oracle = oracle
-        self.sink = sink
+        self.evals_per_step = evals_per_step
         self._sub = max(_MIN_SINK_STEPS, _BLOCK_ELEMS // oracle.eta_tilde.size)
         self.block = min(n, _BLOCK_STEPS, self._sub)  # steps of the longest block
-        held = n if sink is None else self.block
-        self.nodes = np.empty((held + 1,) + oracle.eta_tilde.shape)
+        self.nodes = np.empty((self.block + 1,) + oracle.eta_tilde.shape)
+        # every node of a run without a sink, or None
+        self.kept = np.empty((n + 1,) + oracle.eta_tilde.shape) if sink is None else None
+        self.sink = self._keep if sink is None else sink
         rows = oracle.eta_tilde[..., 0].size
         # per row: first failing step (n + 1 while it has none), and whether it did not converge
         self._failed, self._stuck = np.full(rows, n + 1), np.zeros(rows, dtype=bool)
+
+    def _keep(self, j0: int, nodes):
+        self.kept[j0:j0 + nodes.shape[0]] = nodes
 
     def fail(self, rows, steps, stuck: bool = False):
         """Record a failure at steps for the flagged rows, unless they failed earlier."""
@@ -206,30 +198,27 @@ class _Run:
         taus: (steps,) for one replication, (steps, m, 1) for a chunk.  Taus
         are drawn per tape block of ``_BLOCK_STEPS`` steps, and each
         tape block is stepped in sub-blocks of about ``_BLOCK_ELEMS`` node
-        values, so a sink's node buffer stays small however many rows a
-        state has.  Each block is checked for non-finite nodes once stepped,
-        then handed to the sink.  Without a sink, the first failing column's
+        values, so the node block stays small however many rows a state
+        has.  Each block is checked for non-finite nodes once stepped, then
+        handed to the sink.  Without a sink, the first failing column's
         error (:meth:`failures`) is raised after the last block.
         """
-        n, h, knots, taus, sink = (self.grid.n, self.grid.h, self.grid.knots, self.grid.taus,
-                                   self.sink)
+        n, h, knots = self.grid.n, self.grid.h, self.grid.knots
         last = self.oracle.eta_tilde
         for t0 in range(0, n, _BLOCK_STEPS):
             tape_steps = min(_BLOCK_STEPS, n - t0)
-            tape = self.oracle.draw_taus(tape_steps) if taus is None else taus[t0:]
+            taus = self.oracle.draw_taus(tape_steps, self.evals_per_step)
             for j0 in range(t0, t0 + tape_steps, self._sub):
                 steps = min(self._sub, t0 + tape_steps - j0)
-                at = j0 if sink is None else 0
-                nodes = self.nodes[at:at + steps + 1]
+                nodes = self.nodes[:steps + 1]
                 nodes[0] = last
-                htaus = h * tape[j0 - t0:j0 - t0 + steps]
+                htaus = h * taus[j0 - t0:j0 - t0 + steps]
                 left = knots[j0:j0 + steps].reshape((steps,) + (1,) * (htaus.ndim - 1))
                 yield j0, htaus, left + htaus, nodes
                 last = nodes[steps]
                 self.check(nodes[1:], j0)
-                if sink is not None:
-                    sink(j0, nodes)
-        if sink is None and (self._failed <= n).any():
+                self.sink(j0, nodes)
+        if self.kept is not None and (self._failed <= n).any():
             raise next(exc for exc in self.failures() if exc is not None)
 
     def check(self, values, j0: int):
@@ -240,13 +229,13 @@ class _Run:
             self.fail(~ok.all(axis=0), j0 + 1 + np.argmin(ok, axis=0))
 
     def result(self, scheme: SchemeKind) -> Trajectory:
-        return Trajectory(scheme, self.grid, None if self.sink else self.nodes,
-                          self.oracle.eval_count, self.failures() if self.sink else None)
+        return Trajectory(scheme, self.grid, self.kept, self.oracle.eval_count,
+                          None if self.kept is not None else self.failures())
 
 
-def run_explicit_euler(oracle: ChunkOracle, n: int, taus=None, sink=None) -> Trajectory:
+def run_explicit_euler(oracle: ChunkOracle, n: int, sink=None) -> Trajectory:
     """W_j = W_{j-1} + h f~(theta_j, W_{j-1}); one oracle call per step."""
-    run = _Run(oracle, n, taus, sink)
+    run = _Run(oracle, n, sink)
     h = run.grid.h
     for _, _, thetas, nodes in run.blocks():
         w = nodes[0]
@@ -255,7 +244,7 @@ def run_explicit_euler(oracle: ChunkOracle, n: int, taus=None, sink=None) -> Tra
     return run.result(SchemeKind.EXPLICIT_EULER)
 
 
-def run_rk2(oracle: ChunkOracle, n: int, taus=None, sink=None) -> Trajectory:
+def run_rk2(oracle: ChunkOracle, n: int, sink=None) -> Trajectory:
     """Two-stage step: a tau-scaled stage at t_{j-1}, then the update at theta_j.
 
     Two oracle calls per step.  A block's stages are written into one reused
@@ -263,7 +252,7 @@ def run_rk2(oracle: ChunkOracle, n: int, taus=None, sink=None) -> Trajectory:
     records a NumericalError at that step, as a node does, even if the
     update maps it back to a finite node.
     """
-    run = _Run(oracle, n, taus, sink)
+    run = _Run(oracle, n, sink, evals_per_step=2)
     h, knots = run.grid.h, run.grid.knots
     stages = np.empty((run.block,) + oracle.eta_tilde.shape)
     for j0, htaus, thetas, nodes in run.blocks():
@@ -291,7 +280,7 @@ def implicit_euler_refusal(base: IvpSpec, model: NoiseModel, n: int):
 
 
 def run_implicit_euler(oracle: ChunkOracle, n: int, tol: float = 1e-12,
-                       max_iter: int = 100, taus=None, sink=None) -> Trajectory:
+                       max_iter: int = 100, sink=None) -> Trajectory:
     """U_j = U_{j-1} + h f~(theta_j, U_j), solved by fixed-point iteration.
 
     Requires the contraction margin h (L + delta) < 1, with L the problem's
@@ -314,7 +303,7 @@ def run_implicit_euler(oracle: ChunkOracle, n: int, tol: float = 1e-12,
     refusal = implicit_euler_refusal(oracle.base, oracle.model, n)
     if refusal is not None:
         raise refusal
-    run = _Run(oracle, n, taus, sink)
+    run = _Run(oracle, n, sink)
     h = run.grid.h
     for j0, _, thetas, nodes in run.blocks():
         u = nodes[0]
@@ -340,13 +329,12 @@ def run_implicit_euler(oracle: ChunkOracle, n: int, tol: float = 1e-12,
     return run.result(SchemeKind.IMPLICIT_EULER)
 
 
-def run_scheme(oracle: ChunkOracle, scheme: SchemeKind, n: int,
-               taus=None, sink=None) -> Trajectory:
+def run_scheme(oracle: ChunkOracle, scheme: SchemeKind, n: int, sink=None) -> Trajectory:
     if scheme is SchemeKind.EXPLICIT_EULER:
-        return run_explicit_euler(oracle, n, taus=taus, sink=sink)
+        return run_explicit_euler(oracle, n, sink=sink)
     if scheme is SchemeKind.RUNGE_KUTTA2:
-        return run_rk2(oracle, n, taus=taus, sink=sink)
-    return run_implicit_euler(oracle, n, taus=taus, sink=sink)
+        return run_rk2(oracle, n, sink=sink)
+    return run_implicit_euler(oracle, n, sink=sink)
 
 
 # ---------------------------------------------------------------------------

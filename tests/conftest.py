@@ -4,6 +4,7 @@ import pytest
 from randode import (
     ClassParams,
     IvpSpec,
+    NoisyOracle,
     ReferenceSolution,
     build_reference_B,
     exact_solution_A,
@@ -41,6 +42,14 @@ def constant_field_problem():
     return IvpSpec(a=0.0, b=1.0, d=1, eta=np.array([1.0]), rhs=constant_rhs,
                    class_params=ClassParams(K=1.0, L=0.0, rho=1.5),
                    name="const", rhs_vectorized=True)
+
+
+class FixedTauOracle(NoisyOracle):
+    """A NoisyOracle whose every grid draw reads tau = 0.5, for hand-derived steps."""
+
+    def draw_taus(self, n, evals_per_step=1):
+        super().draw_taus(n, evals_per_step)
+        return np.full(n, 0.5)
 
 
 def problem_A_in(d, vectorized=True):

@@ -27,7 +27,7 @@ from randode import (
 
 from randode.noise import ChunkOracle
 
-from conftest import decay_problem
+from conftest import FixedTauOracle, decay_problem
 
 EE = SchemeKind.EXPLICIT_EULER
 IE = SchemeKind.IMPLICIT_EULER
@@ -204,10 +204,10 @@ class TestCriterion7DeterminismAndOracles:
         assert ok
 
     def test_hand_derived_one_step_values(self, problem_A):
-        o = NoisyOracle(problem_A, exact_info(), 0, 0)
-        ee = float(run_explicit_euler(o, 1, taus=[0.5]).nodes[1, 0])
-        o = NoisyOracle(problem_A, exact_info(), 0, 0)
-        rk = float(run_rk2(o, 1, taus=[0.5]).nodes[1, 0])
+        o = FixedTauOracle(problem_A, exact_info(), 0, 0)
+        ee = float(run_explicit_euler(o, 1).nodes[1, 0])
+        o = FixedTauOracle(problem_A, exact_info(), 0, 0)
+        rk = float(run_rk2(o, 1).nodes[1, 0])
         ok = abs(ee - 2.0) <= 1e-14 and abs(rk - 2.0) <= 1e-14
         report(7, "hand-derived one-step values (Euler and Runge-Kutta)", ok,
                f"ee={ee!r}, rk={rk!r}")
@@ -226,7 +226,7 @@ class TestCriterion7DeterminismAndOracles:
     def test_reference_cross_check(self, problem_B, ref_B):
         # replication 0 as a one-row chunk: the same nodes as NoisyOracle's
         # run, bit for bit, in a third of the time
-        o = ChunkOracle(problem_B, exact_info(), 314159, 0, 1, evals_per_step=2)
+        o = ChunkOracle(problem_B, exact_info(), 314159, 0, 1)
         tr = run_rk2(o, 1_000_000)
         gap = abs(tr.nodes[-1, 0, 0, 0] - ref_B.values_at([1.0])[0, 0])
         ok = gap <= 1e-6

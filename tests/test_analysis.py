@@ -1035,6 +1035,10 @@ class TestSeedDerivation:
     def test_custom_problem_names_hashable(self):
         assert derive_cell_seed(1, EE, "mine", 10) == derive_cell_seed(1, EE, "mine", 10)
 
+    def test_negative_master_seed_rejected(self):
+        with pytest.raises(DomainError, match="master seed"):
+            derive_cell_seed(-1, EE, "A", 10)
+
 
 @pytest.mark.slow
 def test_quantile_stabilizes_in_n(problem_A, ref_A):

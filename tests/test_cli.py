@@ -221,6 +221,28 @@ class TestTable:
     def test_missing_config_file(self, tmp_path):
         assert run_cli("--config", str(tmp_path / "nope.ini"), "table") == 2
 
+    @pytest.mark.parametrize("body", [None, "[experiments]\nseed = 7\n",
+                                      "[experiment]\nseed = 7\n[extra]\nN = 200\n"],
+                             ids=["directory", "misspelt-section", "second-section"])
+    def test_unread_config_rejected(self, tmp_path, capsys, body):
+        # a directory, or values under a section no command reads, are not silently ignored
+        cfg = tmp_path / "exp.ini"
+        if body is None:
+            cfg.mkdir()
+        else:
+            cfg.write_text(body)
+        out = tmp_path / "out"
+        assert run_cli("--config", str(cfg), "solve", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_default_section_config(self, tmp_path):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[DEFAULT]\nseed = 7\n")
+        assert run_cli("--config", str(cfg), "solve", "--out", str(tmp_path / "out")) == 0
+        doc = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert doc["config"]["seed"] == 7
+
     def test_config_long_key_aliases(self, tmp_path):
         cfg = tmp_path / "exp.ini"
         cfg.write_text(
@@ -413,6 +435,27 @@ def test_bad_run_setting_rejected_before_output(tmp_path, capsys, command, setti
     out = tmp_path / "out"
     assert run_cli(command, "--problem", "A", *sizes[command], f"--{setting}", value,
                    "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,args", [
+    ("solve", []),
+    ("table", ["--n-list", "10", "--N", "100"]),
+    ("band", ["--xi", "3"]),
+    ("tail", ["--N", "100"]),
+    ("diagnose", ["--N", "8", "--reps", "100"]),
+])
+def test_negative_seed_rejected_before_output(tmp_path, capsys, command, args):
+    out = tmp_path / "out"
+    assert run_cli(command, "--problem", "A", *args, "--seed", "-1", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_negative_dense_rejected_before_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("solve", "--dense", "-3", "--out", str(out)) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 

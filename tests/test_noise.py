@@ -179,11 +179,11 @@ class TestChunkStreams:
 
         monkeypatch.setattr(noise_module, "_step_major_tape", counted)
         oracle = ChunkOracle(zero_field_problem(), NoiseModel("rk", 0.01), seed, lo, hi,
-                             evals_per_step=2, perturb_eta=True)
+                             perturb_eta=True)
         x = np.zeros((1, hi - lo, 1))
         taus, noise = [], []
         for steps in blocks:
-            block = oracle.draw_taus(steps)
+            block = oracle.draw_taus(steps, 2)
             assert block.shape == (steps, hi - lo, 1) and block.flags.c_contiguous
             taus.append(block.copy())
             noise += [oracle.noisy_eval(0.0, x) for _ in range(2 * steps)]
@@ -351,15 +351,15 @@ class TestMultiDimensional:
         # worth plus 3 past them, then 2 steps' worth
         lo, hi, deltas = 3, 9, (0.05, delta)
         for evals_per_step in (1, 2):
-            o = ChunkOracle(p, NoiseModel(kind, delta), seed, lo, hi, evals_per_step,
-                            perturb_eta=True, deltas=deltas)
+            o = ChunkOracle(p, NoiseModel(kind, delta), seed, lo, hi, perturb_eta=True,
+                            deltas=deltas)
             schedule = [(0, 3), (4, 4 * evals_per_step + 3), (2, 2 * evals_per_step)]
             xs = np.random.default_rng(2).normal(size=(sum(e for _, e in schedule), 2,
                                                        hi - lo, d))
             taus, got = [], []
             for steps, evals in schedule:
                 if steps:
-                    taus.append(o.draw_taus(steps)[:, :, 0].copy())
+                    taus.append(o.draw_taus(steps, evals_per_step)[:, :, 0].copy())
                 got += [o.noisy_eval(0.5, x) for x in xs[len(got):len(got) + evals]]
             taus, got = np.concatenate(taus), np.stack(got)
             for r in range(hi - lo):

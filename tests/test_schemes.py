@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -29,7 +30,7 @@ from randode import noise as noise_module
 from randode import schemes
 from randode.noise import ChunkOracle
 
-from conftest import decay_problem, problem_A_in, zero_field_problem
+from conftest import FixedTauOracle, decay_problem, problem_A_in, zero_field_problem
 
 EE = SchemeKind.EXPLICIT_EULER
 IE = SchemeKind.IMPLICIT_EULER
@@ -61,15 +62,15 @@ def test_scheme_from_name():
 class TestHandExamples:
     def test_explicit_euler_one_step(self, problem_A):
         # h=1, theta=0.5, f=2*0.5*1=1 -> node 1 + 1 = 2
-        o = NoisyOracle(problem_A, exact_info(), 0, 0)
-        tr = run_explicit_euler(o, 1, taus=[0.5])
+        o = FixedTauOracle(problem_A, exact_info(), 0, 0)
+        tr = run_explicit_euler(o, 1)
         assert abs(tr.nodes[1, 0] - 2.0) <= 1e-14
 
     def test_rk_one_step(self, problem_A):
         # stage at t=0 has zero field, so the stage equals eta and the
         # update reduces to the Euler value
-        o = NoisyOracle(problem_A, exact_info(), 0, 0)
-        tr = run_rk2(o, 1, taus=[0.5])
+        o = FixedTauOracle(problem_A, exact_info(), 0, 0)
+        tr = run_rk2(o, 1)
         assert abs(tr.nodes[1, 0] - 2.0) <= 1e-14
 
     def test_zero_field_all_schemes_constant(self):
@@ -163,12 +164,13 @@ class TestTrajectory:
         assert lo - 1e-12 <= v <= hi + 1e-12
 
     def test_grid_thetas_inside_subintervals(self, problem_A):
-        o = NoisyOracle(problem_A, exact_info(), 123, 0)
-        tr = run_rk2(o, 50)
-        g = tr.grid
-        thetas = np.array([g.theta(j) for j in range(1, g.n + 1)])
-        assert np.all(thetas >= g.knots[:-1])
-        assert np.all(thetas < g.knots[1:])
+        # step j evaluates its stage at t_{j-1}, then its update at theta_j
+        o = NoisyOracle(problem_A, exact_info(), 123, 0, record_samples=True)
+        knots = run_rk2(o, 50).grid.knots
+        ts = np.array([t for t, _, _ in o.samples])
+        assert np.array_equal(ts[0::2], knots[:-1])
+        assert np.all(ts[1::2] >= knots[:-1])
+        assert np.all(ts[1::2] < knots[1:])
 
     def test_csv_roundtrip(self, problem_A, tmp_path):
         o = NoisyOracle(problem_A, exact_info(), 5, 0)
@@ -207,7 +209,7 @@ class TestNodeSink:
     def test_blocks_reassemble_the_run(self, scheme, min_steps, starts):
         p, n, seed, lo, hi = problem_A_in(1), 23, 5, 3, 11
         noise = NoiseModel("ie" if scheme is IE else scheme.value, 0.01)
-        oracle = ChunkOracle(p, noise, seed, lo, hi, 2 if scheme is RK else 1)
+        oracle = ChunkOracle(p, noise, seed, lo, hi)
         calls, failures = self._run(oracle, scheme, n, min_steps=min_steps)
         assert failures == [None]
         assert [j0 for j0, _, _ in calls] == starts
@@ -236,7 +238,7 @@ class TestNodeSink:
         p = IvpSpec(a=0.0, b=1.0, d=1, eta=np.ones(1), rhs=rhs,
                     class_params=ClassParams(K=1.0, L=0.0, rho=1.5), name="wall",
                     rhs_vectorized=True)
-        oracle = ChunkOracle(p, exact_info(), 2, 4, 12, 2 if scheme is RK else 1)
+        oracle = ChunkOracle(p, exact_info(), 2, 4, 12)
         calls, (failure,) = self._run(oracle, scheme, 40)
         assert [j0 for j0, _, _ in calls] == list(range(0, 40, 5))
         assert all(np.isfinite(block).all() for _, _, block in calls[:4])
@@ -244,8 +246,7 @@ class TestNodeSink:
         assert type(failure) is NumericalError
         assert (failure.replication, failure.step) == (4, 21)
         with pytest.raises(NumericalError) as info:  # a run without a sink raises it
-            run_scheme(ChunkOracle(p, exact_info(), 2, 4, 12, 2 if scheme is RK else 1),
-                       scheme, 40)
+            run_scheme(ChunkOracle(p, exact_info(), 2, 4, 12), scheme, 40)
         assert str(info.value) == str(failure)
 
 
@@ -267,8 +268,8 @@ class TestBlockTimesAndFactors:
             if route == "one":
                 oracle = NoisyOracle(p, noise, seed, 3, perturb_eta=True)
             else:
-                oracle = ChunkOracle(p, noise, seed, 3, 11, 2 if scheme is RK else 1,
-                                     perturb_eta=True, deltas=[0.0, 0.004, 0.01])
+                oracle = ChunkOracle(p, noise, seed, 3, 11, perturb_eta=True,
+                                     deltas=[0.0, 0.004, 0.01])
             return run_scheme(oracle, scheme, n).nodes
 
         want = nodes()
@@ -278,6 +279,22 @@ class TestBlockTimesAndFactors:
                 mock.patch.object(noise_module, "_BLOCK_ELEMS", 20):
             got = nodes()
         assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("scheme", [EE, RK])
+def test_one_run_holds_its_nodes_and_one_block(problem_A, scheme):
+    # a one-replication run keeps its n + 1 nodes and knots; its taus, noise units
+    # and node block are drawn and stepped a block at a time, whatever n is.  A
+    # short run first leaves one-off allocations out of the measured one.
+    noise = NoiseModel(scheme.value, 0.01)
+    run_scheme(NoisyOracle(problem_A, noise, 3, 1), scheme, 300)
+    tracemalloc.start()
+    try:
+        tr = run_scheme(NoisyOracle(problem_A, noise, 3, 0), scheme, 5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - tr.nodes.nbytes - tr.grid.knots.nbytes <= 128 * 1024
 
 
 class TestSchemeAccuracy:
