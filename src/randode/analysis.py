@@ -23,9 +23,10 @@ import warnings
 import numpy as np
 
 from .exceptions import DomainError, ReferenceSolutionError
-from .noise import _BLOCK_ELEMS, ChunkOracle, NoiseModel, NoisyOracle, exact_info
+from .noise import ChunkOracle, NoiseModel, NoisyOracle, exact_info
 from .problems import IvpSpec, exact_solution_A
-from .schemes import SchemeKind, Trajectory, implicit_euler_refusal, run_scheme, write_csv
+from .schemes import (SchemeKind, Trajectory, _block_steps, implicit_euler_refusal, run_scheme,
+                      write_csv)
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -116,6 +117,13 @@ class ReferenceSolution:
 # Sup-norm error
 
 
+def _check_counts(**counts) -> None:
+    """Raise a DomainError for the first count that is not an integer >= 1."""
+    for name, count in counts.items():
+        if not isinstance(count, numbers.Integral) or count < 1:
+            raise DomainError(f"{name} must be >= 1 and an integer, got {count!r}")
+
+
 def _interior_offsets(h: float, subsamples: int) -> np.ndarray:
     return h * np.arange(1, subsamples + 1) / (subsamples + 1)
 
@@ -174,13 +182,12 @@ def _sup_error_kernel(nodes: np.ndarray, h: float, ref_knots: np.ndarray,
     slope_j, with slope_j = (nodes[j] - nodes[j-1]) / h, rounded in that
     order.
 
-    Steps are taken in blocks of about ``_BLOCK_ELEMS`` node values (at
-    least one step), each a contiguous slab of every row, in reused scratch
-    of O(block) size, so the kernel's memory does not grow with n and its
-    working set stays in cache.  A block repeats the previous block's last
-    knot; max is exact, so that changes nothing.  ``scratch``, a dict that a
-    caller passes to every call of one run, keeps that scratch from one call
-    to the next.
+    Steps are taken in blocks of ``schemes._block_steps(M d)`` steps, the
+    run's sub-blocks, so each block a sink gets is one kernel block: a
+    contiguous slab of every row, in reused scratch of O(block) size.  A
+    block repeats the previous block's last knot; max is exact, so that
+    changes nothing.  ``scratch``, a dict that a caller passes to every call
+    of one run, keeps that scratch from one call to the next.
 
     **Certified pruning.**  A block folds its knot deviations D_j first.
     Max is exact, so an interior deviation that cannot exceed its row's
@@ -235,13 +242,12 @@ def _sup_error_kernel(nodes: np.ndarray, h: float, ref_knots: np.ndarray,
     test and nothing else.
     """
     n1, M, d = nodes.shape
-    steps = max(1, min(n1 - 1, -(-_BLOCK_ELEMS // (M * d))))
+    steps = max(1, min(n1 - 1, _block_steps(M * d)))
     shape = (M, d, dt.shape[0])
-    bufs = None if scratch is None else scratch.get(shape)
+    scratch = {} if scratch is None else scratch
+    bufs = scratch.get(shape)
     if bufs is None or bufs[0].size < steps * M * d:
-        bufs = _kernel_buffers(steps, *shape)
-        if scratch is not None:
-            scratch[shape] = bufs
+        bufs = scratch[shape] = _kernel_buffers(steps, *shape)
     slope_buf, dev_buf, sum_buf, live_buf, row_buf = bufs
     err = np.zeros(M) if err is None else err
     kappa = _MARGIN_ULPS * d * _U
@@ -255,10 +261,6 @@ def _sup_error_kernel(nodes: np.ndarray, h: float, ref_knots: np.ndarray,
         np.abs(dev, out=dev)
         return dev[..., 0] if d == 1 else np.sum(dev, axis=-1,
                                                  out=_scratch(sum_buf, dev.shape[:-1]))
-
-    def fold(dev):
-        """Fold the largest one-norm of each row of dev (b, M, d) into err."""
-        np.maximum(err, np.max(norms(dev), axis=0, out=row_buf), out=err)
 
     for s0 in range(0, n1 - 1, steps):
         s1 = min(s0 + steps, n1 - 1)
@@ -283,7 +285,7 @@ def _sup_error_kernel(nodes: np.ndarray, h: float, ref_knots: np.ndarray,
                 np.multiply(dt[k], slopes, out=dev)
                 np.add(nodes[s0:s1], dev, out=dev)
                 np.subtract(dev, ref_int[k, s0:s1, None], out=dev)
-                fold(dev)
+                np.maximum(err, np.max(norms(dev), axis=0, out=row_buf), out=err)
         elif count:
             _fold_live(nodes[s0:s1 + 1], h, ref_int[:, s0:s1], dt, live, err,
                        slope_buf, dev_buf, norms)
@@ -336,11 +338,9 @@ def sup_error(tr: Trajectory, ref: ReferenceSolution, subsamples_per_step: int =
     Interior points sit at offsets k/(subsamples_per_step+1) of each
     subinterval, k = 1..subsamples_per_step.
     """
-    if subsamples_per_step < 1:
-        raise DomainError("subsamples_per_step must be >= 1")
-    knots = tr.grid.knots
+    _check_counts(subsamples_per_step=subsamples_per_step)
     dt = _interior_offsets(tr.grid.h, subsamples_per_step)
-    ref_knots, ref_int = _reference_grids(ref, knots, dt)
+    ref_knots, ref_int = _reference_grids(ref, tr.grid.knots, dt)
     return float(_sup_error_kernel(tr.nodes[:, None], tr.grid.h, ref_knots, ref_int, dt)[0])
 
 
@@ -459,10 +459,8 @@ def run_cells(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind
     that implicit Euler refuses joins no run; any other exception out of a
     run propagates.
     """
-    for name, count in (("n", n), ("N", N), ("subsamples_per_step", subsamples_per_step),
-                        ("chunk_size", chunk_size), ("parallelism", parallelism)):
-        if not isinstance(count, numbers.Integral) or count < 1:
-            raise DomainError(f"{name} must be >= 1 and an integer, got {count!r}")
+    _check_counts(n=n, N=N, subsamples_per_step=subsamples_per_step, chunk_size=chunk_size,
+                  parallelism=parallelism)
     h = (problem.b - problem.a) / n
     knots = problem.a + h * np.arange(n + 1)
     dt = _interior_offsets(h, subsamples_per_step)
@@ -486,7 +484,7 @@ def run_cells(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind
     if pooled:
         import concurrent.futures  # here, not at module level: only a pool needs it
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
+        with concurrent.futures.ProcessPoolExecutor(min(parallelism, len(tasks))) as pool:
             results = list(pool.map(_batch_task, tasks))
     else:
         results = [_batch_task(task) for task in tasks]

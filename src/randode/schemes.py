@@ -34,9 +34,13 @@ from .problems import IvpSpec, d_exact_solution_A, exact_solution_A
 #: steps of one block of a chunk run: its tapes hold this many steps of every
 #: row at a time
 _BLOCK_STEPS = 256
-#: a run steps each tape block in sub-blocks of about _BLOCK_ELEMS node
-#: values, and of at least this many steps
+#: the fewest steps of a run's sub-block, and so of a sup-error kernel block
 _MIN_SINK_STEPS = 8
+
+
+def _block_steps(values_per_step: int) -> int:
+    """Steps of a run's sub-block and of a sup-error kernel block: about _BLOCK_ELEMS values."""
+    return max(_MIN_SINK_STEPS, _BLOCK_ELEMS // values_per_step)
 
 
 class SchemeKind(enum.Enum):
@@ -150,7 +154,7 @@ class _Run:
         self.grid = Grid(n=n, h=h, knots=a + h * np.arange(n + 1))
         self.oracle = oracle
         self.evals_per_step = evals_per_step
-        self._sub = max(_MIN_SINK_STEPS, _BLOCK_ELEMS // oracle.eta_tilde.size)
+        self._sub = _block_steps(oracle.eta_tilde.size)
         self.block = min(n, _BLOCK_STEPS, self._sub)  # steps of the longest block
         self.nodes = np.empty((self.block + 1,) + oracle.eta_tilde.shape)
         # every node of a run without a sink, or None
@@ -196,12 +200,12 @@ class _Run:
 
         A block's times are computed in one array op each, shaped as the
         taus: (steps,) for one replication, (steps, m, 1) for a chunk.  Taus
-        are drawn per tape block of ``_BLOCK_STEPS`` steps, and each
-        tape block is stepped in sub-blocks of about ``_BLOCK_ELEMS`` node
-        values, so the node block stays small however many rows a state
-        has.  Each block is checked for non-finite nodes once stepped, then
-        handed to the sink.  Without a sink, the first failing column's
-        error (:meth:`failures`) is raised after the last block.
+        are drawn per tape block of ``_BLOCK_STEPS`` steps, each stepped in
+        sub-blocks of :func:`_block_steps` steps, so the node block stays
+        small however many rows a state has.  Each block is checked for
+        non-finite nodes once stepped, then handed to the sink.  Without a
+        sink, the first failing column's error (:meth:`failures`) is raised
+        after the last block.
         """
         n, h, knots = self.grid.n, self.grid.h, self.grid.knots
         last = self.oracle.eta_tilde

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -74,11 +75,13 @@ class TestSupError:
         e = sup_error(tr, ref_A)
         assert 0.0 < e < 0.05
 
-    def test_subsamples_validated(self, problem_A, ref_A):
+    @pytest.mark.parametrize("subsamples", [0, 2.5])
+    def test_subsamples_validated(self, problem_A, ref_A, subsamples):
+        # run_cells's rule: an integer >= 1
         o = NoisyOracle(problem_A, exact_info(), 42, 0)
         tr = run_explicit_euler(o, 4)
-        with pytest.raises(DomainError):
-            sup_error(tr, ref_A, subsamples_per_step=0)
+        with pytest.raises(DomainError, match="must be >= 1 and an integer"):
+            sup_error(tr, ref_A, subsamples_per_step=subsamples)
 
     def test_uncovered_reference_raises(self, problem_A):
         ref = ReferenceSolution.cached_dense(0.0, 0.5, np.zeros(100))
@@ -145,6 +148,13 @@ def _step_major(nodes):
     return np.ascontiguousarray(nodes.transpose(1, 0, 2))
 
 
+def _kernel_blocks(elems):
+    """Kernel blocks of elems // (M d) steps and at least one (the real ones if elems is None)."""
+    if elems is None:
+        return contextlib.nullcontext()
+    return mock.patch.multiple(schemes, _BLOCK_ELEMS=elems, _MIN_SINK_STEPS=1)
+
+
 class TestSupErrorKernel:
     @given(M=st.integers(1, 40), n=st.integers(1, 60), d=st.sampled_from([1, 3]),
            subsamples=st.integers(1, 9), block=st.sampled_from([None, 1, 5, 64, 700]),
@@ -156,12 +166,13 @@ class TestSupErrorKernel:
     def test_blocked_matches_unblocked(self, M, n, d, subsamples, block, seed):
         nodes, *rest = _kernel_inputs(M, n, d, subsamples, seed)
         step_major = np.ascontiguousarray(nodes.transpose(1, 0, 2))
-        with mock.patch.object(analysis, "_BLOCK_ELEMS", block or analysis._BLOCK_ELEMS):
+        with _kernel_blocks(block):
             got = analysis._sup_error_kernel(step_major, *rest)
         assert np.array_equal(got, unblocked_sup_error_kernel(nodes, *rest))
 
     def test_scratch_is_o_block(self):
         # 200 rows of n = 5000 make 163-step blocks, the last one of 110 steps
+        assert schemes._block_steps(200) == 163 and 5000 % 163 == 110
         nodes, *rest = args = _kernel_inputs(200, 5000, 1, 8, 0)
         want = unblocked_sup_error_kernel(*args)
         step_major = np.ascontiguousarray(nodes.transpose(1, 0, 2))
@@ -172,7 +183,7 @@ class TestSupErrorKernel:
         finally:
             tracemalloc.stop()
         assert np.array_equal(got, want)
-        block_bytes = 8 * analysis._BLOCK_ELEMS
+        block_bytes = 8 * schemes._BLOCK_ELEMS
         assert peak <= 4 * block_bytes  # two scratch blocks and small change
         assert peak * 10 < 8 * 200 * 5000  # one (m, n) array
 
@@ -196,7 +207,7 @@ class TestSupErrorKernel:
         err = None if start is None else start * want
         if err is not None:
             want = np.maximum(err, want)
-        with mock.patch.object(analysis, "_BLOCK_ELEMS", block or analysis._BLOCK_ELEMS):
+        with _kernel_blocks(block):
             got = analysis._sup_error_kernel(_step_major(nodes), *rest, err)
         assert np.array_equal(got, want)
         assert err is None or got is err
@@ -208,7 +219,7 @@ class TestSupErrorKernel:
         want = unblocked_sup_error_kernel(nodes, *rest)
         knot_max = np.sum(np.abs(nodes - rest[1]), axis=2).max(axis=1)
         assert (want > 100 * knot_max).all()
-        with mock.patch.object(analysis, "_BLOCK_ELEMS", block or analysis._BLOCK_ELEMS):
+        with _kernel_blocks(block):
             got = analysis._sup_error_kernel(_step_major(nodes), *rest)
         assert np.array_equal(got, want)
 
@@ -338,6 +349,32 @@ class TestRunBatch:
                       chunk_size=8)
             run_batch(dataclasses.replace(problem_A, rhs_vectorized=False), ref_A, IE, 10,
                       NoiseModel("ie", 1e-3), 20, 7, chunk_size=8)
+
+    def test_pool_has_at_most_one_worker_a_chunk(self, problem_A, ref_A):
+        # a forking pool starts all of its workers at the first submit; this one maps
+        # serially and only records how many it was asked for
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers=None):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        kw = dict(chunk_size=100)
+        with mock.patch("concurrent.futures.ProcessPoolExecutor", SerialPool):
+            pooled = run_batch(problem_A, ref_A, EE, 10, exact_info(), 300, 4, parallelism=64,
+                               **kw)
+        assert asked == [3]
+        serial = run_batch(problem_A, ref_A, EE, 10, exact_info(), 300, 4, **kw)
+        assert np.array_equal(pooled.errors, serial.errors)
 
     def test_closure_rhs_runs_serially_under_parallelism(self):
         k = 0.5
@@ -680,6 +717,19 @@ class TestRunCells:
         got = run_batch(problem_A, ref_A, EE, np.int64(10), exact_info(), np.int32(20), 1,
                         chunk_size=np.int64(8), parallelism=np.int64(1))
         assert np.array_equal(got.errors, want.errors)
+
+    def test_one_kernel_block_per_sink_block(self, problem_A, ref_A):
+        # three ee columns of 2048 rows hold 6144 values a step, so at n = 20 the run
+        # hands its sink blocks of 8, 8 and 4 steps; the kernel takes each one whole
+        # (_step_terms runs once a kernel block) and folds all of its knots first
+        row = [exact_info(), NoiseModel("ee", 1e-3), NoiseModel("ee", 2e-3)]
+        with mock.patch.object(analysis, "_sup_error_kernel",
+                               wraps=analysis._sup_error_kernel) as sink_calls, \
+                mock.patch.object(analysis, "_step_terms",
+                                  wraps=analysis._step_terms) as kernel_blocks:
+            analysis.run_cells(problem_A, ref_A, EE, 20, row, 2048, 3)
+        assert sink_calls.call_count == 3
+        assert kernel_blocks.call_count == sink_calls.call_count
 
     def test_no_columns_no_cells(self, problem_A, ref_A):
         assert analysis.run_cells(problem_A, ref_A, EE, 10, [], 20, 1) == []
