@@ -589,8 +589,8 @@ class TailCurve:
 def tail_curve(batch: ErrorBatch, gamma: float, xi_grid) -> TailCurve:
     """Exceedance fraction per xi, with Wilson interval bounds."""
     xis = np.asarray(xi_grid, dtype=float)
-    if np.any(np.diff(xis) < 0):
-        raise DomainError("xi_grid must be sorted ascending")
+    if not (np.all(np.isfinite(xis)) and np.all(np.diff(xis) >= 0)):
+        raise DomainError("xi_grid must be finite and sorted ascending")
     denom = max(float(batch.cell.n) ** -gamma, batch.cell.delta)
     # errors are sorted: count above threshold via binary search
     counts = batch.N - np.searchsorted(batch.errors, xis * denom, side="right")
@@ -633,7 +633,7 @@ class ConfidenceBand:
 def confidence_band(tr: Trajectory, gamma: float, delta: float, xi_eps: float,
                     grid_points: int = 201, epsilon: float = float("nan")) -> ConfidenceBand:
     """Band of half-width xi_eps * max(h^gamma, delta) around the interpolant."""
-    if xi_eps < 0:
+    if not xi_eps >= 0:
         raise DomainError("xi must be nonnegative")
     if grid_points < 2:
         raise DomainError("grid_points must be >= 2")

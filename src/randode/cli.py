@@ -1,16 +1,18 @@
 """Command-line front end: solve, table, band, tail, diagnose, build-ref.
 
 Each setting is declared once, in SETTINGS: its flag --name ("_" written as
-"-"), type, default and help.  COMMANDS names the settings each command reads
-and its own defaults.  Every setting is also a config key: an INI file given
-as --config ("key = value" under an [experiment] section) sets the command's
-defaults, so a flag still wins.  A key may be spelt with "_" or "-", and
-master_seed, output_dir and subsamples_per_step stand for seed, out and
-subsamples.  A key the command does not read, two keys for one setting, or
-a section other than [experiment] is a usage error.  Every command that writes files also writes a
-manifest.json recording the resolved configuration, the package version,
-wall-clock time and a checksum per output file; re-running with the same
-inputs reproduces the checksums.
+"-"), type, default, help and, if it has a range, its valid values.  COMMANDS
+names the settings each command reads and its own defaults.  Every setting is
+also a config key: an INI file given as --config ("key = value" under an
+[experiment] section) sets the command's defaults, so a flag still wins.  A
+key may be spelt with "_" or "-", and master_seed, output_dir and
+subsamples_per_step stand for seed, out and subsamples.  A key the command does
+not read, two keys for one setting, a section other than [experiment], or a
+value outside its setting's range is a usage error, found before any work.
+Every command that writes files also writes a manifest.json recording every
+setting it read but the paths (resolved values in place of raw ones), the
+package version, wall-clock time and a checksum per output file; re-running
+with the same inputs reproduces the checksums.
 
 Exit codes: 0 success, 1 failed checks or incomplete tables, 2 usage errors.
 """
@@ -21,6 +23,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -77,31 +80,38 @@ def _sha256(path) -> str:
 
 
 class Manifest:
-    def __init__(self, command: str, config: dict):
-        self.command = command
-        self.config = config
+    """manifest.json of one run: the settings the command read (paths left out, the
+    command's resolved values in place of the raw ones) and a checksum per output."""
+
+    def __init__(self, command: str, args, **resolved):
+        self.command, self.out = command, args.out
+        self.config = {name: getattr(args, name) for name in COMMANDS[command][2].split()
+                       if name not in ("out", "ref_cache")}
+        self.config.update(resolved)
         self.outputs = {}
         self.cells = None  # table: per cell, n, delta label and NA reason
         self._t0 = time.monotonic()
 
-    def add(self, path):
-        self.outputs[os.path.basename(path)] = _sha256(path)
+    def path(self, name: str) -> str:
+        """An output file's path, its directory made on first use; write() hashes it."""
+        os.makedirs(self.out, exist_ok=True)
+        self.outputs[name] = path = os.path.join(self.out, name)
+        return path
 
-    def write(self, out_dir):
+    def write(self):
+        outputs = {name: _sha256(path) for name, path in self.outputs.items()}
         doc = {
             "command": self.command,
             "version": __version__,
             "config": self.config,
             "wall_seconds": round(time.monotonic() - self._t0, 3),
-            "outputs": self.outputs,
+            "outputs": outputs,
         }
         if self.cells is not None:
             doc["cells"] = self.cells
-        path = os.path.join(out_dir, "manifest.json")
-        with open(path, "w") as fh:
+        with open(os.path.join(self.out, "manifest.json"), "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        return path
 
 
 _CONFIG_ALIASES = {"master_seed": "seed", "output_dir": "out", "subsamples_per_step": "subsamples"}
@@ -150,23 +160,6 @@ def _noise_for(kind: str, scheme: SchemeKind, delta: float) -> NoiseModel:
     return NoiseModel(kind, delta)
 
 
-def _check_steps(ns):
-    """Reject an empty list of step counts or one below 1, before any delta rule reads it."""
-    if not ns or min(ns) < 1:
-        raise UsageError(f"step counts must be >= 1, got {list(ns)}")
-
-
-def _check_run(epsilon: float, ref_steps: int, subsamples: int = 1, parallelism: int = 1):
-    """Reject a quantile level outside (0, 1), a count below 1 or a reference build
-    below MIN_REF_STEPS steps, before any work is done."""
-    if not 0.0 < epsilon < 1.0:
-        raise UsageError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if subsamples < 1 or parallelism < 1:
-        raise UsageError(f"subsamples ({subsamples}) and parallelism ({parallelism}) must be >= 1")
-    if ref_steps < MIN_REF_STEPS:
-        raise UsageError(f"--ref-steps must be >= {MIN_REF_STEPS}, got {ref_steps}")
-
-
 def _int_list(text: str):
     try:
         return [int(v) for v in text.replace(",", " ").split()]
@@ -181,29 +174,21 @@ def _int_list(text: str):
 def cmd_solve(args) -> int:
     problem = make_problem(args.problem)
     scheme = scheme_from_name(args.scheme)
-    n, out = args.n, args.out
-    _check_steps([n])
-    if args.dense is not None and args.dense < 0:
-        raise UsageError(f"--dense must be >= 0, got {args.dense}")
+    n = args.n
     delta = parse_delta_rule(args.delta).value_for(n)
     noise = _noise_for(args.noise, scheme, delta)
 
-    manifest = Manifest("solve", {"problem": problem.name, "scheme": scheme.value,
-                                  "n": n, "noise": noise.kind, "delta": delta,
-                                  "seed": args.seed})
+    manifest = Manifest("solve", args, problem=problem.name, scheme=scheme.value,
+                        noise=noise.kind, delta=delta)
     tr = run_scheme(NoisyOracle(problem, noise, args.seed, 0), scheme, n)
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "trajectory.csv")
+    path = manifest.path("trajectory.csv")
     tr.write_csv(path)
-    manifest.add(path)
     if args.dense:
         ts = np.linspace(problem.a, problem.b, args.dense)
         vals = tr.dense(ts)
-        dpath = os.path.join(out, "trajectory_dense.csv")
-        write_csv(dpath, ["t"] + [f"x{k}" for k in range(vals.shape[1])],
-                  np.column_stack([ts, vals]))
-        manifest.add(dpath)
-    manifest.write(out)
+        write_csv(manifest.path("trajectory_dense.csv"),
+                  ["t"] + [f"x{k}" for k in range(vals.shape[1])], np.column_stack([ts, vals]))
+    manifest.write()
     print(f"wrote {path} ({n + 1} rows), oracle evaluations: {tr.eval_count}")
     return 0
 
@@ -216,30 +201,26 @@ def cmd_table(args) -> int:
     problem = make_problem(args.problem)
     scheme = scheme_from_name(args.scheme)
     ns = _int_list(args.n_list)
-    _check_steps(ns)
+    if not ns or min(ns) < 1:
+        raise UsageError(f"step counts must be >= 1, got {ns}")
     rules = args.delta_rules
     if rules is None:
         rules = RK_DELTA_RULES if scheme is SchemeKind.RUNGE_KUTTA2 else EE_DELTA_RULES
     rules = [parse_delta_rule(v) for v in rules.replace(",", " ").split()]
     if not rules:
         raise UsageError("table needs at least one delta column")
-    epsilon, explicit_N, seed, out = args.epsilon, args.N, args.seed, args.out
-    _check_run(epsilon, args.ref_steps, args.subsamples, args.parallelism)
+    epsilon, explicit_N, seed = args.epsilon, args.N, args.seed
     if explicit_N is not None and explicit_N < 100:
         raise UsageError("table requires N >= 100")
     noises = [[_noise_for(args.noise, scheme, rule.value_for(n)) for rule in rules] for n in ns]
-    os.makedirs(out, exist_ok=True)
     if explicit_N is not None and explicit_N < 10.0 / epsilon:
         print(f"warning: N = {explicit_N} is below 10/epsilon = {10.0 / epsilon:.0f}; "
               f"the quantile estimate will be coarse", file=sys.stderr)
 
     gamma = gamma_of(scheme, problem.class_params.rho)
     reference = reference_for(problem, cache_path=args.ref_cache, n_ref=args.ref_steps)
-    manifest = Manifest("table", {
-        "problem": problem.name, "scheme": scheme.value, "n_list": ns,
-        "delta_rules": [r.label for r in rules], "epsilon": epsilon,
-        "N": explicit_N, "seed": seed, "gamma": gamma,
-        "parallelism": args.parallelism, "subsamples": args.subsamples})
+    manifest = Manifest("table", args, problem=problem.name, scheme=scheme.value, n_list=ns,
+                        delta_rules=[r.label for r in rules], gamma=gamma)
 
     rows = []
     failures = []
@@ -262,10 +243,9 @@ def cmd_table(args) -> int:
         rows.append(row)
         print(f"n={n:6d} done (N={N})")
 
-    path = os.path.join(out, f"table_{scheme.value}_{problem.name}.csv")
+    path = manifest.path(f"table_{scheme.value}_{problem.name}.csv")
     write_csv(path, ["n"] + [f"delta={r.label}" for r in rules], rows)
-    manifest.add(path)
-    manifest.write(out)
+    manifest.write()
     print(f"wrote {path}")
     if failures:
         for n, label, msg in failures:
@@ -281,12 +261,9 @@ def cmd_table(args) -> int:
 def cmd_band(args) -> int:
     problem = make_problem(args.problem)
     scheme = scheme_from_name(args.scheme)
-    n, xi, epsilon, seed, out = args.n, args.xi, args.epsilon, args.seed, args.out
-    _check_steps([n])
-    if xi is None or xi <= 0:
-        raise UsageError("band requires --xi > 0")
-    if args.grid_points < 2:
-        raise UsageError(f"--grid-points must be >= 2, got {args.grid_points}")
+    n, xi, epsilon, seed = args.n, args.xi, args.epsilon, args.seed
+    if xi is None:
+        raise UsageError("band requires --xi")
     gamma = gamma_of(scheme, problem.class_params.rho)
 
     if args.delta is None:
@@ -295,27 +272,21 @@ def cmd_band(args) -> int:
         rule = parse_delta_rule(args.delta)
         delta, delta_label = rule.value_for(n), rule.label
     noise = _noise_for(args.noise, scheme, delta)
-    _check_run(epsilon, args.ref_steps)
     reference = reference_for(problem, cache_path=args.ref_cache, n_ref=args.ref_steps)
 
-    manifest = Manifest("band", {"problem": problem.name, "scheme": scheme.value,
-                                 "n": n, "xi": xi, "delta": delta,
-                                 "delta_label": delta_label, "epsilon": epsilon,
-                                 "seed": seed, "gamma": gamma})
+    manifest = Manifest("band", args, problem=problem.name, scheme=scheme.value,
+                        noise=noise.kind, delta=delta, delta_label=delta_label, gamma=gamma)
     tr = run_scheme(NoisyOracle(problem, noise, seed, 0), scheme, n)
     band = confidence_band(tr, gamma, delta, xi, grid_points=args.grid_points, epsilon=epsilon)
     ref_vals = reference.values_at(band.ts)
 
-    os.makedirs(out, exist_ok=True)
-    csv_path = os.path.join(out, f"band_{scheme.value}_{problem.name}.csv")
+    csv_path = manifest.path(f"band_{scheme.value}_{problem.name}.csv")
     band.write_csv(csv_path)
-    manifest.add(csv_path)
-    svg_path = os.path.join(out, f"band_{scheme.value}_{problem.name}.svg")
+    svg_path = manifest.path(f"band_{scheme.value}_{problem.name}.svg")
     band.write_svg(svg_path, reference=reference,
                    title=f"{scheme.value} on {problem.name}: n={n}, "
                          f"radius={band.radius:.4g} (xi={xi:g}, delta={delta_label})")
-    manifest.add(svg_path)
-    manifest.write(out)
+    manifest.write()
     inside = np.all(np.sum(np.abs(ref_vals - band.center), axis=1) <= band.radius)
     print(f"wrote {csv_path} and {svg_path}; radius={band.radius!r}; "
           f"reference inside band on the grid: {bool(inside)}")
@@ -329,37 +300,29 @@ def cmd_band(args) -> int:
 def cmd_tail(args) -> int:
     problem = make_problem(args.problem)
     scheme = scheme_from_name(args.scheme)
-    n, N, epsilon, seed, out = args.n, args.N, args.epsilon, args.seed, args.out
-    _check_steps([n])
+    n, N, epsilon, seed = args.n, args.N, args.epsilon, args.seed
     if N < 100:
         raise UsageError("tail requires N >= 100")
     delta = parse_delta_rule(args.delta).value_for(n)
     noise = _noise_for(args.noise, scheme, delta)
-    _check_run(epsilon, args.ref_steps, args.subsamples, args.parallelism)
-    if args.xi_points < 1 or (args.xi_max is not None and args.xi_max < 0):
-        raise UsageError(f"xi-points ({args.xi_points}) must be >= 1 and xi-max "
-                         f"({args.xi_max}) >= 0")
     if N < 10.0 / epsilon:
         print(f"warning: N = {N} is below 10/epsilon = {10.0 / epsilon:.0f}; "
               f"tail probabilities near {epsilon} will be coarse", file=sys.stderr)
     gamma = gamma_of(scheme, problem.class_params.rho)
     reference = reference_for(problem, cache_path=args.ref_cache, n_ref=args.ref_steps)
 
-    manifest = Manifest("tail", {"problem": problem.name, "scheme": scheme.value,
-                                 "n": n, "N": N, "delta": delta, "seed": seed,
-                                 "gamma": gamma})
+    manifest = Manifest("tail", args, problem=problem.name, scheme=scheme.value,
+                        noise=noise.kind, delta=delta, gamma=gamma)
     batch = run_batch(problem, reference, scheme, n, noise, N,
                       derive_cell_seed(seed, scheme, problem.name, n),
                       parallelism=args.parallelism, subsamples_per_step=args.subsamples)
     denom = max(float(n) ** -gamma, delta)
     xi_max = args.xi_max if args.xi_max is not None else float(batch.errors[-1]) / denom
-    grid = np.linspace(0.0, xi_max, args.xi_points)
-    curve = tail_curve(batch, gamma, grid)
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, f"tail_{scheme.value}_{problem.name}_n{n}.csv")
+    manifest.config["xi_max"] = xi_max
+    curve = tail_curve(batch, gamma, np.linspace(0.0, xi_max, args.xi_points))
+    path = manifest.path(f"tail_{scheme.value}_{problem.name}_n{n}.csv")
     curve.write_csv(path)
-    manifest.add(path)
-    manifest.write(out)
+    manifest.write()
     print(f"wrote {path}")
     return 0
 
@@ -371,9 +334,6 @@ def cmd_tail(args) -> int:
 def cmd_diagnose(args) -> int:
     problem = make_problem(args.problem)
     seed, out, reps, slope_N = args.seed, args.out, args.reps, args.N
-    if slope_N < 1 or reps < 2:
-        raise UsageError(f"diagnose requires N >= 1 and reps >= 2, got N = {slope_N}, "
-                         f"reps = {reps}")
     checks = []
 
     # conditional mean of the local quadrature error (analytic pair of problem A)
@@ -395,10 +355,10 @@ def cmd_diagnose(args) -> int:
     for kind in ("ee", "ie", "rk"):
         noise = NoiseModel(kind, 0.05)
         oracle = NoisyOracle(problem, noise, seed, 0, record_samples=True)
-        for _ in range(500):
+        for _ in range(250):  # pairs at one t, so the ie check compares each pair's states
             t = problem.a + (problem.b - problem.a) * rng.random()
-            x = problem.eta + rng.normal(size=problem.d)
-            oracle.noisy_eval(t, x)
+            for _ in range(2):
+                oracle.noisy_eval(t, problem.eta + rng.normal(size=problem.d))
         ok = verify_noise_bound(noise, oracle.samples)
         checks.append({"name": f"noise_bound_{kind}", "passed": bool(ok),
                        "samples": len(oracle.samples)})
@@ -430,31 +390,45 @@ def cmd_build_ref(args) -> int:
 # parser
 
 
-# Every setting once: flag --name ("_" written as "-"), type, default and help.
+def _at_least(low):
+    return (lambda v: v >= low, f">= {low}")
+
+
+# Every setting once: flag --name ("_" written as "-"), type, default, help, and
+# for a ranged one its valid values, as a test and its wording; main checks them.
 SETTINGS = {
     "problem": dict(default="A", help="test problem name (A or B)"),
     "scheme": dict(default="ee", help="integrator: ee, ie or rk"),
-    "n": dict(type=int, help="step count"),
+    "n": dict(type=int, help="step count", valid=_at_least(1)),
     "n_list": dict(default="10 20 50 100 200 500 1000 2000 5000",
                    help="step counts, space or comma separated"),
     "noise": dict(default="auto", choices=["auto", "exact", "ee", "ie", "rk"],
                   help="noise class; auto matches the scheme, and delta 0 is exact"),
     "delta": dict(help="noise budget: literal or n^-p rule"),
     "delta_rules": dict(help="delta columns, e.g. '0 n^-1 2e-3'; None: the paper's six"),
-    "epsilon": dict(type=float, default=0.05, help="quantile level"),
-    "N": dict(type=int, help="Monte Carlo replications; table's None: 1e5, 1e4 from n = 1000"),
-    "seed": dict(type=int, default=12345, help="master seed"),
+    "epsilon": dict(type=float, default=0.05, help="quantile level",
+                    valid=(lambda v: 0.0 < v < 1.0, "in (0, 1)")),
+    "N": dict(type=int, help="Monte Carlo replications; table's None: 1e5, 1e4 from n = 1000",
+              valid=_at_least(1)),
+    "seed": dict(type=int, default=12345, help="master seed", valid=_at_least(0)),
     "out": dict(default="out", help="output directory"),
-    "parallelism": dict(type=int, default=1, help="worker processes"),
-    "subsamples": dict(type=int, default=8, help="interior sup-norm samples per subinterval"),
+    "parallelism": dict(type=int, default=1, help="worker processes", valid=_at_least(1)),
+    "subsamples": dict(type=int, default=8, help="interior sup-norm samples per subinterval",
+                       valid=_at_least(1)),
     "ref_cache": dict(help="reference cache file for problem B"),
-    "ref_steps": dict(type=int, default=DEFAULT_REF_STEPS, help="problem B's reference steps"),
-    "dense": dict(type=int, help="also write the interpolant on this many points"),
-    "xi": dict(type=float, help="band multiplier (required, > 0)"),
-    "grid_points": dict(type=int, default=201, help="band evaluation grid size"),
-    "xi_max": dict(type=float, help="largest xi on the grid; None: the largest error's"),
-    "xi_points": dict(type=int, default=41, help="xi grid size"),
-    "reps": dict(type=int, default=100_000, help="replications for the mean-zero check"),
+    "ref_steps": dict(type=int, default=DEFAULT_REF_STEPS, help="problem B's reference steps",
+                      valid=_at_least(MIN_REF_STEPS)),
+    "dense": dict(type=int, help="also write the interpolant on this many points",
+                  valid=_at_least(0)),
+    "xi": dict(type=float, help="band multiplier (required, > 0)",
+               valid=(lambda v: 0.0 < v < math.inf, "finite and > 0")),
+    "grid_points": dict(type=int, default=201, help="band evaluation grid size",
+                        valid=_at_least(2)),
+    "xi_max": dict(type=float, help="largest xi on the grid; None: the largest error's",
+                   valid=(lambda v: 0.0 <= v < math.inf, "finite and >= 0")),
+    "xi_points": dict(type=int, default=41, help="xi grid size", valid=_at_least(1)),
+    "reps": dict(type=int, default=100_000, help="replications for the mean-zero check",
+                 valid=_at_least(2)),
 }
 
 _REF = "ref_cache ref_steps"
@@ -487,7 +461,8 @@ def build_parser():
         p = parsers[command] = sub.add_parser(
             command, help=text, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         for name in reads.split():
-            p.add_argument("--" + name.replace("_", "-"), **SETTINGS[name])
+            spec = {k: v for k, v in SETTINGS[name].items() if k != "valid"}
+            p.add_argument("--" + name.replace("_", "-"), **spec)
         p.set_defaults(func=func, **defaults)
     return ap, parsers
 
@@ -499,8 +474,11 @@ def main(argv=None) -> int:
         if args.config:  # its values become the command's defaults, so a flag still wins
             parsers[args.command].set_defaults(**_config_defaults(args.config, args.command))
             args = ap.parse_args(argv)
-        if getattr(args, "seed", 0) < 0:
-            raise UsageError(f"--seed must be >= 0, got {args.seed}")
+        for name in COMMANDS[args.command][2].split():  # before any work or output
+            valid, wording = SETTINGS[name].get("valid", (None, None))
+            value = getattr(args, name)
+            if valid is not None and value is not None and not valid(value):
+                raise UsageError(f"--{name.replace('_', '-')} must be {wording}, got {value!r}")
         return args.func(args)
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -836,6 +836,12 @@ class TestTailCurve:
         with pytest.raises(DomainError):
             tail_curve(batch, 1.0, [1.0, 0.5])
 
+    @pytest.mark.parametrize("grid", [[0.0, np.nan], [np.nan], [0.0, np.inf], [-np.inf, 1.0]])
+    def test_non_finite_grid_rejected(self, grid):
+        # a NaN compares false both ways, so an order test alone lets it through
+        with pytest.raises(DomainError):
+            tail_curve(self._batch([0.1, 0.2]), 1.0, grid)
+
     def test_consistent_with_quantile(self, problem_A, ref_A):
         batch = run_batch(problem_A, ref_A, EE, 20, exact_info(), 4000, 21)
         q = xi_hat(batch, 0.05, 1.0)
@@ -897,6 +903,11 @@ class TestConfidenceBand:
         tr = run_explicit_euler(o, 5)
         with pytest.raises(DomainError):
             confidence_band(tr, 1.0, 0.0, -1.0)
+
+    def test_nan_xi_rejected(self, problem_A):
+        tr = run_explicit_euler(NoisyOracle(problem_A, exact_info(), 3, 0), 5)
+        with pytest.raises(DomainError):
+            confidence_band(tr, 1.0, 0.0, float("nan"))
 
 
 class TestSlopes:

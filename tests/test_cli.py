@@ -8,10 +8,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import randode
-from randode import cli
+from randode import cli, noise
 from randode.cli import main
 
 
@@ -202,6 +203,11 @@ class TestTable:
         cfg.write_text("[experiment]\nnoise = fresh\n")
         assert run_cli("--config", str(cfg), "solve", "--out", str(tmp_path)) == 2
         assert "noise = 'fresh'" in capsys.readouterr().err
+        # and a value outside its setting's range, as its flag would be
+        cfg.write_text("[experiment]\nn = 10\nN = 100\nxi_max = nan\n")
+        assert run_cli("--config", str(cfg), "tail", "--out", str(tmp_path / "o")) == 2
+        assert "--xi-max must be finite and >= 0, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("keys", [("seed = 1", "master_seed = 2"),
                                       ("n_list = 10", "n-list = 20"),
@@ -299,6 +305,35 @@ def test_every_setting_is_a_config_key_and_its_flag_wins(tmp_path, monkeypatch,
     from_file, from_flag = (getattr(args, name) for args in seen)
     assert (str(from_file), str(from_flag)) == (in_file, on_flag)
     assert type(from_file) is type(from_flag)
+
+
+@pytest.mark.parametrize("command,args", [
+    ("solve", ["--n", "5", "--dense", "3"]),
+    ("table", ["--n-list", "10", "--delta-rules", "0 1e-3", "--N", "100"]),
+    ("band", ["--n", "10", "--xi", "3"]),
+    ("tail", ["--n", "10", "--N", "100", "--xi-points", "5"]),
+])
+def test_manifest_records_every_setting_read(tmp_path, command, args):
+    # every input that can change an output, so the paths alone are left out
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli(command, "--problem", "A", *args, "--out", str(tmp_path)) == 0
+    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert set(READS[command].split()) - {"out", "ref_cache"} <= set(config)
+    assert "out" not in config and "ref_cache" not in config
+
+
+def test_manifest_tells_noise_classes_apart(tmp_path):
+    # --noise ie and --noise auto (ee for the ee scheme) give different tables
+    docs = []
+    for kind in ("ie", "auto"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli("table", "--problem", "A", "--n-list", "10", "--N", "100",
+                           "--delta-rules", "0 1e-3", "--noise", kind,
+                           "--out", str(tmp_path / kind)) == 0
+        docs.append(json.loads((tmp_path / kind / "manifest.json").read_text()))
+    assert docs[0]["outputs"] != docs[1]["outputs"]
+    assert docs[0]["config"] != docs[1]["config"]
+    assert (docs[0]["config"]["noise"], docs[1]["config"]["noise"]) == ("ie", "auto")
 
 
 @pytest.mark.parametrize("command", list(READS))
@@ -422,6 +457,12 @@ class TestTail:
     ("tail", "xi-points", "0"),
     ("tail", "xi-max", "-1"),
     ("band", "grid-points", "1"),
+    ("band", "xi", "nan"),  # non-finite floats are out of every range
+    ("band", "xi", "inf"),
+    ("tail", "xi-max", "nan"),
+    ("tail", "xi-max", "inf"),
+    ("table", "epsilon", "nan"),
+    ("diagnose", "ref-steps", "10"),  # problem A reads no reference, but the value is bad
     ("table", "ref-steps", "10"),
     ("table", "noise", "exact"),  # exact information with the 1e-3 column
     ("tail", "delta", "1e-320"),  # subnormal
@@ -431,7 +472,8 @@ class TestTail:
 ])
 def test_bad_run_setting_rejected_before_output(tmp_path, capsys, command, setting, value):
     sizes = {"table": ["--n-list", "10", "--delta-rules", "0 1e-3", "--N", "100"],
-             "tail": ["--n", "10", "--N", "100"], "band": ["--n", "10", "--xi", "3"]}
+             "tail": ["--n", "10", "--N", "100"], "band": ["--n", "10", "--xi", "3"],
+             "diagnose": ["--N", "8", "--reps", "200"]}
     out = tmp_path / "out"
     assert run_cli(command, "--problem", "A", *sizes[command], f"--{setting}", value,
                    "--out", str(out)) == 2
@@ -495,6 +537,23 @@ class TestDiagnose:
         doc = json.loads((tmp_path / "diagnose.json").read_text())
         failed = [c for c in doc["checks"] if not c["passed"]]
         assert failed and all(c["name"].startswith("noise_bound") for c in failed)
+
+    def test_non_lipschitz_ie_noise_fails(self, tmp_path, monkeypatch):
+        # within the ie growth bound |e0| (1 + |x|) at every state, but not
+        # delta-Lipschitz in x: only a pair of states at one t can show it
+        perturb = noise._perturb
+
+        def tampered(kind, e, direction, x):
+            pert = perturb(kind, e, direction, x)
+            return pert * np.cos(50.0 * x) if kind == "ie" else pert
+
+        monkeypatch.setattr(noise, "_perturb", tampered)
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = run_cli("diagnose", "--problem", "A", "--seed", "6",
+                         "--reps", "5000", "--N", "64", "--out", str(tmp_path))
+        assert rc == 1
+        doc = json.loads((tmp_path / "diagnose.json").read_text())
+        assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["noise_bound_ie"]
 
     def test_failed_run_leaves_no_output(self, tmp_path):
         out = tmp_path / "out"
