@@ -70,13 +70,14 @@ class ReferenceSolution:
         ts = np.asarray(ts, dtype=float)
         if self.kind == "analytic":
             out = np.asarray(self.fn(ts), dtype=float)
-            if out.ndim == 1:
-                out = out[:, None]
+            out = out[:, None] if out.ndim == 1 else out
         else:
             lo, hi = self.a, self.b
             if ts.size and not (ts.min() >= lo - 1e-12 and ts.max() <= hi + 1e-12):
                 raise ReferenceSolutionError(f"reference only covers [{lo}, {hi}]")
             out = self._interp(ts)
+        if out.shape != (len(ts), self.d):
+            raise ReferenceSolutionError(f"reference values of shape {out.shape}, d = {self.d}")
         if not np.all(np.isfinite(out)):
             raise ReferenceSolutionError("reference produced non-finite values")
         return out
@@ -339,6 +340,8 @@ def sup_error(tr: Trajectory, ref: ReferenceSolution, subsamples_per_step: int =
     subinterval, k = 1..subsamples_per_step.
     """
     _check_counts(subsamples_per_step=subsamples_per_step)
+    if ref.d != tr.nodes.shape[1]:
+        raise DomainError(f"the reference has d = {ref.d}, the run d = {tr.nodes.shape[1]}")
     dt = _interior_offsets(tr.grid.h, subsamples_per_step)
     ref_knots, ref_int = _reference_grids(ref, tr.grid.knots, dt)
     return float(_sup_error_kernel(tr.nodes[:, None], tr.grid.h, ref_knots, ref_int, dt)[0])
@@ -357,6 +360,7 @@ class BatchCell:
     n: int
     noise_kind: str
     delta: float
+    span: float = 1.0  # b - a
 
 
 @dataclasses.dataclass(frozen=True)
@@ -461,8 +465,9 @@ def run_cells(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind
     """
     _check_counts(n=n, N=N, subsamples_per_step=subsamples_per_step, chunk_size=chunk_size,
                   parallelism=parallelism)
-    h = (problem.b - problem.a) / n
-    knots = problem.a + h * np.arange(n + 1)
+    if reference.d != problem.d:
+        raise DomainError(f"the reference has d = {reference.d}, the problem d = {problem.d}")
+    h, knots = (problem.b - problem.a) / n, np.linspace(problem.a, problem.b, n + 1)
     dt = _interior_offsets(h, subsamples_per_step)
     ref_knots, ref_int = _reference_grids(reference, knots, dt)
 
@@ -500,7 +505,7 @@ def run_cells(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind
     for c, noise in enumerate(noises):
         if cells[c] is None:
             cell = BatchCell(problem=problem.name or "custom", scheme=scheme, n=n,
-                             noise_kind=noise.kind, delta=noise.delta)
+                             noise_kind=noise.kind, delta=noise.delta, span=problem.b - problem.a)
             cells[c] = ErrorBatch(cell=cell, errors=np.sort(errors[c]),
                                   master_seed=master_seed, N=N)
     return cells
@@ -548,8 +553,18 @@ def order_statistic_index(epsilon: float, N: int) -> int:
     return int(math.ceil(target - 1e-9))
 
 
+def error_scale(n: int, span: float, gamma: float, delta: float) -> float:
+    """The error scale max(h^gamma, delta) of n steps of h = span / n, with h^gamma taken as
+    span^gamma n^-gamma: on a unit span that is n^-gamma bit for bit."""
+    if not 0.0 <= gamma < math.inf:
+        raise DomainError(f"gamma must be finite and >= 0, got {gamma!r}")
+    if not 0.0 <= delta <= 1.0:
+        raise DomainError(f"delta must lie in [0, 1], got {delta!r}")
+    return max(span ** gamma * float(n) ** -gamma, delta)
+
+
 def xi_hat(batch: ErrorBatch, epsilon: float, gamma: float) -> QuantileEstimate:
-    """r_{ceil((1-eps)N):N} divided by max(n^-gamma, delta)."""
+    """r_{ceil((1-eps)N):N} divided by the cell's :func:`error_scale`."""
     if batch.N < 1 or batch.errors.size < 1:
         raise DomainError("empty batch")
     if not 0.0 < epsilon < 1.0:
@@ -557,7 +572,7 @@ def xi_hat(batch: ErrorBatch, epsilon: float, gamma: float) -> QuantileEstimate:
     idx = order_statistic_index(epsilon, batch.N)
     if idx < 1 or idx > batch.N:
         raise DomainError(f"order statistic index {idx} out of range [1, {batch.N}]")
-    denom = max(float(batch.cell.n) ** -gamma, batch.cell.delta)
+    denom = error_scale(batch.cell.n, batch.cell.span, gamma, batch.cell.delta)
     return QuantileEstimate(epsilon=epsilon, xi_hat=float(batch.errors[idx - 1]) / denom,
                             denom=denom)
 
@@ -591,14 +606,11 @@ def tail_curve(batch: ErrorBatch, gamma: float, xi_grid) -> TailCurve:
     xis = np.asarray(xi_grid, dtype=float)
     if not (np.all(np.isfinite(xis)) and np.all(np.diff(xis) >= 0)):
         raise DomainError("xi_grid must be finite and sorted ascending")
-    denom = max(float(batch.cell.n) ** -gamma, batch.cell.delta)
+    denom = error_scale(batch.cell.n, batch.cell.span, gamma, batch.cell.delta)
     # errors are sorted: count above threshold via binary search
     counts = batch.N - np.searchsorted(batch.errors, xis * denom, side="right")
     probs = counts / batch.N
-    lows = np.empty_like(probs)
-    highs = np.empty_like(probs)
-    for i, c in enumerate(counts):
-        lows[i], highs[i] = wilson_interval(int(c), batch.N)
+    lows, highs = np.array([wilson_interval(int(c), batch.N) for c in counts]).reshape(-1, 2).T
     return TailCurve(xis=xis, probs=probs, N=batch.N, wilson_low=lows, wilson_high=highs)
 
 
@@ -632,12 +644,12 @@ class ConfidenceBand:
 
 def confidence_band(tr: Trajectory, gamma: float, delta: float, xi_eps: float,
                     grid_points: int = 201, epsilon: float = float("nan")) -> ConfidenceBand:
-    """Band of half-width xi_eps * max(h^gamma, delta) around the interpolant."""
-    if not xi_eps >= 0:
-        raise DomainError("xi must be nonnegative")
+    """Band of half-width xi_eps * error_scale(n, b - a, gamma, delta) around the interpolant."""
+    if not 0.0 <= xi_eps < math.inf:
+        raise DomainError("xi must be finite and nonnegative")
     if grid_points < 2:
         raise DomainError("grid_points must be >= 2")
-    radius = xi_eps * max(tr.grid.h ** gamma, delta)
+    radius = xi_eps * error_scale(tr.grid.n, tr.b - tr.a, gamma, delta)
     ts = np.linspace(tr.a, tr.b, grid_points)
     center = tr.dense(ts)
     return ConfidenceBand(trajectory=tr, radius=radius, xi=xi_eps, epsilon=epsilon,
@@ -861,7 +873,7 @@ __all__ = [
     "BatchCell", "ConfidenceBand", "ErrorBatch", "QuantileEstimate",
     "ReferenceSolution", "SlopeFit", "TailCurve", "build_reference_B",
     "confidence_band", "convergence_slope", "default_ref_cache", "derive_cell_seed",
-    "fit_loglog_slope", "order_statistic_index",
+    "error_scale", "fit_loglog_slope", "order_statistic_index",
     "reference_for", "run_batch", "run_cells", "sup_error", "tail_curve", "wilson_interval",
     "xi_hat",
 ]

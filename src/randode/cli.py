@@ -39,6 +39,7 @@ from .analysis import (
     convergence_slope,
     default_ref_cache,
     derive_cell_seed,
+    error_scale,
     reference_for,
     run_batch,
     run_cells,
@@ -71,6 +72,12 @@ class UsageError(Exception):
     pass
 
 
+def _write_json(path, doc):
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -89,7 +96,7 @@ class Manifest:
                        if name not in ("out", "ref_cache")}
         self.config.update(resolved)
         self.outputs = {}
-        self.cells = None  # table: per cell, n, delta label and NA reason
+        self.cells = None  # table: per cell, n, N, delta label and NA reason
         self._t0 = time.monotonic()
 
     def path(self, name: str) -> str:
@@ -109,9 +116,7 @@ class Manifest:
         }
         if self.cells is not None:
             doc["cells"] = self.cells
-        with open(os.path.join(self.out, "manifest.json"), "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(self.out, "manifest.json"), doc)
 
 
 _CONFIG_ALIASES = {"master_seed": "seed", "output_dir": "out", "subsamples_per_step": "subsamples"}
@@ -158,6 +163,15 @@ def _noise_for(kind: str, scheme: SchemeKind, delta: float) -> NoiseModel:
     if delta == 0.0:
         kind = "exact"
     return NoiseModel(kind, delta)
+
+
+def _check_N(N: int, epsilon: float, command: str):
+    """N must be >= 100; below 10/epsilon, estimates at level epsilon are coarse."""
+    if N < 100:
+        raise UsageError(f"{command} requires N >= 100")
+    if N < 10.0 / epsilon:
+        print(f"warning: N = {N} is below 10/epsilon = {10.0 / epsilon:.0f}; "
+              f"estimates near epsilon = {epsilon} will be coarse", file=sys.stderr)
 
 
 def _int_list(text: str):
@@ -209,13 +223,11 @@ def cmd_table(args) -> int:
     rules = [parse_delta_rule(v) for v in rules.replace(",", " ").split()]
     if not rules:
         raise UsageError("table needs at least one delta column")
-    epsilon, explicit_N, seed = args.epsilon, args.N, args.seed
-    if explicit_N is not None and explicit_N < 100:
-        raise UsageError("table requires N >= 100")
+    epsilon, seed = args.epsilon, args.seed
     noises = [[_noise_for(args.noise, scheme, rule.value_for(n)) for rule in rules] for n in ns]
-    if explicit_N is not None and explicit_N < 10.0 / epsilon:
-        print(f"warning: N = {explicit_N} is below 10/epsilon = {10.0 / epsilon:.0f}; "
-              f"the quantile estimate will be coarse", file=sys.stderr)
+    row_Ns = [args.N or (10_000 if n >= 1000 else 100_000) for n in ns]
+    for N in dict.fromkeys(row_Ns):
+        _check_N(N, epsilon, "table")
 
     gamma = gamma_of(scheme, problem.class_params.rho)
     reference = reference_for(problem, cache_path=args.ref_cache, n_ref=args.ref_steps)
@@ -225,9 +237,8 @@ def cmd_table(args) -> int:
     rows = []
     failures = []
     manifest.cells = []
-    for n, row_noises in zip(ns, noises):
+    for n, N, row_noises in zip(ns, row_Ns, noises):
         cell_seed = derive_cell_seed(seed, scheme, problem.name, n)
-        N = explicit_N or (10_000 if n >= 1000 else 100_000)
         row = [str(n)]
         # one run for the whole row: its cells share the cell seed's draws
         batches = run_cells(problem, reference, scheme, n, row_noises, N, cell_seed,
@@ -239,7 +250,7 @@ def cmd_table(args) -> int:
             else:
                 failures.append((n, rule.label, reason))
                 row.append("NA")
-            manifest.cells.append({"n": n, "delta": rule.label, "na_reason": reason})
+            manifest.cells.append({"n": n, "N": N, "delta": rule.label, "na_reason": reason})
         rows.append(row)
         print(f"n={n:6d} done (N={N})")
 
@@ -267,7 +278,7 @@ def cmd_band(args) -> int:
     gamma = gamma_of(scheme, problem.class_params.rho)
 
     if args.delta is None:
-        delta, delta_label = float(n) ** -gamma, f"n^-{gamma:g}"
+        delta, delta_label = error_scale(n, 1.0, gamma, 0.0), f"n^-{gamma:g}"
     else:
         rule = parse_delta_rule(args.delta)
         delta, delta_label = rule.value_for(n), rule.label
@@ -300,14 +311,10 @@ def cmd_band(args) -> int:
 def cmd_tail(args) -> int:
     problem = make_problem(args.problem)
     scheme = scheme_from_name(args.scheme)
-    n, N, epsilon, seed = args.n, args.N, args.epsilon, args.seed
-    if N < 100:
-        raise UsageError("tail requires N >= 100")
+    n, N, seed = args.n, args.N, args.seed
     delta = parse_delta_rule(args.delta).value_for(n)
     noise = _noise_for(args.noise, scheme, delta)
-    if N < 10.0 / epsilon:
-        print(f"warning: N = {N} is below 10/epsilon = {10.0 / epsilon:.0f}; "
-              f"tail probabilities near {epsilon} will be coarse", file=sys.stderr)
+    _check_N(N, args.epsilon, "tail")
     gamma = gamma_of(scheme, problem.class_params.rho)
     reference = reference_for(problem, cache_path=args.ref_cache, n_ref=args.ref_steps)
 
@@ -316,8 +323,8 @@ def cmd_tail(args) -> int:
     batch = run_batch(problem, reference, scheme, n, noise, N,
                       derive_cell_seed(seed, scheme, problem.name, n),
                       parallelism=args.parallelism, subsamples_per_step=args.subsamples)
-    denom = max(float(n) ** -gamma, delta)
-    xi_max = args.xi_max if args.xi_max is not None else float(batch.errors[-1]) / denom
+    scale = error_scale(n, problem.b - problem.a, gamma, delta)
+    xi_max = args.xi_max if args.xi_max is not None else float(batch.errors[-1]) / scale
     manifest.config["xi_max"] = xi_max
     curve = tail_curve(batch, gamma, np.linspace(0.0, xi_max, args.xi_points))
     path = manifest.path(f"tail_{scheme.value}_{problem.name}_n{n}.csv")
@@ -333,7 +340,8 @@ def cmd_tail(args) -> int:
 
 def cmd_diagnose(args) -> int:
     problem = make_problem(args.problem)
-    seed, out, reps, slope_N = args.seed, args.out, args.reps, args.N
+    seed, reps, slope_N = args.seed, args.reps, args.N
+    manifest = Manifest("diagnose", args)
     checks = []
 
     # conditional mean of the local quadrature error (analytic pair of problem A)
@@ -365,11 +373,8 @@ def cmd_diagnose(args) -> int:
 
     passed = all(c["passed"] for c in checks)
     report = {"passed": passed, "problem": problem.name, "seed": seed, "checks": checks}
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "diagnose.json")
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(manifest.path("diagnose.json"), report)
+    manifest.write()
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if passed else 1
 

@@ -5,12 +5,9 @@ class DomainError(ValueError):
     """An argument lies outside the domain a routine is defined on."""
 
 
-class NumericalError(ArithmeticError):
-    """A computation produced a non-finite value.
-
-    ``step`` is the scheme step and ``replication`` the Monte Carlo
-    replication index where it happened, when known.
-    """
+class _RunError(Exception):
+    """A run failed: ``step`` is the scheme step and ``replication`` the Monte Carlo
+    replication index where it happened, when known."""
 
     def __init__(self, message, step=None, replication=None):
         super().__init__(message)
@@ -18,17 +15,12 @@ class NumericalError(ArithmeticError):
         self.replication = replication
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative solver exhausted its iteration budget.
+class NumericalError(_RunError, ArithmeticError):
+    """A computation produced a non-finite value."""
 
-    ``step`` is the scheme step and ``replication`` the Monte Carlo
-    replication index where it happened, when known.
-    """
 
-    def __init__(self, message, step=None, replication=None):
-        super().__init__(message)
-        self.step = step
-        self.replication = replication
+class ConvergenceError(_RunError, RuntimeError):
+    """An iterative solver exhausted its iteration budget."""
 
 
 class ReferenceSolutionError(RuntimeError):

@@ -30,6 +30,7 @@ several deltas of one noise kind on the same draws.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import re
 
 import numpy as np
@@ -73,6 +74,10 @@ class NoiseModel:
         if self.kind == "rk":
             return self.delta
         return 0.0
+
+    def admits(self, x, pert) -> bool:
+        """True iff pert, emitted at state x, lies within the class bound; a NaN never does."""
+        return one_norm(pert) <= self.bound(x) * (1.0 + _BOUND_RTOL)
 
 
 def exact_info() -> NoiseModel:
@@ -459,11 +464,10 @@ class NoisyOracle(ChunkOracle):
             raise NumericalError(f"replication {i}: rhs returned a non-finite value at t={t}",
                                  replication=i)
         pert = self._perturbation(x)
-        size, bound = one_norm(pert), self.model.bound(x)
-        if not size <= bound * (1.0 + _BOUND_RTOL):
-            raise NumericalError(f"replication {i}: perturbation of one-norm {size!r} at t={t} "
-                                 f"exceeds its {self.model.kind} noise-class bound {bound!r}",
-                                 replication=i)
+        if not self.model.admits(x, pert):
+            raise NumericalError(f"replication {i}: perturbation of one-norm "
+                                 f"{one_norm(pert)!r} at t={t} exceeds its {self.model.kind} "
+                                 f"noise-class bound {self.model.bound(x)!r}", replication=i)
         self.eval_count += 1
         if self.samples is not None:
             self.samples.append((t, x.copy(), pert.copy()))
@@ -479,22 +483,17 @@ def verify_noise_bound(m: NoiseModel, samples) -> bool:
     samples = list(samples)
     if not samples:
         raise DomainError("samples must be nonempty")
-    for t, x, pert in samples:
-        if one_norm(pert) > m.bound(x) * (1.0 + _BOUND_RTOL):
-            return False
+    if not all(m.admits(x, pert) for _, x, pert in samples):
+        return False
     if m.kind == "ie":
         by_t = {}
         for t, x, pert in samples:
             by_t.setdefault(float(t), []).append((np.asarray(x, float), np.asarray(pert, float)))
         for group in by_t.values():
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    xi, pi = group[i]
-                    xj, pj = group[j]
-                    lhs = one_norm(pi - pj)
-                    rhs = m.delta * one_norm(xi - xj)
-                    if lhs > rhs * (1.0 + _BOUND_RTOL) + 1e-300:
-                        return False
+            for (xi, pi), (xj, pj) in itertools.combinations(group, 2):
+                bound = m.delta * one_norm(xi - xj) * (1.0 + _BOUND_RTOL) + 1e-300
+                if not one_norm(pi - pj) <= bound:
+                    return False
     return True
 
 

@@ -208,20 +208,13 @@ class MembershipReport:
 
 
 def _sample_l1_ball(rng, center, radius, size):
-    """Uniform samples from the one-norm ball B(center, radius), shape (size, d)."""
+    """Uniform samples from the one-norm ball B(center, radius), shape (size, d): the
+    noisy oracle's ball draw (:func:`noise._unit_factor`) on draw units taken from rng."""
+    from .noise import _perturb, _signed, _unit_factor, _unit_width  # noise imports this module
     d = center.shape[0]
-    if radius == 0.0 or d == 0:
-        return np.tile(center, (size, 1))
-    if d == 1:
-        offs = radius * (2.0 * rng.random(size) - 1.0)
-        return center[None, :] + offs[:, None]
-    # cone direction on the l1 sphere (simplex point with random signs),
-    # radial factor U^(1/d) for volume uniformity
-    e = -np.log(rng.random((size, d)))
-    dirs = e / np.sum(e, axis=1, keepdims=True)
-    signs = np.where(rng.random((size, d)) < 0.5, -1.0, 1.0)
-    r = radius * rng.random(size) ** (1.0 / d)
-    return center[None, :] + r[:, None] * dirs * signs
+    units = rng.random((size, _unit_width(d)))
+    e, direction = _unit_factor(_signed(units) if d == 1 else units, radius, d, "ball")
+    return center + _perturb("rk", e, direction, None)
 
 
 def check_class_membership(p: IvpSpec, sample_count: int = 2000, rng_seed: int = 0) -> MembershipReport:

@@ -1,9 +1,9 @@
 """The three randomized one-step integrators and their piecewise-linear output.
 
-Each scheme advances on the uniform grid t_j = a + j h and evaluates the
-noisy oracle at a uniformly random intermediate point theta_j drawn per step
-from the oracle's grid stream.  The continuous output is the linear
-interpolant of the node values.
+Each scheme advances on the uniform grid t_j = a + j h, whose last knot is b
+(``np.linspace``'s knots), and evaluates the noisy oracle at a uniformly
+random intermediate point theta_j drawn per step from the oracle's grid
+stream.  The continuous output is the linear interpolant of the node values.
 
 Each scheme is written once and steps a :class:`ChunkOracle`: a whole chunk
 of replications (state shape (k, m, d), one row per replication in each of
@@ -83,7 +83,7 @@ def write_csv(path, header, rows):
 
 @dataclasses.dataclass(frozen=True)
 class Grid:
-    """The uniform knots of one run."""
+    """The uniform knots of one run, ``np.linspace(a, b, n + 1)``."""
 
     n: int
     h: float
@@ -150,8 +150,7 @@ class _Run:
         if n < 1:
             raise DomainError("n must be >= 1")
         a, b = oracle.base.a, oracle.base.b
-        h = (b - a) / n
-        self.grid = Grid(n=n, h=h, knots=a + h * np.arange(n + 1))
+        self.grid = Grid(n=n, h=(b - a) / n, knots=np.linspace(a, b, n + 1))
         self.oracle = oracle
         self.evals_per_step = evals_per_step
         self._sub = _block_steps(oracle.eta_tilde.size)
@@ -377,8 +376,7 @@ def martingale_diagnostic(n: int, reps: int, seed, solution=exact_solution_A,
     """
     if n < 1 or reps < 2:
         raise DomainError("need n >= 1 and reps >= 2")
-    h = (b - a) / n
-    knots = a + h * np.arange(n + 1)
+    h, knots = (b - a) / n, np.linspace(a, b, n + 1)
     increments = np.asarray(solution(knots[1:])) - np.asarray(solution(knots[:-1]))
     rng = np.random.default_rng(seed)
     thetas = knots[:-1][None, :] + h * rng.random((reps, n))

@@ -83,6 +83,27 @@ class TestSupError:
         with pytest.raises(DomainError, match="must be >= 1 and an integer"):
             sup_error(tr, ref_A, subsamples_per_step=subsamples)
 
+    def test_reference_of_another_d_rejected(self, problem_A, ref_A):
+        # a d = 1 reference on a d = 3 run, and a two-column reference on problem A
+        p3 = problem_A_in(3)
+        tr = run_explicit_euler(NoisyOracle(p3, exact_info(), 0, 0), 4)
+        with pytest.raises(DomainError):
+            sup_error(tr, ref_A)
+        with pytest.raises(DomainError):
+            run_batch(p3, ref_A, EE, 4, exact_info(), 8, 0)
+        two = ReferenceSolution.cached_dense(0.0, 1.0, np.ones((11, 2)))
+        with pytest.raises(DomainError):
+            run_batch(problem_A, two, EE, 4, exact_info(), 8, 0)
+
+    def test_reference_values_of_the_wrong_shape_raise(self):
+        # declared d = 3, but its fn gives one value per time
+        ref = ReferenceSolution.analytic(np.exp, d=3)
+        with pytest.raises(ReferenceSolutionError):
+            ref.values_at([0.0, 0.5])
+        with pytest.raises(ReferenceSolutionError):
+            sup_error(run_explicit_euler(NoisyOracle(problem_A_in(3), exact_info(), 0, 0), 4),
+                      ref)
+
     def test_uncovered_reference_raises(self, problem_A):
         ref = ReferenceSolution.cached_dense(0.0, 0.5, np.zeros(100))
         o = NoisyOracle(problem_A, exact_info(), 42, 0)
@@ -908,6 +929,51 @@ class TestConfidenceBand:
         tr = run_explicit_euler(NoisyOracle(problem_A, exact_info(), 3, 0), 5)
         with pytest.raises(DomainError):
             confidence_band(tr, 1.0, 0.0, float("nan"))
+
+    def test_band_from_xi_hat_reproduces_the_order_statistic(self):
+        # z' = z on [0, 2]: h = 2 / n, so the scale is max(h^gamma, delta), not n^-gamma
+        p = IvpSpec(a=0.0, b=2.0, d=1, eta=np.array([1.0]), rhs=lambda t, x: x,
+                    class_params=ClassParams(K=1.0, L=1.0, rho=1.5), name="exp02",
+                    rhs_vectorized=True)
+        ref = ReferenceSolution.analytic(np.exp)
+        batch = run_batch(p, ref, EE, 50, exact_info(), 2000, 8)
+        q = xi_hat(batch, 0.05, 1.0)
+        assert q.denom == 2.0 / 50
+        tr = run_explicit_euler(NoisyOracle(p, exact_info(), 8, 0), 50)
+        band = confidence_band(tr, 1.0, 0.0, q.xi_hat)
+        assert band.radius == batch.errors[order_statistic_index(0.05, 2000) - 1]
+
+
+def _unit_batch(delta=0.0):
+    from randode.analysis import BatchCell, ErrorBatch
+    return ErrorBatch(BatchCell("A", EE, 10, "ee", delta), np.linspace(0.1, 1.0, 10), 0, 10)
+
+
+_BAD_SCALES = [(np.nan, 0.0), (np.inf, 0.0), (-1.0, 0.0), (1.0, np.nan), (1.0, -0.5),
+               (1.0, 2.0)]
+
+
+class TestErrorScale:
+    def test_unit_span_is_n_to_the_minus_gamma(self):
+        for n in (7, 49, 5000):
+            for gamma in (1.0, 1.5, 0.75):
+                assert analysis.error_scale(n, 1.0, gamma, 0.0) == float(n) ** -gamma
+        assert analysis.error_scale(10, 2.0, 1.0, 0.0) == 0.2
+        assert analysis.error_scale(10, 1.0, 1.0, 0.5) == 0.5
+
+    @pytest.mark.parametrize("gamma,delta", _BAD_SCALES)
+    def test_xi_hat_and_tail_curve_reject_bad_scales(self, gamma, delta):
+        with pytest.raises(DomainError):
+            xi_hat(_unit_batch(delta), 0.05, gamma)
+        with pytest.raises(DomainError):
+            tail_curve(_unit_batch(delta), gamma, [0.0, 1.0])
+
+    @pytest.mark.parametrize("gamma,delta,xi", [g_d + (1.0,) for g_d in _BAD_SCALES]
+                             + [(1.0, 0.0, np.inf)])
+    def test_confidence_band_rejects_bad_scales(self, problem_A, gamma, delta, xi):
+        tr = run_explicit_euler(NoisyOracle(problem_A, exact_info(), 3, 0), 5)
+        with pytest.raises(DomainError):
+            confidence_band(tr, gamma, delta, xi)
 
 
 class TestSlopes:

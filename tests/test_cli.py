@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import randode
-from randode import cli, noise
+from randode import DomainError, cli, noise
 from randode.cli import main
 
 
@@ -159,7 +159,7 @@ class TestTable:
         cells = json.loads((tmp_path / "ie" / "manifest.json").read_text())["cells"]
         reason = "implicit Euler needs exact or ie noise, not fresh ee"
         assert cells == [
-            {"n": n, "delta": label, "na_reason": na}
+            {"n": n, "N": 100, "delta": label, "na_reason": na}
             for n in (10, 20) for label, na in (("0", None), ("1e-3", reason))]
         # a row without a failure
         assert run_cli("table", "--problem", "A", "--scheme", "ee", "--n-list", "10",
@@ -167,6 +167,26 @@ class TestTable:
                        "--out", str(tmp_path / "ee")) == 0
         cells = json.loads((tmp_path / "ee" / "manifest.json").read_text())["cells"]
         assert [c["na_reason"] for c in cells] == [None] * 2
+
+    def test_each_row_checks_and_records_its_own_N(self, tmp_path, monkeypatch, capsys):
+        # no --N: 1e5 replications below n = 1000 and 1e4 from there, each row's N
+        # warned about against 10/epsilon and recorded with the row's cells
+        seen = []
+
+        def no_run(problem, reference, scheme, n, noises, N, *args, **kwargs):
+            seen.append((n, N))
+            return [DomainError("not run")] * len(noises)
+
+        monkeypatch.setattr(cli, "run_cells", no_run)
+        assert run_cli("table", "--problem", "A", "--n-list", "10 20 1000", "--delta-rules",
+                       "0", "--epsilon", "1e-6", "--out", str(tmp_path)) == 1
+        assert seen == [(10, 100_000), (20, 100_000), (1000, 10_000)]
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 2
+        assert "N = 100000 is below" in warnings[0] and "N = 10000 is below" in warnings[1]
+        cells = json.loads((tmp_path / "manifest.json").read_text())["cells"]
+        assert [(c["n"], c["N"]) for c in cells] == seen
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "exp.ini"
@@ -560,6 +580,17 @@ class TestDiagnose:
         assert run_cli("diagnose", "--problem", "B", "--ref-steps", "10", "--reps", "1000",
                        "--out", str(out)) == 2
         assert not out.exists()
+
+    def test_manifest_lists_the_report(self, tmp_path, capsys):
+        rc = run_cli("diagnose", "--problem", "A", "--seed", "6", "--reps", "2000", "--N", "8",
+                     "--out", str(tmp_path))
+        report = (tmp_path / "diagnose.json").read_bytes()
+        assert capsys.readouterr().out.encode() == report  # stdout is the report, byte for byte
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        assert doc["command"] == "diagnose" and rc in (0, 1)
+        assert doc["outputs"] == {"diagnose.json": hashlib.sha256(report).hexdigest()}
+        assert doc["config"] == {"problem": "A", "seed": 6, "reps": 2000, "N": 8,
+                                 "ref_steps": cli.DEFAULT_REF_STEPS}
 
 
 class TestBuildRef:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -277,6 +279,17 @@ class TestVerifyNoiseBound:
         ]
         assert m.bound(np.array([1.0])) >= 0.15  # per-point bounds fine ...
         assert not verify_noise_bound(m, bad)    # ... but the pair violates Lipschitz
+
+    @pytest.mark.parametrize("kind", ["ee", "ie", "rk"])
+    def test_nan_perturbation_rejected(self, problem_A, kind):
+        # as the oracle's own per-call check refuses it; for ie, at one t with a finite pair
+        m = NoiseModel(kind, 0.1)
+        nan = (0.5, np.array([1.0]), np.array([np.nan]))
+        assert not verify_noise_bound(m, [(0.5, np.array([0.0]), np.array([0.05])), nan])
+        assert not m.admits(nan[1], nan[2])
+        with mock.patch.object(NoisyOracle, "_perturbation", lambda self, x: np.array([np.nan])):
+            with pytest.raises(NumericalError):
+                NoisyOracle(problem_A, m, 0, 0).noisy_eval(0.5, [1.0])
 
     def test_empty_samples_rejected(self):
         with pytest.raises(DomainError):

@@ -172,6 +172,14 @@ class TestTrajectory:
         assert np.all(ts[1::2] >= knots[:-1])
         assert np.all(ts[1::2] < knots[1:])
 
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_last_knot_is_b(self, problem_A, scheme):
+        # at n = 49, a + 49 h rounds to 0.9999999999999999: the last knot must be b itself
+        tr = run_scheme(NoisyOracle(problem_A, exact_info(), 5, 0), scheme, 49)
+        assert tr.b == problem_A.b == 1.0
+        assert np.array_equal(tr.at(1.0), tr.nodes[-1])
+        assert np.array_equal(tr.grid.knots[:-1], np.arange(49) * tr.grid.h + problem_A.a)
+
     def test_csv_roundtrip(self, problem_A, tmp_path):
         o = NoisyOracle(problem_A, exact_info(), 5, 0)
         tr = run_explicit_euler(o, 4)
