@@ -16,6 +16,7 @@ from .analysis import (
     ReferenceSolution,
     SlopeFit,
     TailCurve,
+    Workers,
     build_reference_B,
     confidence_band,
     convergence_slope,

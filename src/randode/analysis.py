@@ -10,6 +10,7 @@ around a single run are built by :func:`confidence_band`.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -446,9 +447,77 @@ def _column_groups(columns: dict) -> list:
     return groups
 
 
+class Workers:
+    """The worker processes of one command, kept for all of its :func:`run_cells` calls.
+
+    ``map(fn, tasks)`` is ``[fn(task) for task in tasks]``, run serially when
+    ``parallelism`` is 1, there are fewer than 2 tasks, or a task cannot be
+    pickled (with a RuntimeWarning); otherwise in a process pool of the
+    platform's default start method (fork on Linux), started at the first
+    pooled map with ``min(parallelism, len(tasks))`` workers: a forking pool
+    starts all of its workers at the first submit, so it never holds more
+    workers than a map has had tasks.  A later map with more tasks than the
+    pool has workers replaces it by a larger one while fewer than
+    ``parallelism`` run.  Exit shuts the pool down; a map whose task raised
+    has already cancelled its queued tasks (``Executor.map`` does).
+    """
+
+    def __init__(self, parallelism: int = 1):
+        _check_counts(parallelism=parallelism)
+        self.parallelism = parallelism
+        self._pool, self._size = None, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._close()
+        return False
+
+    def _close(self):
+        if self._pool is not None:
+            pool, self._pool, self._size = self._pool, None, 0
+            pool.__exit__(None, None, None)
+
+    def map(self, fn, tasks) -> list:
+        size = min(self.parallelism, len(tasks))
+        if size > 1:
+            try:
+                pickle.dumps(tasks[0])
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                warnings.warn(f"running the chunks serially: they cannot be sent to worker "
+                              f"processes ({exc})", RuntimeWarning, stacklevel=3)
+                size = 1
+        if size <= 1:
+            return [fn(task) for task in tasks]
+        if size > self._size:
+            self._close()  # before the fork: no executor thread may be alive in it
+            import concurrent.futures  # here, not at module level: only a pool needs it
+
+            self._pool = concurrent.futures.ProcessPoolExecutor(size).__enter__()
+            self._size = size
+        return list(self._pool.map(fn, tasks))
+
+
+def _chunk_bounds(N: int, chunk_size: int, parallelism: int) -> list:
+    """Contiguous (lo, hi) chunks of [0, N), in order, for ``parallelism`` workers.
+
+    The ceil(N / chunk_size) chunks of at most ``chunk_size`` are rounded up to
+    a multiple of w = min(parallelism, that count), and N is split evenly over
+    them (bounds N i // count), so no worker waits on a short last chunk.
+    Only at chunk_size 1 can a chunk be empty; it is dropped.
+    """
+    N, chunk_size = int(N), int(chunk_size)
+    count = -(-N // chunk_size)
+    w = min(parallelism, count)
+    count = w * -(-count // w)
+    bounds = [N * i // count for i in range(count + 1)]
+    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+
+
 def run_cells(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind,
               n: int, noises, N: int, master_seed, *,
-              parallelism: int = 1, subsamples_per_step: int = 8,
+              parallelism: int | Workers = 1, subsamples_per_step: int = 8,
               perturb_eta: bool = False, chunk_size: int = 8192) -> list:
     """The cells of one table row: one entry per noise model, as :func:`run_batch` gives it.
 
@@ -461,10 +530,12 @@ def run_cells(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind
     (:class:`ChunkOracle`): the draws are filled and the steps taken once
     for the row, and each column's failure is read from that run.  A column
     that implicit Euler refuses joins no run; any other exception out of a
-    run propagates.
+    run propagates.  ``parallelism`` is a worker count or the caller's
+    :class:`Workers`, whose pool then serves every call (one per command).
     """
-    _check_counts(n=n, N=N, subsamples_per_step=subsamples_per_step, chunk_size=chunk_size,
-                  parallelism=parallelism)
+    _check_counts(n=n, N=N, subsamples_per_step=subsamples_per_step, chunk_size=chunk_size)
+    own = not isinstance(parallelism, Workers)
+    workers = Workers(parallelism) if own else parallelism
     if reference.d != problem.d:
         raise DomainError(f"the reference has d = {reference.d}, the problem d = {problem.d}")
     h, knots = (problem.b - problem.a) / n, np.linspace(problem.a, problem.b, n + 1)
@@ -474,25 +545,12 @@ def run_cells(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind
     cells = [implicit_euler_refusal(problem, noise, n) if scheme is SchemeKind.IMPLICIT_EULER
              else None for noise in noises]
     groups = _column_groups({c: noise for c, noise in enumerate(noises) if cells[c] is None})
-    tasks = [(problem, scheme, n, model, master_seed, lo, min(lo + chunk_size, N),
+    tasks = [(problem, scheme, n, model, master_seed, lo, hi,
               dt, ref_knots, ref_int, perturb_eta, [noises[c].delta for c in cols])
-             for lo in range(0, N, chunk_size) for model, cols in groups]
-
-    pooled = parallelism > 1 and len(tasks) > 1
-    if pooled:
-        try:
-            pickle.dumps(tasks[0])
-        except (pickle.PicklingError, AttributeError, TypeError) as exc:
-            warnings.warn(f"running the chunks serially: they cannot be sent to worker "
-                          f"processes ({exc})", RuntimeWarning, stacklevel=2)
-            pooled = False
-    if pooled:
-        import concurrent.futures  # here, not at module level: only a pool needs it
-
-        with concurrent.futures.ProcessPoolExecutor(min(parallelism, len(tasks))) as pool:
-            results = list(pool.map(_batch_task, tasks))
-    else:
-        results = [_batch_task(task) for task in tasks]
+             for lo, hi in _chunk_bounds(N, chunk_size, workers.parallelism)
+             for model, cols in groups]
+    with workers if own else contextlib.nullcontext():
+        results = workers.map(_batch_task, tasks)
 
     errors = np.empty((len(noises), N))
     for task, (_, cols), outs in zip(tasks, itertools.cycle(groups), results):
@@ -513,7 +571,7 @@ def run_cells(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind
 
 def run_batch(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind,
               n: int, noise: NoiseModel, N: int, master_seed, *,
-              parallelism: int = 1, subsamples_per_step: int = 8,
+              parallelism: int | Workers = 1, subsamples_per_step: int = 8,
               perturb_eta: bool = False, chunk_size: int = 8192) -> ErrorBatch:
     """N independent replications of the cell's sup-norm error, sorted.
 
@@ -555,12 +613,20 @@ def order_statistic_index(epsilon: float, N: int) -> int:
 
 def error_scale(n: int, span: float, gamma: float, delta: float) -> float:
     """The error scale max(h^gamma, delta) of n steps of h = span / n, with h^gamma taken as
-    span^gamma n^-gamma: on a unit span that is n^-gamma bit for bit."""
+    span^gamma n^-gamma: on a unit span that is n^-gamma bit for bit.  A scale that
+    overflows or underflows to 0 is refused: errors cannot be divided by it."""
     if not 0.0 <= gamma < math.inf:
         raise DomainError(f"gamma must be finite and >= 0, got {gamma!r}")
     if not 0.0 <= delta <= 1.0:
         raise DomainError(f"delta must lie in [0, 1], got {delta!r}")
-    return max(span ** gamma * float(n) ** -gamma, delta)
+    try:
+        scale = max(span ** gamma * float(n) ** -gamma, delta)
+    except OverflowError:
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise DomainError(f"the error scale of n = {n}, span {span!r}, gamma {gamma!r} and "
+                          f"delta {delta!r} is {scale!r}, not a positive finite float")
+    return scale
 
 
 def xi_hat(batch: ErrorBatch, epsilon: float, gamma: float) -> QuantileEstimate:

@@ -34,6 +34,7 @@ from . import __version__
 from .analysis import (
     DEFAULT_REF_STEPS,
     MIN_REF_STEPS,
+    Workers,
     build_reference_B,
     confidence_band,
     convergence_slope,
@@ -237,22 +238,25 @@ def cmd_table(args) -> int:
     rows = []
     failures = []
     manifest.cells = []
-    for n, N, row_noises in zip(ns, row_Ns, noises):
-        cell_seed = derive_cell_seed(seed, scheme, problem.name, n)
-        row = [str(n)]
-        # one run for the whole row: its cells share the cell seed's draws
-        batches = run_cells(problem, reference, scheme, n, row_noises, N, cell_seed,
-                            parallelism=args.parallelism, subsamples_per_step=args.subsamples)
-        for rule, batch in zip(rules, batches):
-            reason = str(batch) if isinstance(batch, Exception) else None
-            if reason is None:
-                row.append(repr(xi_hat(batch, epsilon, gamma).xi_hat))
-            else:
-                failures.append((n, rule.label, reason))
-                row.append("NA")
-            manifest.cells.append({"n": n, "N": N, "delta": rule.label, "na_reason": reason})
-        rows.append(row)
-        print(f"n={n:6d} done (N={N})")
+    # one pool for all rows, started by the first pooled one, inside the manifest's wall time
+    with Workers(args.parallelism) as workers:
+        for n, N, row_noises in zip(ns, row_Ns, noises):
+            cell_seed = derive_cell_seed(seed, scheme, problem.name, n)
+            row = [str(n)]
+            # one run for the whole row: its cells share the cell seed's draws
+            batches = run_cells(problem, reference, scheme, n, row_noises, N, cell_seed,
+                                parallelism=workers, subsamples_per_step=args.subsamples)
+            for rule, batch in zip(rules, batches):
+                reason = str(batch) if isinstance(batch, Exception) else None
+                if reason is None:
+                    row.append(repr(xi_hat(batch, epsilon, gamma).xi_hat))
+                else:
+                    failures.append((n, rule.label, reason))
+                    row.append("NA")
+                manifest.cells.append({"n": n, "N": N, "delta": rule.label,
+                                       "na_reason": reason})
+            rows.append(row)
+            print(f"n={n:6d} done (N={N})")
 
     path = manifest.path(f"table_{scheme.value}_{problem.name}.csv")
     write_csv(path, ["n"] + [f"delta={r.label}" for r in rules], rows)

@@ -304,6 +304,11 @@ class TestRunBatch:
         b1 = run_batch(problem_A, ref_A, EE, 10, exact_info(), 512, 99, parallelism=1, **kw)
         b2 = run_batch(problem_A, ref_A, EE, 10, exact_info(), 512, 99, parallelism=2, **kw)
         assert np.array_equal(b1.errors, b2.errors)
+        # 3 chunks of 100 serially; for 2 workers they become 4 of 75
+        assert len(analysis._chunk_bounds(300, 128, 2)) == 4
+        b3 = run_batch(problem_A, ref_A, EE, 10, exact_info(), 300, 99, parallelism=1, **kw)
+        b4 = run_batch(problem_A, ref_A, EE, 10, exact_info(), 300, 99, parallelism=2, **kw)
+        assert np.array_equal(b3.errors, b4.errors)
 
     def test_bitwise_identical_across_chunking(self, problem_A, ref_A):
         b1 = run_batch(problem_A, ref_A, RK, 9, NoiseModel("rk", 0.01), 100, 5, chunk_size=7)
@@ -396,6 +401,62 @@ class TestRunBatch:
         assert asked == [3]
         serial = run_batch(problem_A, ref_A, EE, 10, exact_info(), 300, 4, **kw)
         assert np.array_equal(pooled.errors, serial.errors)
+
+    @pytest.mark.parametrize("Ns,events", [
+        ((200, 400), [("start", 2), ("stop", 2), ("start", 4), ("stop", 4)]),
+        ((400, 200), [("start", 4), ("stop", 4)])])
+    def test_one_pool_grows_only_for_a_row_with_more_chunks(self, problem_A, ref_A, Ns, events):
+        # rows of 2 and 4 chunks at parallelism 4: the pool is replaced by a larger
+        # one only when a row has more chunks than it has workers, the old one
+        # stopped before the new one starts, and the last stopped at exit
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers=None):
+                self.size = max_workers
+                seen.append(("start", max_workers))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                seen.append(("stop", self.size))
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        kw = dict(chunk_size=100)
+        with mock.patch("concurrent.futures.ProcessPoolExecutor", RecordingPool), \
+                analysis.Workers(4) as workers:
+            pooled = [run_batch(problem_A, ref_A, EE, 10, exact_info(), N, 4,
+                                parallelism=workers, **kw) for N in Ns]
+            assert seen == events[:-1]
+        assert seen == events
+        for N, batch in zip(Ns, pooled):
+            serial = run_batch(problem_A, ref_A, EE, 10, exact_info(), N, 4, **kw)
+            assert np.array_equal(batch.errors, serial.errors)
+
+    @given(N=st.integers(1, 20_000), chunk_size=st.integers(1, 3000),
+           parallelism=st.integers(1, 16))
+    @example(N=3, chunk_size=1, parallelism=2)  # 4 chunks of [0, 3) would leave one empty
+    @example(N=10_000, chunk_size=8192, parallelism=1)
+    @settings(max_examples=200, deadline=None)
+    def test_chunks_split_n_evenly(self, N, chunk_size, parallelism):
+        chunks = analysis._chunk_bounds(N, chunk_size, parallelism)
+        assert chunks[0][0] == 0 and chunks[-1][1] == N
+        assert all(hi == next_lo for (_, hi), (next_lo, _) in zip(chunks, chunks[1:]))
+        sizes = [hi - lo for lo, hi in chunks]
+        assert 1 <= min(sizes) and max(sizes) <= chunk_size and max(sizes) - min(sizes) <= 1
+        # a multiple of the workers a row can use, but for one-replication chunks
+        assert len(chunks) % min(parallelism, -(-N // chunk_size)) == 0 or len(chunks) == N
+
+    def test_benchmark_rows_keep_their_chunks(self):
+        # one pool of 2 workers over 2 full chunks; a serial row of N <= 8192 is one chunk;
+        # the paper's n >= 1000 rows (N = 1e4) split 5000 + 5000, not 8192 + 1808
+        assert analysis._chunk_bounds(16384, 8192, 2) == [(0, 8192), (8192, 16384)]
+        assert analysis._chunk_bounds(1500, 8192, 1) == [(0, 1500)]
+        assert analysis._chunk_bounds(10_000, 8192, 2) == [(0, 5000), (5000, 10_000)]
 
     def test_closure_rhs_runs_serially_under_parallelism(self):
         k = 0.5
@@ -967,6 +1028,20 @@ class TestErrorScale:
             xi_hat(_unit_batch(delta), 0.05, gamma)
         with pytest.raises(DomainError):
             tail_curve(_unit_batch(delta), gamma, [0.0, 1.0])
+
+    @pytest.mark.parametrize("n,span,gamma", [(10, 1e10, 40.0), (10**6, 1.0, 60.0)],
+                             ids=["overflow", "underflow"])
+    def test_scale_that_is_not_positive_and_finite_refused(self, n, span, gamma):
+        # span^gamma overflows Python floats; n^-gamma underflows to a zero scale
+        with pytest.raises(DomainError, match="not a positive finite float"):
+            analysis.error_scale(n, span, gamma, 0.0)
+
+    def test_xi_hat_refuses_a_zero_scale(self):
+        from randode.analysis import BatchCell, ErrorBatch
+        batch = ErrorBatch(BatchCell("A", EE, 10**6, "exact", 0.0), np.linspace(0.1, 1.0, 10),
+                           0, 10)
+        with pytest.raises(DomainError, match="not a positive finite float"):
+            xi_hat(batch, 0.05, 60.0)
 
     @pytest.mark.parametrize("gamma,delta,xi", [g_d + (1.0,) for g_d in _BAD_SCALES]
                              + [(1.0, 0.0, np.inf)])

@@ -603,6 +603,38 @@ class TestBuildRef:
         assert "100001 grid values" in out1
 
 
+def test_table_starts_one_pool_for_all_its_rows(tmp_path, monkeypatch):
+    # two rows of two chunks each through one pool of 2 forked workers, which
+    # writes the serial table byte for byte
+    import concurrent.futures
+
+    started = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    args = ["table", "--problem", "A", "--scheme", "ee", "--n-list", "10 20", "--N", "9000"]
+    assert run_cli(*args, "--parallelism", "2", "--out", str(tmp_path / "p2")) == 0
+    assert started == [2]
+    assert run_cli(*args, "--parallelism", "1", "--out", str(tmp_path / "p1")) == 0
+    assert started == [2]
+    assert ((tmp_path / "p2" / "table_ee_A.csv").read_bytes()
+            == (tmp_path / "p1" / "table_ee_A.csv").read_bytes())
+
+
+def test_serial_table_leaves_the_process_pool_out(tmp_path):
+    src = os.path.dirname(os.path.dirname(randode.__file__))
+    code = ("import sys; from randode.cli import main; "
+            "rc = main(['table', '--n-list', '10 20', '--N', '200', '--out', sys.argv[1]]); "
+            "print(rc, 'concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.splitlines()[-1] == "0 False"
+
+
 def test_import_leaves_the_process_pool_out():
     # concurrent.futures is imported only once a run starts a process pool
     src = os.path.dirname(os.path.dirname(randode.__file__))
