@@ -16,7 +16,6 @@ from .analysis import (
     ReferenceSolution,
     SlopeFit,
     TailCurve,
-    Workers,
     build_reference_B,
     confidence_band,
     convergence_slope,
@@ -25,6 +24,7 @@ from .analysis import (
     reference_for,
     run_batch,
     run_cells,
+    run_rows,
     sup_error,
     tail_curve,
     xi_hat,
@@ -34,6 +34,7 @@ from .exceptions import (
     DomainError,
     NumericalError,
     ReferenceSolutionError,
+    WorkerError,
 )
 from .noise import (
     DeltaRule,

@@ -23,7 +23,7 @@ import warnings
 
 import numpy as np
 
-from .exceptions import DomainError, ReferenceSolutionError
+from .exceptions import DomainError, ReferenceSolutionError, WorkerError
 from .noise import ChunkOracle, NoiseModel, NoisyOracle, exact_info
 from .problems import IvpSpec, exact_solution_A
 from .schemes import (SchemeKind, Trajectory, _block_steps, implicit_euler_refusal, run_scheme,
@@ -447,56 +447,33 @@ def _column_groups(columns: dict) -> list:
     return groups
 
 
-class Workers:
-    """The worker processes of one command, kept for all of its :func:`run_cells` calls.
-
-    ``map(fn, tasks)`` is ``[fn(task) for task in tasks]``, run serially when
-    ``parallelism`` is 1, there are fewer than 2 tasks, or a task cannot be
-    pickled (with a RuntimeWarning); otherwise in a process pool of the
-    platform's default start method (fork on Linux), started at the first
-    pooled map with ``min(parallelism, len(tasks))`` workers: a forking pool
-    starts all of its workers at the first submit, so it never holds more
-    workers than a map has had tasks.  A later map with more tasks than the
-    pool has workers replaces it by a larger one while fewer than
-    ``parallelism`` run.  Exit shuts the pool down; a map whose task raised
-    has already cancelled its queued tasks (``Executor.map`` does).
+@contextlib.contextmanager
+def _chunk_map(tasks: list, parallelism: int):
+    """``_batch_task`` over the tasks, lazily and in order, and the exception a dead worker
+    raises (``()``, none, when serial): the builtin map when ``parallelism`` is 1, there
+    are fewer than 2 tasks, or a task cannot be pickled (with a RuntimeWarning), else one
+    process pool of ``min(parallelism, len(tasks))`` workers (a forking pool starts them all
+    at the first submit).  ``_batch_task`` is looked up here, so forked workers run what the
+    module holds at the call.  Exit cancels the queued tasks and waits for the running ones.
     """
+    size = min(parallelism, len(tasks))
+    if size > 1:
+        try:
+            pickle.dumps(tasks[0])
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            warnings.warn(f"running the chunks serially: they cannot be sent to worker "
+                          f"processes ({exc})", RuntimeWarning, stacklevel=4)
+            size = 1
+    if size <= 1:
+        yield map(_batch_task, tasks), ()
+        return
+    import concurrent.futures.process  # here, not at module level: only a pool needs it
 
-    def __init__(self, parallelism: int = 1):
-        _check_counts(parallelism=parallelism)
-        self.parallelism = parallelism
-        self._pool, self._size = None, 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._close()
-        return False
-
-    def _close(self):
-        if self._pool is not None:
-            pool, self._pool, self._size = self._pool, None, 0
-            pool.__exit__(None, None, None)
-
-    def map(self, fn, tasks) -> list:
-        size = min(self.parallelism, len(tasks))
-        if size > 1:
-            try:
-                pickle.dumps(tasks[0])
-            except (pickle.PicklingError, AttributeError, TypeError) as exc:
-                warnings.warn(f"running the chunks serially: they cannot be sent to worker "
-                              f"processes ({exc})", RuntimeWarning, stacklevel=3)
-                size = 1
-        if size <= 1:
-            return [fn(task) for task in tasks]
-        if size > self._size:
-            self._close()  # before the fork: no executor thread may be alive in it
-            import concurrent.futures  # here, not at module level: only a pool needs it
-
-            self._pool = concurrent.futures.ProcessPoolExecutor(size).__enter__()
-            self._size = size
-        return list(self._pool.map(fn, tasks))
+    pool = concurrent.futures.ProcessPoolExecutor(size)
+    try:
+        yield pool.map(_batch_task, tasks), concurrent.futures.process.BrokenProcessPool
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _chunk_bounds(N: int, chunk_size: int, parallelism: int) -> list:
@@ -515,63 +492,79 @@ def _chunk_bounds(N: int, chunk_size: int, parallelism: int) -> list:
     return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
-def run_cells(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind,
-              n: int, noises, N: int, master_seed, *,
-              parallelism: int | Workers = 1, subsamples_per_step: int = 8,
-              perturb_eta: bool = False, chunk_size: int = 8192) -> list:
-    """The cells of one table row: one entry per noise model, as :func:`run_batch` gives it.
+def run_rows(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind, rows, *,
+             parallelism: int = 1, subsamples_per_step: int = 8, perturb_eta: bool = False,
+             chunk_size: int = 8192):
+    """The cells of table rows ``[(n, noises, N, master_seed), ...]``, yielded a row at a time.
 
-    Entry c is ``run_batch(..., noises[c], ...)``'s :class:`ErrorBatch`,
-    bit for bit, or the NumericalError, ConvergenceError or DomainError
-    that call raises.  The cells share a master seed, so they read the same
-    grid draws, and columns of one noise kind read the same noise draws;
-    only the delta factor differs.  So the columns run together, one chunk
-    of replications at a time, as one scheme run with k columns
-    (:class:`ChunkOracle`): the draws are filled and the steps taken once
-    for the row, and each column's failure is read from that run.  A column
-    that implicit Euler refuses joins no run; any other exception out of a
-    run propagates.  ``parallelism`` is a worker count or the caller's
-    :class:`Workers`, whose pool then serves every call (one per command).
+    Entry c of a row is ``run_batch(..., n, noises[c], N, master_seed,
+    ...)``'s :class:`ErrorBatch`, bit for bit, or the NumericalError,
+    ConvergenceError or DomainError that call raises.  A row's cells share
+    a master seed, so they read the same grid draws, and columns of one
+    noise kind read the same noise draws; only the delta factor differs.
+    So the columns run together, one chunk of replications at a time, as one
+    scheme run with k columns (:class:`ChunkOracle`), and each column's
+    failure is read from that run.  A column that implicit Euler refuses
+    joins no run; any other exception out of a run propagates.  Every row is
+    planned first, and then all of the rows' chunks run as one map
+    (:func:`_chunk_map`), so with ``parallelism`` > 1 one pool serves every
+    row and no row waits for the one before it.  Closing the generator
+    drops the chunks still queued; a dead worker raises :class:`WorkerError`.
     """
-    _check_counts(n=n, N=N, subsamples_per_step=subsamples_per_step, chunk_size=chunk_size)
-    own = not isinstance(parallelism, Workers)
-    workers = Workers(parallelism) if own else parallelism
+    _check_counts(parallelism=parallelism, subsamples_per_step=subsamples_per_step,
+                  chunk_size=chunk_size)
     if reference.d != problem.d:
         raise DomainError(f"the reference has d = {reference.d}, the problem d = {problem.d}")
-    h, knots = (problem.b - problem.a) / n, np.linspace(problem.a, problem.b, n + 1)
-    dt = _interior_offsets(h, subsamples_per_step)
-    ref_knots, ref_int = _reference_grids(reference, knots, dt)
+    plans, tasks = [], []
+    for n, noises, N, master_seed in rows:
+        _check_counts(n=n, N=N)
+        h, knots = (problem.b - problem.a) / n, np.linspace(problem.a, problem.b, n + 1)
+        dt = _interior_offsets(h, subsamples_per_step)
+        ref_knots, ref_int = _reference_grids(reference, knots, dt)
+        cells = [implicit_euler_refusal(problem, noise, n)
+                 if scheme is SchemeKind.IMPLICIT_EULER else None for noise in noises]
+        groups = _column_groups({c: noise for c, noise in enumerate(noises) if cells[c] is None})
+        row_tasks = [(problem, scheme, n, model, master_seed, lo, hi,
+                      dt, ref_knots, ref_int, perturb_eta, [noises[c].delta for c in cols])
+                     for lo, hi in _chunk_bounds(N, chunk_size, parallelism)
+                     for model, cols in groups]
+        plans.append((n, noises, N, master_seed, cells, groups, row_tasks))
+        tasks += row_tasks
+    with _chunk_map(tasks, parallelism) as (results, broken):
+        for n, noises, N, master_seed, cells, groups, row_tasks in plans:
+            errors = np.empty((len(noises), N))
+            for task, (_, cols) in zip(row_tasks, itertools.cycle(groups)):
+                lo, hi = task[5:7]  # chunks in order of lo, so a column keeps its lowest failure
+                try:
+                    outs = next(results)
+                except broken as exc:
+                    raise WorkerError(f"a pool worker died running replications [{lo}, {hi}) "
+                                      f"of the n = {n} row") from exc
+                for c, out in zip(cols, outs):
+                    if not isinstance(out, Exception):
+                        errors[c, lo:hi] = out
+                    elif cells[c] is None:
+                        cells[c] = out
+            for c, noise in enumerate(noises):
+                if cells[c] is None:
+                    cell = BatchCell(problem=problem.name or "custom", scheme=scheme, n=n,
+                                     noise_kind=noise.kind, delta=noise.delta,
+                                     span=problem.b - problem.a)
+                    cells[c] = ErrorBatch(cell=cell, errors=np.sort(errors[c]),
+                                          master_seed=master_seed, N=N)
+            yield cells
 
-    cells = [implicit_euler_refusal(problem, noise, n) if scheme is SchemeKind.IMPLICIT_EULER
-             else None for noise in noises]
-    groups = _column_groups({c: noise for c, noise in enumerate(noises) if cells[c] is None})
-    tasks = [(problem, scheme, n, model, master_seed, lo, hi,
-              dt, ref_knots, ref_int, perturb_eta, [noises[c].delta for c in cols])
-             for lo, hi in _chunk_bounds(N, chunk_size, workers.parallelism)
-             for model, cols in groups]
-    with workers if own else contextlib.nullcontext():
-        results = workers.map(_batch_task, tasks)
 
-    errors = np.empty((len(noises), N))
-    for task, (_, cols), outs in zip(tasks, itertools.cycle(groups), results):
-        lo = task[5]  # chunks in order of lo, so a column keeps its lowest failure
-        for c, out in zip(cols, outs):
-            if not isinstance(out, Exception):
-                errors[c, lo:lo + out.shape[0]] = out
-            elif cells[c] is None:
-                cells[c] = out
-    for c, noise in enumerate(noises):
-        if cells[c] is None:
-            cell = BatchCell(problem=problem.name or "custom", scheme=scheme, n=n,
-                             noise_kind=noise.kind, delta=noise.delta, span=problem.b - problem.a)
-            cells[c] = ErrorBatch(cell=cell, errors=np.sort(errors[c]),
-                                  master_seed=master_seed, N=N)
+def run_cells(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind,
+              n: int, noises, N: int, master_seed, **kwargs) -> list:
+    """The cells of one table row: :func:`run_rows` with one row, whose keywords it takes."""
+    (cells,) = run_rows(problem, reference, scheme, [(n, noises, N, master_seed)], **kwargs)
     return cells
 
 
 def run_batch(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind,
               n: int, noise: NoiseModel, N: int, master_seed, *,
-              parallelism: int | Workers = 1, subsamples_per_step: int = 8,
+              parallelism: int = 1, subsamples_per_step: int = 8,
               perturb_eta: bool = False, chunk_size: int = 8192) -> ErrorBatch:
     """N independent replications of the cell's sup-norm error, sorted.
 
@@ -580,9 +573,9 @@ def run_batch(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind
     or chunk partition.  Every cell runs a chunk of replications per scheme
     run (:class:`ChunkOracle`), whatever d and however its rhs is called;
     the errors are bitwise those of one :class:`NoisyOracle` run per
-    replication.  A right-hand side that cannot be pickled (a
-    lambda or closure) runs its chunks serially, with a RuntimeWarning,
-    whatever the parallelism.  This is :func:`run_cells` with one column.
+    replication.  With ``parallelism`` > 1 the chunks run in a pool of this call, but
+    serially, with a RuntimeWarning, for a right-hand side that cannot be pickled (a
+    lambda or closure).  This is :func:`run_cells` with one column.
     """
     (batch,) = run_cells(problem, reference, scheme, n, [noise], N, master_seed,
                          parallelism=parallelism, subsamples_per_step=subsamples_per_step,
@@ -713,8 +706,8 @@ def confidence_band(tr: Trajectory, gamma: float, delta: float, xi_eps: float,
     """Band of half-width xi_eps * error_scale(n, b - a, gamma, delta) around the interpolant."""
     if not 0.0 <= xi_eps < math.inf:
         raise DomainError("xi must be finite and nonnegative")
-    if grid_points < 2:
-        raise DomainError("grid_points must be >= 2")
+    if not isinstance(grid_points, numbers.Integral) or grid_points < 2:
+        raise DomainError(f"grid_points must be an integer >= 2, got {grid_points!r}")
     radius = xi_eps * error_scale(tr.grid.n, tr.b - tr.a, gamma, delta)
     ts = np.linspace(tr.a, tr.b, grid_points)
     center = tr.dense(ts)
@@ -745,8 +738,8 @@ def fit_loglog_slope(ns, mean_errors) -> SlopeFit:
     means = np.asarray(mean_errors, dtype=float)
     if ns.shape != means.shape or ns.size < 2:
         raise DomainError("need matching arrays of at least two ladder points")
-    if np.any(means <= 0):
-        raise DomainError("degenerate (zero) errors cannot be fit on a log scale")
+    if not (np.all(ns > 0) and np.all(means > 0)):  # NaN too
+        raise DomainError("step counts and errors must be > 0 to be fit on a log scale")
     x = np.log(ns)
     y = np.log(means)
     xbar = x.mean()
@@ -772,8 +765,9 @@ def convergence_slope(problem: IvpSpec, reference: ReferenceSolution, scheme: Sc
                       **batch_kwargs) -> SlopeFit:
     """Slope of log(mean sup-error) vs log(n) over a doubling ladder.
 
-    Each ladder point runs its own batch of N replications; cells at
-    different n use distinct seed keys derived from the master seed.
+    Each ladder point is a row of one column and N replications, and the
+    ladder runs as one :func:`run_rows` call; cells at different n use
+    distinct seed keys derived from the master seed.
     """
     ns = [int(v) for v in ns]
     if len(ns) < 3:
@@ -782,11 +776,12 @@ def convergence_slope(problem: IvpSpec, reference: ReferenceSolution, scheme: Sc
         if b != 2 * a:
             raise DomainError("ladder points must double")
     noise = noise or exact_info()
+    rows = [(n, [noise], N, derive_cell_seed(master_seed, scheme, problem.name or "custom", n))
+            for n in ns]
     means = []
-    for n in ns:
-        batch = run_batch(problem, reference, scheme, n, noise, N,
-                          derive_cell_seed(master_seed, scheme, problem.name or "custom", n),
-                          **batch_kwargs)
+    for (batch,) in list(run_rows(problem, reference, scheme, rows, **batch_kwargs)):
+        if isinstance(batch, Exception):
+            raise batch
         means.append(float(batch.errors.mean()))
     return fit_loglog_slope(ns, means)
 
@@ -939,7 +934,6 @@ __all__ = [
     "BatchCell", "ConfidenceBand", "ErrorBatch", "QuantileEstimate",
     "ReferenceSolution", "SlopeFit", "TailCurve", "build_reference_B",
     "confidence_band", "convergence_slope", "default_ref_cache", "derive_cell_seed",
-    "error_scale", "fit_loglog_slope", "order_statistic_index",
-    "reference_for", "run_batch", "run_cells", "sup_error", "tail_curve", "wilson_interval",
-    "xi_hat",
+    "error_scale", "fit_loglog_slope", "order_statistic_index", "reference_for",
+    "run_batch", "run_cells", "run_rows", "sup_error", "tail_curve", "wilson_interval", "xi_hat",
 ]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import hashlib
 import json
 import math
@@ -34,7 +35,6 @@ from . import __version__
 from .analysis import (
     DEFAULT_REF_STEPS,
     MIN_REF_STEPS,
-    Workers,
     build_reference_B,
     confidence_band,
     convergence_slope,
@@ -43,11 +43,11 @@ from .analysis import (
     error_scale,
     reference_for,
     run_batch,
-    run_cells,
+    run_rows,
     tail_curve,
     xi_hat,
 )
-from .exceptions import ConvergenceError, DomainError, NumericalError, ReferenceSolutionError
+from .exceptions import DomainError, ReferenceSolutionError, _RunError
 from .noise import NoiseModel, NoisyOracle, parse_delta_rule, verify_noise_bound
 from .problems import make_problem
 from .schemes import (
@@ -238,14 +238,14 @@ def cmd_table(args) -> int:
     rows = []
     failures = []
     manifest.cells = []
-    # one pool for all rows, started by the first pooled one, inside the manifest's wall time
-    with Workers(args.parallelism) as workers:
-        for n, N, row_noises in zip(ns, row_Ns, noises):
-            cell_seed = derive_cell_seed(seed, scheme, problem.name, n)
+    # the cell seeds and all rows' chunks, as one map, in the manifest's wall time
+    table_rows = [(n, row_noises, N, derive_cell_seed(seed, scheme, problem.name, n))
+                  for n, row_noises, N in zip(ns, noises, row_Ns)]
+    row_cells = run_rows(problem, reference, scheme, table_rows, parallelism=args.parallelism,
+                         subsamples_per_step=args.subsamples)
+    with contextlib.closing(row_cells):
+        for (n, _, N, _), batches in zip(table_rows, row_cells):
             row = [str(n)]
-            # one run for the whole row: its cells share the cell seed's draws
-            batches = run_cells(problem, reference, scheme, n, row_noises, N, cell_seed,
-                                parallelism=workers, subsamples_per_step=args.subsamples)
             for rule, batch in zip(rules, batches):
                 reason = str(batch) if isinstance(batch, Exception) else None
                 if reason is None:
@@ -492,7 +492,7 @@ def main(argv=None) -> int:
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, ConvergenceError, ReferenceSolutionError) as exc:
+    except (_RunError, ReferenceSolutionError) as exc:  # numerical, convergence, worker
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
 

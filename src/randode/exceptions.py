@@ -23,5 +23,9 @@ class ConvergenceError(_RunError, RuntimeError):
     """An iterative solver exhausted its iteration budget."""
 
 
+class WorkerError(_RunError, RuntimeError):
+    """A process pool worker died while it ran a chunk of replications."""
+
+
 class ReferenceSolutionError(RuntimeError):
     """A reference solution could not be evaluated where requested."""

@@ -110,14 +110,14 @@ class Trajectory:
 
     def at(self, t: float) -> np.ndarray:
         """Interpolant value at one time; exact at knots."""
-        if t < self.a or t > self.b:
+        if not self.a <= t <= self.b:  # NaN too
             raise DomainError(f"t={t} outside [{self.a}, {self.b}]")
         return self.dense(np.array([t]))[0]
 
     def dense(self, ts) -> np.ndarray:
         """Interpolant values at many times, shape (len(ts), d)."""
         ts = np.asarray(ts, dtype=float)
-        if ts.size and (ts.min() < self.a or ts.max() > self.b):
+        if ts.size and not (ts.min() >= self.a and ts.max() <= self.b):  # NaN too
             raise DomainError("evaluation time outside the trajectory interval")
         out = np.empty((ts.shape[0], self.nodes.shape[1]))
         for k in range(self.nodes.shape[1]):

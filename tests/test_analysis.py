@@ -4,6 +4,7 @@ import functools
 import itertools
 import os
 import stat
+import time
 import tracemalloc
 from unittest import mock
 
@@ -394,6 +395,9 @@ class TestRunBatch:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                pass
+
         kw = dict(chunk_size=100)
         with mock.patch("concurrent.futures.ProcessPoolExecutor", SerialPool):
             pooled = run_batch(problem_A, ref_A, EE, 10, exact_info(), 300, 4, parallelism=64,
@@ -402,13 +406,10 @@ class TestRunBatch:
         serial = run_batch(problem_A, ref_A, EE, 10, exact_info(), 300, 4, **kw)
         assert np.array_equal(pooled.errors, serial.errors)
 
-    @pytest.mark.parametrize("Ns,events", [
-        ((200, 400), [("start", 2), ("stop", 2), ("start", 4), ("stop", 4)]),
-        ((400, 200), [("start", 4), ("stop", 4)])])
-    def test_one_pool_grows_only_for_a_row_with_more_chunks(self, problem_A, ref_A, Ns, events):
-        # rows of 2 and 4 chunks at parallelism 4: the pool is replaced by a larger
-        # one only when a row has more chunks than it has workers, the old one
-        # stopped before the new one starts, and the last stopped at exit
+    @pytest.mark.parametrize("Ns", [(200, 400), (400, 200)])
+    def test_one_pool_sized_once_for_all_rows(self, problem_A, ref_A, Ns):
+        # rows of 2 and 4 chunks at parallelism 4, in either order: one run_rows call
+        # starts one pool of 4 workers and stops it once, cancelling nothing left queued
         seen = []
 
         class RecordingPool:
@@ -416,26 +417,51 @@ class TestRunBatch:
                 self.size = max_workers
                 seen.append(("start", max_workers))
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                seen.append(("stop", self.size))
-                return False
-
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                seen.append(("stop", self.size))
+
         kw = dict(chunk_size=100)
-        with mock.patch("concurrent.futures.ProcessPoolExecutor", RecordingPool), \
-                analysis.Workers(4) as workers:
-            pooled = [run_batch(problem_A, ref_A, EE, 10, exact_info(), N, 4,
-                                parallelism=workers, **kw) for N in Ns]
-            assert seen == events[:-1]
-        assert seen == events
-        for N, batch in zip(Ns, pooled):
+        rows = [(10, [exact_info()], N, 4) for N in Ns]
+        with mock.patch("concurrent.futures.ProcessPoolExecutor", RecordingPool):
+            pooled = list(analysis.run_rows(problem_A, ref_A, EE, rows, parallelism=4, **kw))
+        assert seen == [("start", 4), ("stop", 4)]
+        for N, (batch,) in zip(Ns, pooled):
             serial = run_batch(problem_A, ref_A, EE, 10, exact_info(), N, 4, **kw)
             assert np.array_equal(batch.errors, serial.errors)
+
+    def test_closing_early_cancels_the_queued_chunks(self, problem_A, ref_A, tmp_path):
+        # a real pool of 2 workers; every chunk logs its row and start time.  The first
+        # row's 2 chunks are quick and the others take 0.3 s, so the close, once both
+        # workers have started a slow one, finds at most workers + 1 = 3 chunks queued
+        # for them; the rest are cancelled and never start
+        log = tmp_path / "chunks.log"
+        untraced = analysis._batch_task
+
+        @functools.wraps(untraced)  # pickled by name: the forked workers run this wrapper
+        def logged(task):
+            with open(log, "a") as fh:
+                fh.write(f"{task[2]} {time.monotonic()}\n")
+            if task[2] != 10:
+                time.sleep(0.3)
+            return untraced(task)
+
+        rows = [(10, [exact_info()], 20, 1)] + [(n, [exact_info()], 40, 1) for n in (11, 12, 13)]
+        with mock.patch.object(analysis, "_batch_task", logged):
+            cells = analysis.run_rows(problem_A, ref_A, EE, rows, parallelism=2, chunk_size=10)
+            (first,) = next(cells)
+            deadline = time.monotonic() + 60
+            while len(log.read_text().splitlines()) < 4 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            closed = time.monotonic()
+            cells.close()
+        starts = [line.split() for line in log.read_text().splitlines()]
+        assert sum(float(t) > closed for _, t in starts) <= 3
+        assert len(starts) < 2 + 3 * 4
+        want = run_batch(problem_A, ref_A, EE, 10, exact_info(), 20, 1, chunk_size=10)
+        assert np.array_equal(first.errors, want.errors)
 
     @given(N=st.integers(1, 20_000), chunk_size=st.integers(1, 3000),
            parallelism=st.integers(1, 16))
@@ -705,6 +731,21 @@ class TestRunCells:
                                                      seed, **kw))
                     for noise in noises]
         _assert_same_cells(got, want)
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_rows_equal_their_own_runs(self, problem_A, ref_A, parallelism):
+        # rows of different n, N and columns (an ie-refused column, a delta 0 one)
+        # through one map: each row is its own serial run_cells, bit for bit
+        rows = [(10, [exact_info(), NoiseModel("ee", 1e-3), NoiseModel("ie", 1e-3)], 37, 5),
+                (23, [NoiseModel("ie", 2e-3), NoiseModel("ie", 0.0)], 50, 6),
+                (7, [NoiseModel("ie", 5e-4)], 21, 9)]
+        got = list(analysis.run_rows(problem_A, ref_A, IE, rows, parallelism=parallelism,
+                                     chunk_size=16))
+        assert len(got) == len(rows)
+        for row, cells in zip(rows, got):
+            _assert_same_cells(cells, analysis.run_cells(problem_A, ref_A, IE, *row,
+                                                         chunk_size=16))
+        assert type(got[0][1]) is DomainError
 
     def test_implicit_euler_row_under_fresh_noise(self, problem_A, ref_A):
         # the noisy columns are refused and join no run: the delta 0 column
@@ -986,6 +1027,13 @@ class TestConfidenceBand:
         with pytest.raises(DomainError):
             confidence_band(tr, 1.0, 0.0, -1.0)
 
+    @pytest.mark.parametrize("grid_points", [2.5, 1, np.float64(3.0), "3"])
+    def test_grid_points_must_be_an_integer_of_at_least_2(self, problem_A, grid_points):
+        tr = run_explicit_euler(NoisyOracle(problem_A, exact_info(), 3, 0), 5)
+        with pytest.raises(DomainError, match="integer >= 2"):
+            confidence_band(tr, 1.0, 0.0, 1.0, grid_points=grid_points)
+        assert confidence_band(tr, 1.0, 0.0, 1.0, grid_points=np.int64(2)).ts.shape == (2,)
+
     def test_nan_xi_rejected(self, problem_A):
         tr = run_explicit_euler(NoisyOracle(problem_A, exact_info(), 3, 0), 5)
         with pytest.raises(DomainError):
@@ -1062,6 +1110,15 @@ class TestSlopes:
     def test_zero_errors_rejected(self):
         with pytest.raises(DomainError):
             fit_loglog_slope([10, 20, 40], [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("ns,means", [([10, 20, 40], [1.0, np.nan, 0.3]),
+                                          ([0, 20, 40], [1.0, 0.5, 0.3]),
+                                          ([-10, 20, 40], [1.0, 0.5, 0.3])],
+                             ids=["nan-mean", "n0", "n-negative"])
+    def test_nan_error_or_nonpositive_n_rejected(self, ns, means):
+        # a NaN mean compares false both ways and would fit slope = nan
+        with pytest.raises(DomainError, match="must be > 0"):
+            fit_loglog_slope(ns, means)
 
     def test_ladder_validation(self, problem_A, ref_A):
         with pytest.raises(DomainError):

@@ -1,12 +1,15 @@
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -173,11 +176,12 @@ class TestTable:
         # warned about against 10/epsilon and recorded with the row's cells
         seen = []
 
-        def no_run(problem, reference, scheme, n, noises, N, *args, **kwargs):
-            seen.append((n, N))
-            return [DomainError("not run")] * len(noises)
+        def no_run(problem, reference, scheme, rows, **kwargs):
+            for n, noises, N, _ in rows:
+                seen.append((n, N))
+                yield [DomainError("not run")] * len(noises)
 
-        monkeypatch.setattr(cli, "run_cells", no_run)
+        monkeypatch.setattr(cli, "run_rows", no_run)
         assert run_cli("table", "--problem", "A", "--n-list", "10 20 1000", "--delta-rules",
                        "0", "--epsilon", "1e-6", "--out", str(tmp_path)) == 1
         assert seen == [(10, 100_000), (20, 100_000), (1000, 10_000)]
@@ -623,6 +627,55 @@ def test_table_starts_one_pool_for_all_its_rows(tmp_path, monkeypatch):
     assert started == [2]
     assert ((tmp_path / "p2" / "table_ee_A.csv").read_bytes()
             == (tmp_path / "p1" / "table_ee_A.csv").read_bytes())
+
+
+def test_dead_worker_fails_the_run_with_one_line(tmp_path, monkeypatch, capsys):
+    # a real pool of 2 forked workers, one of which dies on the row's first chunk: the
+    # table names the row and the chunk in one line, exits 1 and writes no output
+    from randode import analysis
+
+    untraced = analysis._batch_task
+
+    @functools.wraps(untraced)  # pickled by name: the forked workers run this wrapper
+    def dying(task):
+        if task[5] == 0:
+            os._exit(1)
+        return untraced(task)
+
+    monkeypatch.setattr(analysis, "_batch_task", dying)
+    assert run_cli("table", "--problem", "A", "--scheme", "ee", "--n-list", "10", "--N",
+                   "9000", "--parallelism", "2", "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["run failed: a pool worker died running replications [0, 4500) of the "
+                   "n = 10 row"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_interrupt_ends_a_pooled_table_and_its_workers(tmp_path):
+    # SIGINT to the parent only: it drops the queued chunks, waits for the running
+    # ones and exits by the signal, and none of its workers outlives it
+    src = os.path.dirname(os.path.dirname(randode.__file__))
+    code = "import sys; from randode.cli import main; main(sys.argv[1:])"
+    argv = ["table", "--n-list", "1000 1000 1000", "--N", "20000", "--delta-rules", "0",
+            "--parallelism", "2", "--out", str(tmp_path)]
+    proc = subprocess.Popen([sys.executable, "-c", code, *argv], stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL, env={**os.environ, "PYTHONPATH": src})
+    try:
+        deadline = time.monotonic() + 60
+        with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as fh:
+            while len(workers := fh.read().split()) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                fh.seek(0)
+        assert len(workers) == 2
+        time.sleep(0.3)
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=60) == -signal.SIGINT
+    finally:
+        proc.kill()
+        proc.wait()
+    for pid in workers:
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid), 0)
 
 
 def test_serial_table_leaves_the_process_pool_out(tmp_path):

@@ -149,6 +149,14 @@ class TestTrajectory:
         with pytest.raises(DomainError):
             tr.at(1.5)
 
+    def test_nan_time_rejected(self, problem_A):
+        # NaN compares false both ways, so a bounds test alone returned a NaN value
+        tr = run_explicit_euler(NoisyOracle(problem_A, exact_info(), 5, 0), 4)
+        with pytest.raises(DomainError):
+            tr.at(float("nan"))
+        with pytest.raises(DomainError):
+            tr.dense([0.5, np.nan])
+
     @given(st.floats(0.0, 1.0))
     @settings(max_examples=50, deadline=None)
     def test_interpolant_between_bracketing_nodes(self, t):
