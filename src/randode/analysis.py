@@ -10,15 +10,16 @@ around a single run are built by :func:`confidence_band`.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
-import hashlib
 import itertools
 import json
 import math
 import numbers
 import os
 import pickle
+import sys
 import warnings
 
 import numpy as np
@@ -447,14 +448,53 @@ def _column_groups(columns: dict) -> list:
     return groups
 
 
+def _caller_stacklevel() -> int:
+    """The ``warnings.warn`` stacklevel, from the function that calls this one, of the first
+    frame outside this module and the ``contextlib`` frames that enter its context managers:
+    the line of the caller's code that led to the warning."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__name__") in (__name__, "contextlib"):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
+def _submitted_in_order(pool, tasks: list, workers: int):
+    """``_batch_task`` over the tasks through the pool, yielded in order, with at most
+    ``workers`` tasks submitted and not done: the next is submitted as one completes.
+
+    A pool moves up to ``workers + 1`` submitted tasks into its call queue, where a
+    shutdown cannot cancel them; so closing early starts no task beyond the running ones.
+    A pool broken by a dead worker raises at the first task it failed, in order.
+    """
+    import concurrent.futures.process
+
+    todo, futures = iter(tasks), collections.deque()
+    while True:
+        running = sum(not f.done() for f in futures)
+        try:
+            for task in itertools.islice(todo, workers - running):
+                futures.append(pool.submit(_batch_task, task))
+        except concurrent.futures.process.BrokenProcessPool:
+            if not futures:  # else the tasks submitted before come out first
+                raise
+        if not futures:
+            return
+        if futures[0].done():
+            yield futures.popleft().result()
+        else:
+            concurrent.futures.wait([f for f in futures if not f.done()],
+                                    return_when=concurrent.futures.FIRST_COMPLETED)
+
+
 @contextlib.contextmanager
 def _chunk_map(tasks: list, parallelism: int):
     """``_batch_task`` over the tasks, lazily and in order, and the exception a dead worker
     raises (``()``, none, when serial): the builtin map when ``parallelism`` is 1, there
-    are fewer than 2 tasks, or a task cannot be pickled (with a RuntimeWarning), else one
-    process pool of ``min(parallelism, len(tasks))`` workers (a forking pool starts them all
-    at the first submit).  ``_batch_task`` is looked up here, so forked workers run what the
-    module holds at the call.  Exit cancels the queued tasks and waits for the running ones.
+    are fewer than 2 tasks, or a task cannot be pickled (with a RuntimeWarning that names
+    the caller's line), else one process pool of ``min(parallelism, len(tasks))`` workers
+    (a forking pool starts them all at the first submit), fed one task per worker at a
+    time.  ``_batch_task`` is looked up at each submit, so forked workers run what the
+    module holds then.  Exit waits for the running tasks; none are left queued.
     """
     size = min(parallelism, len(tasks))
     if size > 1:
@@ -462,7 +502,7 @@ def _chunk_map(tasks: list, parallelism: int):
             pickle.dumps(tasks[0])
         except (pickle.PicklingError, AttributeError, TypeError) as exc:
             warnings.warn(f"running the chunks serially: they cannot be sent to worker "
-                          f"processes ({exc})", RuntimeWarning, stacklevel=4)
+                          f"processes ({exc})", RuntimeWarning, stacklevel=_caller_stacklevel())
             size = 1
     if size <= 1:
         yield map(_batch_task, tasks), ()
@@ -471,7 +511,8 @@ def _chunk_map(tasks: list, parallelism: int):
 
     pool = concurrent.futures.ProcessPoolExecutor(size)
     try:
-        yield pool.map(_batch_task, tasks), concurrent.futures.process.BrokenProcessPool
+        yield (_submitted_in_order(pool, tasks, size),
+               concurrent.futures.process.BrokenProcessPool)
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -799,6 +840,8 @@ def derive_cell_seed(master_seed, scheme: SchemeKind, problem_name: str, n: int)
     """
     pid = _PROBLEM_IDS.get(problem_name)
     if pid is None:
+        import hashlib  # here, not at module level: the built-in problems need no hash
+
         pid = int(hashlib.sha256(problem_name.encode()).hexdigest()[:8], 16)
     try:
         ss = np.random.SeedSequence(master_seed, spawn_key=(_SCHEME_IDS[scheme], pid, int(n)))
@@ -856,6 +899,8 @@ def _write_reference(path, header: dict, values: np.ndarray) -> dict:
     little-endian machine).  The file gets mode 0o666 less the umask, as
     any new file does; returns the header written, with its sha256.
     """
+    import hashlib  # here and in _read_reference, not at module level: only the cache hashes
+
     payload = memoryview(np.ascontiguousarray(values, dtype="<f8")).cast("B")
     header = dict(header, sha256=hashlib.sha256(payload).hexdigest())
     tmp = f"{os.path.abspath(path)}.{os.urandom(8).hex()}.tmp"
@@ -878,6 +923,8 @@ def _read_reference(path) -> tuple:
 
     The payload is read straight into a writeable array, with no bytes copy.
     """
+    import hashlib
+
     with open(path, "rb") as fh:
         if fh.read(len(REF_MAGIC)) != REF_MAGIC:
             raise ValueError("bad magic")

@@ -29,6 +29,10 @@ import os
 import sys
 import time
 
+# randode makes no BLAS call, and numpy's OpenBLAS starts a pool of threads at
+# import that burns CPU for nothing; a value the user set is kept
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import dataclasses
 import functools
@@ -24,6 +25,7 @@ from randode import (
     ReferenceSolution,
     ReferenceSolutionError,
     SchemeKind,
+    WorkerError,
     build_reference_B,
     confidence_band,
     convergence_slope,
@@ -288,6 +290,27 @@ def _per_replication(p, ref, scheme, n, noise, N, seed, perturb_eta):
                                                  ref_int, perturb_eta))
 
 
+def done_future(result):
+    future = concurrent.futures.Future()
+    future.set_result(result)
+    return future
+
+
+def _logged_batch_task(log):
+    """_batch_task that logs each chunk's n, lo and start time to log, and sleeps 0.3 s
+    first for n != 10."""
+    untraced = analysis._batch_task
+
+    @functools.wraps(untraced)  # pickled by name: the forked workers run this wrapper
+    def logged(task):
+        with open(log, "a") as fh:
+            fh.write(f"{task[2]} {task[5]} {time.monotonic()}\n")
+        if task[2] != 10:
+            time.sleep(0.3)
+        return untraced(task)
+    return logged
+
+
 class TestRunBatch:
     def test_zero_field_zero_errors(self):
         p = zero_field_problem()
@@ -378,22 +401,16 @@ class TestRunBatch:
                       NoiseModel("ie", 1e-3), 20, 7, chunk_size=8)
 
     def test_pool_has_at_most_one_worker_a_chunk(self, problem_A, ref_A):
-        # a forking pool starts all of its workers at the first submit; this one maps
-        # serially and only records how many it was asked for
+        # a forking pool starts all of its workers at the first submit; this one runs
+        # each task as it is submitted and only records how many it was asked for
         asked = []
 
         class SerialPool:
             def __init__(self, max_workers=None):
                 asked.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def submit(self, fn, task):
+                return done_future(fn(task))
 
             def shutdown(self, wait=True, *, cancel_futures=False):
                 pass
@@ -417,8 +434,8 @@ class TestRunBatch:
                 self.size = max_workers
                 seen.append(("start", max_workers))
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def submit(self, fn, task):
+                return done_future(fn(task))
 
             def shutdown(self, wait=True, *, cancel_futures=False):
                 seen.append(("stop", self.size))
@@ -436,17 +453,9 @@ class TestRunBatch:
         # a real pool of 2 workers; every chunk logs its row and start time.  The first
         # row's 2 chunks are quick and the others take 0.3 s, so the close, once both
         # workers have started a slow one, finds at most workers + 1 = 3 chunks queued
-        # for them; the rest are cancelled and never start
+        # for them (none, as the pool is fed one chunk per worker); the rest never start
         log = tmp_path / "chunks.log"
-        untraced = analysis._batch_task
-
-        @functools.wraps(untraced)  # pickled by name: the forked workers run this wrapper
-        def logged(task):
-            with open(log, "a") as fh:
-                fh.write(f"{task[2]} {time.monotonic()}\n")
-            if task[2] != 10:
-                time.sleep(0.3)
-            return untraced(task)
+        logged = _logged_batch_task(log)
 
         rows = [(10, [exact_info()], 20, 1)] + [(n, [exact_info()], 40, 1) for n in (11, 12, 13)]
         with mock.patch.object(analysis, "_batch_task", logged):
@@ -458,10 +467,63 @@ class TestRunBatch:
             closed = time.monotonic()
             cells.close()
         starts = [line.split() for line in log.read_text().splitlines()]
-        assert sum(float(t) > closed for _, t in starts) <= 3
+        assert sum(float(t) > closed for _, _, t in starts) <= 3
         assert len(starts) < 2 + 3 * 4
         want = run_batch(problem_A, ref_A, EE, 10, exact_info(), 20, 1, chunk_size=10)
         assert np.array_equal(first.errors, want.errors)
+
+    def test_closing_early_starts_no_chunk_beyond_the_submitted(self, problem_A, ref_A,
+                                                                 tmp_path):
+        # the rows above, with every submit recorded: at the close at most one chunk per
+        # worker is submitted and not done, the close submits nothing, and every chunk
+        # that starts was submitted before it
+        log = tmp_path / "chunks.log"
+        logged = _logged_batch_task(log)
+        submitted = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, fn, task):
+                future = super().submit(fn, task)
+                submitted.append(((str(task[2]), str(task[5])), future))
+                return future
+
+        rows = [(10, [exact_info()], 20, 1)] + [(n, [exact_info()], 40, 1) for n in (11, 12, 13)]
+        with mock.patch.object(analysis, "_batch_task", logged), \
+                mock.patch("concurrent.futures.ProcessPoolExecutor", RecordingPool):
+            cells = analysis.run_rows(problem_A, ref_A, EE, rows, parallelism=2, chunk_size=10)
+            (first,) = next(cells)
+            deadline = time.monotonic() + 60
+            while len(log.read_text().splitlines()) < 4 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            at_close = list(submitted)
+            assert sum(not future.done() for _, future in at_close) <= 2
+            cells.close()
+        assert submitted == at_close
+        started = [tuple(line.split()[:2]) for line in log.read_text().splitlines()]
+        assert len(started) >= 4 and set(started) <= {chunk for chunk, _ in at_close}
+        want = run_batch(problem_A, ref_A, EE, 10, exact_info(), 20, 1, chunk_size=10)
+        assert np.array_equal(first.errors, want.errors)
+
+    def test_dead_worker_is_named_after_the_chunks_before_it(self, problem_A, ref_A):
+        # the n = 11 row's second chunk kills its worker 0.3 s in, after the first one is
+        # back; the caller is away meanwhile, so the next submit finds the pool broken;
+        # the error still names the chunk that died, not the one before it
+        untraced = analysis._batch_task
+
+        @functools.wraps(untraced)  # pickled by name: the forked workers run this wrapper
+        def dying(task):
+            if task[2] == 11 and task[5] == 10:
+                time.sleep(0.3)
+                os._exit(1)
+            return untraced(task)
+
+        rows = [(10, [exact_info()], 20, 1), (11, [exact_info()], 40, 1)]
+        with mock.patch.object(analysis, "_batch_task", dying):
+            cells = analysis.run_rows(problem_A, ref_A, EE, rows, parallelism=2, chunk_size=10)
+            next(cells)
+            time.sleep(1.0)
+            with pytest.raises(WorkerError, match=r"\[10, 20\) of the n = 11 row"):
+                next(cells)
 
     @given(N=st.integers(1, 20_000), chunk_size=st.integers(1, 3000),
            parallelism=st.integers(1, 16))
@@ -485,16 +547,27 @@ class TestRunBatch:
         assert analysis._chunk_bounds(10_000, 8192, 2) == [(0, 5000), (5000, 10_000)]
 
     def test_closure_rhs_runs_serially_under_parallelism(self):
+        # through each entry point, with a warning that names the caller's line, here,
+        # not one inside randode.analysis
         k = 0.5
         p = IvpSpec(a=0.0, b=1.0, d=1, eta=np.ones(1), rhs=lambda t, x: -k * x,
                     class_params=ClassParams(K=1.0, L=k, rho=1.5), name="closure",
                     rhs_vectorized=True)
         ref = ReferenceSolution.analytic(lambda t: np.exp(-k * np.asarray(t)))
         noise = NoiseModel("ee", 0.01)
+        kw = dict(chunk_size=10, parallelism=2)
         serial = run_batch(p, ref, EE, 8, noise, 20, 3, chunk_size=10)
-        with pytest.warns(RuntimeWarning, match="serially"):
-            pooled = run_batch(p, ref, EE, 8, noise, 20, 3, chunk_size=10, parallelism=2)
-        assert np.array_equal(serial.errors, pooled.errors)
+        pooled = {
+            "run_batch": lambda: run_batch(p, ref, EE, 8, noise, 20, 3, **kw),
+            "run_cells": lambda: analysis.run_cells(p, ref, EE, 8, [noise], 20, 3, **kw)[0],
+            "run_rows": lambda: next(analysis.run_rows(p, ref, EE, [(8, [noise], 20, 3)],
+                                                       **kw))[0],
+        }
+        for entry, run in pooled.items():
+            with pytest.warns(RuntimeWarning, match="serially") as record:
+                batch = run()
+            assert [w.filename for w in record] == [__file__], entry
+            assert np.array_equal(serial.errors, batch.errors), entry
 
     @pytest.mark.parametrize("vectorized", [False, True])
     def test_non_finite_node_names_its_replication(self, vectorized):

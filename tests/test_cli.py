@@ -697,6 +697,81 @@ def test_import_leaves_the_process_pool_out():
     assert out.stdout == "False\n"
 
 
+def run_fresh(*args, **env):
+    """Standard output of a fresh interpreter on this checkout run with args, with
+    OPENBLAS_NUM_THREADS unset (importing randode.cli here has set it) unless env sets it."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = os.path.dirname(os.path.dirname(randode.__file__))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, check=True,
+                          env={**base, "PYTHONPATH": src, **env}).stdout
+
+
+# every name the package exports, by the submodule that defines it
+EXPORTS = {
+    "analysis": ["BatchCell", "ConfidenceBand", "ErrorBatch", "QuantileEstimate",
+                 "ReferenceSolution", "SlopeFit", "TailCurve", "build_reference_B",
+                 "confidence_band", "convergence_slope", "derive_cell_seed",
+                 "fit_loglog_slope", "reference_for", "run_batch", "run_cells", "run_rows",
+                 "sup_error", "tail_curve", "xi_hat"],
+    "exceptions": ["ConvergenceError", "DomainError", "NumericalError",
+                   "ReferenceSolutionError", "WorkerError"],
+    "noise": ["DeltaRule", "NoiseModel", "NoisyOracle", "exact_info", "parse_delta_rule",
+              "verify_noise_bound"],
+    "problems": ["ClassParams", "IvpSpec", "check_class_membership", "eval_rhs",
+                 "exact_solution_A", "make_problem", "one_norm", "radius_ee", "radius_rk"],
+    "schemes": ["Grid", "SchemeKind", "Trajectory", "gamma_of", "martingale_diagnostic",
+                "run_explicit_euler", "run_implicit_euler", "run_rk2", "run_scheme",
+                "scheme_from_name"],
+}
+
+
+def test_import_leaves_numpy_and_blas_threading_alone():
+    # the library imports its submodules, and so numpy, on first use, and sets no BLAS
+    # thread count even then
+    code = ("import os, sys, randode; print('numpy' in sys.modules, randode.__version__); "
+            "randode.run_cells; print('numpy' in sys.modules, "
+            "'OPENBLAS_NUM_THREADS' in os.environ)")
+    assert run_fresh("-c", code) == f"False {randode.__version__}\nTrue False\n"
+
+
+def test_every_export_resolves_to_its_submodule():
+    names = [name for names in EXPORTS.values() for name in names]
+    assert randode.__all__ == sorted([*EXPORTS, *names])
+    code = ("import json, sys, randode\n"
+            "from randode import *\n"
+            "from randode import cli\n"
+            "exports = json.loads(sys.argv[1])\n"
+            "print(all(globals()[name] is getattr(randode, name)"
+            " is getattr(sys.modules[f'randode.{module}'], name)"
+            " for module, names in exports.items() for name in names))\n"
+            "print(all(globals()[m] is getattr(randode, m) is sys.modules[f'randode.{m}']"
+            " for m in [*exports, 'cli']), set(randode.__all__) < set(dir(randode)))\n")
+    assert run_fresh("-c", code, json.dumps(EXPORTS)) == "True\nTrue True\n"
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_cli_import_sets_one_blas_thread_by_default(preset):
+    env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    code = "import os, randode.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert run_fresh("-c", code, **env) == f"{preset or 1}\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+def test_cli_process_runs_one_os_thread():
+    # numpy's OpenBLAS would start a thread per further CPU at import
+    code = "import os, randode.cli; print(len(os.listdir('/proc/self/task')))"
+    assert run_fresh("-c", code) == "1\n"
+
+
+def test_module_run_writes_the_pinned_table(tmp_path):
+    # python -m randode.cli, as the benchmark runs it, with runpy's warnings as errors
+    run_fresh("-W", "error::RuntimeWarning", "-m", "randode.cli", "table", "--problem", "A",
+              "--scheme", "ee", "--n-list", "10 40", "--delta-rules", "0 2e-3", "--N", "500",
+              "--seed", "7", "--out", str(tmp_path))
+    digest = hashlib.sha256((tmp_path / "table_ee_A.csv").read_bytes()).hexdigest()
+    assert digest == "fb9cf6c82a05193ee2849474a0b5c3390cfb80e872f5e5b251fdcd3592d35bd0"
+
+
 @pytest.mark.slow
 def test_cross_column_coherence_at_n1000(tmp_path, problem_A, ref_A):
     # small-budget columns track the noise-free column once n is large
