@@ -39,14 +39,15 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 @dataclasses.dataclass(frozen=True)
 class ReferenceSolution:
-    """Either an analytic map t -> z(t) or dense values on a uniform grid with linear lookup."""
+    """Either an analytic map t -> z(t) or dense values on a uniform grid with linear lookup:
+    an (n + 1, d) array (:meth:`cached_dense`) or a cache file read a slice at a time."""
 
     kind: str  # "analytic" | "cached-dense"
     d: int
     fn: object = None
     a: float = None
     b: float = None
-    grid_values: np.ndarray = None
+    grid_values: object = None  # an (n + 1, d) array, or a _CacheValues
     provenance: dict = dataclasses.field(default_factory=dict)
 
     @classmethod
@@ -106,13 +107,14 @@ class ReferenceSolution:
             j[down] -= 1
         while (up := (j < n - 1) & (self._knots(j + 1) <= t)).any():
             j[up] += 1
+        j = j.astype(np.intp)  # integers below 2**53: the same knots
+        vals = v[np.concatenate([j, j + 1, [n]])]  # one read of the values
         x0, x1 = self._knots(j)[:, None], self._knots(j + 1)[:, None]
-        ji = j.astype(np.intp)
-        v0, v1 = v[ji], v[ji + 1]
+        v0, v1 = vals[:j.size], vals[j.size:-1]
         out = (v1 - v0) / (x1 - x0) * (t[:, None] - x0) + v0
         at_knot = t == x0[:, 0]
         out[at_knot] = v0[at_knot]
-        out[t == b] = v[n]
+        out[t == b] = vals[-1]
         return out
 
 
@@ -132,12 +134,10 @@ def _interior_offsets(h: float, subsamples: int) -> np.ndarray:
 
 
 def _reference_grids(ref: ReferenceSolution, knots: np.ndarray, dt: np.ndarray):
-    """Reference values at the knots and at every interior offset."""
-    ref_knots = ref.values_at(knots)
-    ref_int = np.empty((dt.shape[0], knots.shape[0] - 1, ref_knots.shape[1]))
-    for k, off in enumerate(dt):
-        ref_int[k] = ref.values_at(knots[:-1] + off)
-    return ref_knots, ref_int
+    """Reference values at the knots and at every interior offset, from one lookup."""
+    m = knots.shape[0] - 1
+    vals = ref.values_at(np.concatenate([knots, (knots[:-1] + dt[:, None]).ravel()]))
+    return vals[:m + 1], vals[m + 1:].reshape(dt.shape[0], m, vals.shape[1])
 
 
 def _scratch(buf: np.ndarray, shape) -> np.ndarray:
@@ -892,14 +892,12 @@ def default_ref_cache(n_ref: int = DEFAULT_REF_STEPS) -> str:
     return os.path.join(base, f"refB_rk4_{n_ref}.bin")
 
 
-def _write_reference(path, header: dict, values: np.ndarray) -> dict:
-    """Write the cache file atomically: readers see the old file or the whole new one.
-
-    The payload is the little-endian values' own buffer (no copy on a
-    little-endian machine).  The file gets mode 0o666 less the umask, as
-    any new file does; returns the header written, with its sha256.
+def _write_reference(path, header: dict, values: np.ndarray) -> None:
+    """Write the cache file atomically: readers see the old file or the whole new one.  The
+    payload is the little-endian values' own buffer (no copy on a little-endian machine), the
+    header carries its sha256, and the file gets mode 0o666 less the umask, as any new file does.
     """
-    import hashlib  # here and in _read_reference, not at module level: only the cache hashes
+    import hashlib  # here and in _CacheValues, not at module level: only the cache hashes
 
     payload = memoryview(np.ascontiguousarray(values, dtype="<f8")).cast("B")
     header = dict(header, sha256=hashlib.sha256(payload).hexdigest())
@@ -915,55 +913,97 @@ def _write_reference(path, header: dict, values: np.ndarray) -> dict:
     except BaseException:
         os.unlink(tmp)
         raise
-    return header
 
 
-def _read_reference(path) -> tuple:
-    """The cache file's header and values, checked against the header's checksum.
+_READ_BYTES = 1 << 20  # the one buffer through which a cache file's values are read
 
-    The payload is read straight into a writeable array, with no bytes copy.
-    """
-    import hashlib
 
-    with open(path, "rb") as fh:
+class _CacheValues:
+    """The (n + 1, 1) values of a verified cache file, read from the file at each lookup: an
+    integer index array reads the file's slices of one buffer (``_READ_BYTES``) that hold an
+    index, in one ascending pass.  The file must be the one verified (device, inode, size,
+    mtime) or, verified again, hold the same sha256; else, or if it is gone, a lookup raises
+    ReferenceSolutionError."""
+
+    def __init__(self, path):
+        self.path, self._identity = os.path.abspath(path), None
+        with open(self.path, "rb") as fh:
+            self._verify(fh)
+        self.shape = ((self._identity[2] - self._offset) // 8, 1)
+
+    def _verify(self, fh) -> None:
+        """Unless the open file is the one verified: check its magic, header, whole float64
+        values and their sha256, streamed through one buffer, and record its identity."""
+        import hashlib  # here and in _write_reference, not at module level: only the cache hashes
+
+        st = os.fstat(fh.fileno())
+        if (identity := (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)) == self._identity:
+            return
         if fh.read(len(REF_MAGIC)) != REF_MAGIC:
             raise ValueError("bad magic")
-        header = json.loads(fh.readline().decode())
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size % 8:
+        header, offset = json.loads(fh.readline().decode()), fh.tell()
+        if (st.st_size - offset) % 8:
             raise ValueError("payload is not a whole number of float64 values")
-        values = np.empty(size // 8, dtype="<f8")
-        if fh.readinto(memoryview(values).cast("B")) != size:
-            raise ValueError("payload shorter than the file")
-    if hashlib.sha256(memoryview(values)).hexdigest() != header.get("sha256"):
-        raise ValueError("checksum mismatch")
-    return header, values
+        digest, buf = hashlib.sha256(), memoryview(bytearray(_READ_BYTES))
+        while size := fh.readinto(buf):
+            digest.update(buf[:size])
+        if digest.hexdigest() != header.get("sha256"):
+            raise ValueError("checksum mismatch")
+        if self._identity and header["sha256"] != self.header["sha256"]:
+            raise ValueError("replaced by a file of other values")
+        self.header, self._offset, self._identity = header, offset, identity
+
+    def __getitem__(self, idx: np.ndarray) -> np.ndarray:
+        out, size = np.empty(idx.size), _READ_BYTES // 8
+        try:
+            with open(self.path, "rb", buffering=0) as fh:  # reads only the bytes asked for
+                self._verify(fh)
+                order = np.argsort(idx // size, kind="stable")  # the indices of each slice
+                slices = np.split(order, np.flatnonzero(np.diff(idx[order] // size)) + 1)
+                buf = np.empty(min(size, idx.max() - idx.min() + 1), dtype="<f8")
+                for sel in slices:
+                    at = idx[sel]
+                    first = at.min()
+                    piece = buf[:at.max() - first + 1]
+                    fh.seek(self._offset + 8 * int(first))
+                    if fh.readinto(piece) != piece.nbytes:
+                        raise ValueError("payload shorter than the file")
+                    out[sel] = piece[at - first]
+        except (OSError, ValueError) as exc:
+            raise ReferenceSolutionError(f"reference cache {self.path}: {exc}") from exc
+        return out[:, None]
+
+
+def _read_reference(path, want: dict) -> ReferenceSolution:
+    """The reference of the verified cache file at path (:class:`_CacheValues`), whose
+    values stay in the file; ValueError unless its header and size match want."""
+    values = _CacheValues(path)
+    if {k: values.header.get(k) for k in want} != want or values.shape[0] != want["n_ref"] + 1:
+        raise ValueError("built with other parameters")
+    return ReferenceSolution(kind="cached-dense", d=1, a=want["a"], b=want["b"],
+                             grid_values=values, provenance=values.header)
 
 
 def build_reference_B(n_ref: int = DEFAULT_REF_STEPS, cache_path=None) -> ReferenceSolution:
     """Dense deterministic reference for problem B, persisted to cache_path.
 
-    cache_path defaults to :func:`default_ref_cache`.  Recomputes (and
-    rewrites the cache) when the file is missing, corrupt, or was built with
-    different parameters.  The values sit on the uniform grid of [0, 1]
-    with n_ref steps (:meth:`ReferenceSolution.cached_dense`).
+    cache_path defaults to :func:`default_ref_cache`.  Recomputes (and rewrites the cache)
+    when the file is missing, corrupt, or was built with different parameters; raises
+    ReferenceSolutionError if it cannot write it.  The values, on the uniform grid of [0, 1]
+    with n_ref steps, stay in the verified file, built or loaded (:func:`_read_reference`).
     """
     if n_ref < MIN_REF_STEPS:
         raise DomainError(f"n_ref must be >= {MIN_REF_STEPS}")
     cache_path = cache_path or default_ref_cache(n_ref)
     want = {"problem": "B", "method": "rk4", "n_ref": int(n_ref), "a": 0.0, "b": 1.0, "d": 1}
-    if os.path.exists(cache_path):
-        try:
-            header, values = _read_reference(cache_path)
-            if all(header.get(k) == v for k, v in want.items()) and values.shape == (n_ref + 1,):
-                return ReferenceSolution.cached_dense(want["a"], want["b"], values,
-                                                      provenance=header)
-        except (ValueError, json.JSONDecodeError, OSError):
-            pass  # fall through to recompute
-    values = _rk4_dense_B(n_ref)
-    os.makedirs(os.path.dirname(os.path.abspath(cache_path)), exist_ok=True)
-    header = _write_reference(cache_path, want, values)
-    return ReferenceSolution.cached_dense(want["a"], want["b"], values, provenance=header)
+    with contextlib.suppress(ValueError, OSError):  # missing, corrupt or other parameters
+        return _read_reference(cache_path, want)
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(cache_path)), exist_ok=True)
+        _write_reference(cache_path, want, _rk4_dense_B(n_ref))
+        return _read_reference(cache_path, want)
+    except (ValueError, OSError) as exc:
+        raise ReferenceSolutionError(f"cannot use the reference cache {cache_path}: {exc}") from exc
 
 
 def reference_for(problem: IvpSpec, cache_path=None,

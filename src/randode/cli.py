@@ -394,7 +394,7 @@ def cmd_diagnose(args) -> int:
 def cmd_build_ref(args) -> int:
     cache = args.ref_cache or default_ref_cache(args.ref_steps)
     ref = build_reference_B(n_ref=args.ref_steps, cache_path=cache)
-    print(f"reference for B at {cache}: {ref.grid_values.shape[0]} grid values on "
+    print(f"reference for B at {cache}: {ref.provenance['n_ref'] + 1} grid values on "
           f"[{ref.a}, {ref.b}], sha256={ref.provenance.get('sha256', '')[:16]}...")
     return 0
 

@@ -2,9 +2,11 @@ import concurrent.futures
 import contextlib
 import dataclasses
 import functools
+import io
 import itertools
 import os
 import stat
+import tempfile
 import time
 import tracemalloc
 from unittest import mock
@@ -1238,6 +1240,55 @@ class TestCachedDenseLookup:
         want = np.interp(ts, grid, values)
         assert np.array_equal(got[:, 0].view(np.int64), want.view(np.int64))
 
+    @settings(max_examples=60, deadline=None)
+    @given(interval=st.sampled_from([(0.0, 1.0), (0.0, 0.5)]),
+           size=st.integers(2, 100_001),
+           seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-300, 1.0, 1e300]),
+           drawn=st.lists(st.floats(-1e-12, 1.0 + 1e-12), max_size=20),
+           lead=st.lists(st.floats(-1e300, 1e300), max_size=8))
+    @example(interval=(0.0, 1.0), size=2, seed=0, scale=1.0, drawn=[], lead=[-0.0, -0.0])
+    @example(interval=(0.0, 0.5), size=100_001, seed=1, scale=1.0, drawn=[0.5 + 1e-12],
+             lead=[-0.0, 1.0, 0.0])
+    def test_loaded_equals_np_interp(self, interval, size, seed, scale, drawn, lead):
+        # test_equals_np_interp's cases, the values read from a cache file of them
+        from randode import analysis
+        a, b = interval
+        rng = np.random.default_rng(seed)
+        values = scale * rng.standard_normal(size)
+        lead = lead[:size]
+        values[:len(lead)] = lead
+        grid = np.linspace(a, b, size)
+        knots = np.concatenate([grid[:len(lead) + 1], grid[rng.integers(0, size, 500)]])
+        band = 1e-12 * rng.random(50)
+        ts = np.concatenate([
+            rng.uniform(a, b, 500), knots, np.nextafter(knots, -np.inf),
+            np.nextafter(knots, np.inf), [a, b], a - band, b + band,
+            [t for t in drawn if a - 1e-12 <= t <= b + 1e-12],
+        ])
+        ts = ts[(ts >= a - 1e-12) & (ts <= b + 1e-12)]
+        header = {"problem": "B", "method": "rk4", "n_ref": size - 1, "a": a, "b": b, "d": 1}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "ref.bin")
+            analysis._write_reference(path, header, values)
+            got = analysis._read_reference(path, header).values_at(ts)
+        assert got.shape == (ts.shape[0], 1)
+        want = np.interp(ts, grid, values)
+        assert np.array_equal(got[:, 0].view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n", [7, 1000])
+    def test_one_lookup_per_row_equals_one_per_offset(self, ref_A, ref_B, n):
+        # the knots and every interior offset in one values_at call, bitwise as K + 1 calls
+        from randode import analysis
+        knots = np.linspace(0.0, 1.0, n + 1)
+        dt = analysis._interior_offsets(1.0 / n, 8)
+        for ref in (ref_A, ref_B):
+            ref_knots, ref_int = analysis._reference_grids(ref, knots, dt)
+            assert np.array_equal(ref_knots.view(np.int64), ref.values_at(knots).view(np.int64))
+            for k, off in enumerate(dt):
+                want = ref.values_at(knots[:-1] + off)
+                assert np.array_equal(ref_int[k].view(np.int64), want.view(np.int64))
+
     @pytest.mark.parametrize("t", [np.nan, -2e-12, 1.0 + 2e-12])
     def test_nan_or_uncovered_time_raises(self, t):
         ref = ReferenceSolution.cached_dense(0.0, 1.0, np.arange(11.0))
@@ -1255,18 +1306,24 @@ class TestReferenceB:
         for _ in range(2):  # built, then loaded from the cache
             assert build_reference_B(100_000, path).provenance["sha256"] == pinned
 
-    def test_cached_load_holds_one_payload(self, tmp_path):
-        # the knots are implied, so a load allocates the values and little else
-        path = tmp_path / "ref.bin"
-        build_reference_B(100_000, path)
+    def test_cached_load_holds_one_buffer(self, ref_B, ref_B_cache):
+        # the values stay in the file: loading the 2e6-step cache (16 MB) streams it
+        # through one buffer, and a row's lookup holds little beyond the row's grids
+        from randode import analysis
         tracemalloc.start()
         try:
-            ref = build_reference_B(100_000, path)
-            peak = tracemalloc.get_traced_memory()[1]
+            ref = build_reference_B(2_000_000, ref_B_cache)
+            load_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            knots = np.linspace(0.0, 1.0, 5001)
+            ref_knots, ref_int = analysis._reference_grids(
+                ref, knots, analysis._interior_offsets(1 / 5000, 8))
+            row_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ref.grid_values.nbytes == 8 * 100_001
-        assert peak <= 1.25 * ref.grid_values.nbytes
+        assert load_peak <= 2 * 2**20
+        # about ten arrays of the row's size (times, indices, values), and the one buffer
+        assert row_peak <= 12 * (ref_knots.nbytes + ref_int.nbytes) + analysis._READ_BYTES
 
     @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077])
     def test_cache_file_mode_follows_umask(self, tmp_path, umask):
@@ -1290,9 +1347,14 @@ class TestReferenceB:
         stamp = path.stat().st_mtime_ns
         r2 = build_reference_B(100_000, path)
         assert path.stat().st_mtime_ns == stamp  # untouched on hit
-        assert np.array_equal(r1.grid_values, r2.grid_values)
+        ts = np.linspace(0.0, 1.0, 200_001)  # every knot and every midpoint
+        assert np.array_equal(r1.values_at(ts), r2.values_at(ts))
+        end = r2.values_at([1.0])
         r3 = build_reference_B(120_000, path)  # different build params: rewritten
-        assert r3.grid_values.shape == (120_001, 1)
+        assert r3.provenance["n_ref"] == 120_000 and r3.grid_values.shape == (120_001, 1)
+        assert r3.values_at([1.0])[0, 0] != end[0, 0]
+        with pytest.raises(ReferenceSolutionError, match="other values"):
+            r2.values_at([1.0])  # its file now holds other values
 
     def test_corrupt_cache_recomputed(self, tmp_path):
         path = tmp_path / "ref.bin"
@@ -1315,12 +1377,54 @@ class TestReferenceB:
         assert path.read_bytes() == whole
         assert ref.grid_values.shape == (100_001, 1)
 
-    def test_loaded_values_writeable_and_contiguous(self, tmp_path):
-        # one writeable, contiguous array of values, whether built or loaded
+    def test_built_and_loaded_values_bitwise_equal(self, tmp_path):
+        # a built reference reads the file it wrote, as a loaded one does: both are
+        # the in-memory lookup of the computed values at every knot and midpoint
+        from randode import analysis
         path = tmp_path / "ref.bin"
+        ts = np.linspace(0.0, 1.0, 200_001)
+        held = ReferenceSolution.cached_dense(0.0, 1.0, analysis._rk4_dense_B(100_000))
+        want = held.values_at(ts).view(np.int64)
         for _ in range(2):  # built, then loaded from the cache
-            column = build_reference_B(100_000, path).grid_values[:, 0]
-            assert column.flags.writeable and column.flags.c_contiguous
+            ref = build_reference_B(100_000, path)
+            assert isinstance(ref.grid_values, analysis._CacheValues)
+            assert np.array_equal(ref.values_at(ts).view(np.int64), want)
+
+    def test_scalar_lookup_reads_three_values(self, ref_B, monkeypatch):
+        # v[j] and v[j + 1] in one read, v[n] in another: 24 bytes, at any n_ref
+        from randode import analysis
+        reads = []
+
+        class Counting(io.FileIO):
+            def readinto(self, buf):
+                reads.append(super().readinto(buf))
+                return reads[-1]
+
+        monkeypatch.setattr(analysis, "open", lambda path, mode, **kw: Counting(path, "r"),
+                            raising=False)
+        ref_B.values_at([0.3])
+        assert reads == [16, 8]
+
+    def test_replaced_cache_is_verified_again(self, tmp_path):
+        # a lookup reads the file it verified: a replacement must hold the same values
+        from randode import analysis
+        path = tmp_path / "ref.bin"
+        ref = build_reference_B(100_000, path)
+        want = ref.values_at([0.0, 0.5, 1.0])
+        data = bytearray(path.read_bytes())
+        data[-5] ^= 0xFF
+        (tmp_path / "corrupt").write_bytes(bytes(data))
+        os.replace(tmp_path / "corrupt", path)
+        with pytest.raises(ReferenceSolutionError, match="checksum mismatch"):
+            ref.values_at([0.5])
+        analysis._write_reference(path, {"n_ref": 100_000}, np.zeros(100_001))
+        with pytest.raises(ReferenceSolutionError, match="other values"):
+            ref.values_at([0.5])
+        build_reference_B(100_000, path)  # a fresh build of the same values: accepted
+        assert np.array_equal(ref.values_at([0.0, 0.5, 1.0]), want)
+        path.unlink()
+        with pytest.raises(ReferenceSolutionError, match="No such file"):
+            ref.values_at([0.5])
 
     def test_interrupted_write_keeps_old_cache(self, tmp_path, monkeypatch):
         from randode import analysis

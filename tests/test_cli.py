@@ -606,6 +606,24 @@ class TestBuildRef:
         out1 = capsys.readouterr().out
         assert "100001 grid values" in out1
 
+    @pytest.mark.parametrize("where", ["directory", "under-a-file"])
+    @pytest.mark.parametrize("command", ["build-ref", "table"])
+    def test_unusable_cache_path_fails_with_one_line(self, tmp_path, capsys, command, where):
+        # a directory in the file's place, or a parent that cannot be made: one
+        # "run failed" line naming the path, exit 1, and no temporary file left
+        (tmp_path / "file").write_bytes(b"")
+        cache = tmp_path / ("ref.bin" if where == "directory" else "file/ref.bin")
+        if where == "directory":
+            cache.mkdir()
+        args = {"build-ref": [], "table": ["--problem", "B", "--scheme", "rk", "--n-list", "10",
+                                           "--delta-rules", "0", "--N", "200",
+                                           "--out", str(tmp_path / "out")]}[command]
+        assert run_cli(command, *args, "--ref-steps", "100000", "--ref-cache", str(cache)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"run failed: cannot use the reference cache {cache}: [Errno ")
+        assert not list(tmp_path.rglob("*.tmp")) and not (tmp_path / "out").exists()
+
 
 def test_table_starts_one_pool_for_all_its_rows(tmp_path, monkeypatch):
     # two rows of two chunks each through one pool of 2 forked workers, which
