@@ -39,7 +39,8 @@ _MIN_SINK_STEPS = 8
 
 
 def _block_steps(values_per_step: int) -> int:
-    """Steps of a run's sub-block and of a sup-error kernel block: about _BLOCK_ELEMS values."""
+    """Steps of a run's sub-block, of a sup-error kernel block and of a reference lookup
+    block: about _BLOCK_ELEMS values."""
     return max(_MIN_SINK_STEPS, _BLOCK_ELEMS // values_per_step)
 
 

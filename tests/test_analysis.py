@@ -1276,9 +1276,10 @@ class TestCachedDenseLookup:
         want = np.interp(ts, grid, values)
         assert np.array_equal(got[:, 0].view(np.int64), want.view(np.int64))
 
-    @pytest.mark.parametrize("n", [7, 1000])
+    # 3640 steps are two whole lookup blocks at d = 1, and 5000 end in a partial one
+    @pytest.mark.parametrize("n", [7, 1000, 3640, 5000])
     def test_one_lookup_per_row_equals_one_per_offset(self, ref_A, ref_B, n):
-        # the knots and every interior offset in one values_at call, bitwise as K + 1 calls
+        # the knots and every interior offset, a block of steps at a time, bitwise as K + 1 calls
         from randode import analysis
         knots = np.linspace(0.0, 1.0, n + 1)
         dt = analysis._interior_offsets(1.0 / n, 8)
@@ -1324,6 +1325,23 @@ class TestReferenceB:
         assert load_peak <= 2 * 2**20
         # about ten arrays of the row's size (times, indices, values), and the one buffer
         assert row_peak <= 12 * (ref_knots.nbytes + ref_int.nbytes) + analysis._READ_BYTES
+
+    def test_row_lookup_memory_does_not_grow_with_n(self, ref_A, ref_B):
+        # a row's grids are filled a block of steps at a time: at n = 50,000 the lookup holds
+        # the grids (3.4 MB), the cache's read buffer and a few arrays of one block's times
+        from randode import analysis
+        n = 50_000
+        knots = np.linspace(0.0, 1.0, n + 1)
+        dt = analysis._interior_offsets(1 / n, 8)
+        for ref, read_buffer in ((ref_A, 0), (ref_B, analysis._READ_BYTES)):
+            tracemalloc.start()
+            try:
+                ref_knots, ref_int = analysis._reference_grids(ref, knots, dt)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            block_bytes = 8 * schemes._BLOCK_ELEMS
+            assert peak <= ref_knots.nbytes + ref_int.nbytes + read_buffer + 12 * block_bytes
 
     @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077])
     def test_cache_file_mode_follows_umask(self, tmp_path, umask):

@@ -608,9 +608,15 @@ class TestBuildRef:
 
     @pytest.mark.parametrize("where", ["directory", "under-a-file"])
     @pytest.mark.parametrize("command", ["build-ref", "table"])
-    def test_unusable_cache_path_fails_with_one_line(self, tmp_path, capsys, command, where):
+    def test_unusable_cache_path_fails_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                     command, where):
         # a directory in the file's place, or a parent that cannot be made: one
-        # "run failed" line naming the path, exit 1, and no temporary file left
+        # "run failed" line naming the path, exit 1, and no temporary file left,
+        # before the reference is computed
+        from randode import analysis
+        build, calls = analysis._rk4_dense_B, []
+        monkeypatch.setattr(analysis, "_rk4_dense_B",
+                            lambda n_ref: calls.append(n_ref) or build(n_ref))
         (tmp_path / "file").write_bytes(b"")
         cache = tmp_path / ("ref.bin" if where == "directory" else "file/ref.bin")
         if where == "directory":
@@ -623,6 +629,7 @@ class TestBuildRef:
         assert len(err) == 1
         assert err[0].startswith(f"run failed: cannot use the reference cache {cache}: [Errno ")
         assert not list(tmp_path.rglob("*.tmp")) and not (tmp_path / "out").exists()
+        assert calls == []
 
 
 def test_table_starts_one_pool_for_all_its_rows(tmp_path, monkeypatch):
