@@ -25,8 +25,7 @@ _EXPORTS = {
         "BatchCell", "ConfidenceBand", "ErrorBatch", "QuantileEstimate",
         "ReferenceSolution", "SlopeFit", "TailCurve", "build_reference_B",
         "confidence_band", "convergence_slope", "derive_cell_seed", "fit_loglog_slope",
-        "reference_for", "run_batch", "run_cells", "run_rows", "sup_error", "tail_curve",
-        "xi_hat",
+        "reference_for", "run_batch", "run_rows", "sup_error", "tail_curve", "xi_hat",
     ),
     "exceptions": (
         "ConvergenceError", "DomainError", "NumericalError", "ReferenceSolutionError",

@@ -17,7 +17,6 @@ import errno
 import itertools
 import json
 import math
-import numbers
 import os
 import pickle
 import sys
@@ -25,7 +24,7 @@ import warnings
 
 import numpy as np
 
-from .exceptions import DomainError, ReferenceSolutionError, WorkerError
+from .exceptions import DomainError, ReferenceSolutionError, WorkerError, _check_counts
 from .noise import ChunkOracle, NoiseModel, NoisyOracle, exact_info
 from .problems import IvpSpec, exact_solution_A
 from .schemes import (SchemeKind, Trajectory, _block_steps, implicit_euler_refusal, run_scheme,
@@ -41,12 +40,8 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 @dataclasses.dataclass(frozen=True)
 class ReferenceSolution:
     """Either an analytic map t -> z(t) or dense values on a uniform grid with linear lookup:
-    an (n + 1, d) array (:meth:`cached_dense`) or a cache file read a slice at a time.
-
-    A table row's grids are looked up a block of steps at a time (:func:`_reference_grids`):
-    the ``table-B-rk-largen`` command peaks at about 40.6 MB of RSS, and its 5000-step row's
-    lookup takes about 4 ms (shared 2-vCPU VM, Python 3.11.7, numpy 2.4.6).
-    """
+    an (n + 1, d) array (:meth:`cached_dense`) or a cache file read a slice at a time.  A table
+    row's grids are looked up a block of steps at a time (:func:`_reference_grids`)."""
 
     kind: str  # "analytic" | "cached-dense"
     d: int
@@ -128,13 +123,6 @@ class ReferenceSolution:
 # Sup-norm error
 
 
-def _check_counts(**counts) -> None:
-    """Raise a DomainError for the first count that is not an integer >= 1."""
-    for name, count in counts.items():
-        if not isinstance(count, numbers.Integral) or count < 1:
-            raise DomainError(f"{name} must be >= 1 and an integer, got {count!r}")
-
-
 def _interior_offsets(h: float, subsamples: int) -> np.ndarray:
     return h * np.arange(1, subsamples + 1) / (subsamples + 1)
 
@@ -145,10 +133,9 @@ def _reference_grids(ref: ReferenceSolution, knots: np.ndarray, dt: np.ndarray):
     The grids are allocated once and filled a block of steps at a time (:func:`_block_steps`
     of a step's K + 1 times and their values): one ``values_at`` call a block, on knot j,
     j + dt_1, ..., j + dt_K for each step j, in t order, then one on knot m.  So the lookup
-    holds the grids and one block's temporaries at any m (about 2 MB beyond the grids and the
-    cache's read buffer at d = 1), and the blocks read a cached reference's file once, in
-    ascending order.  Each value equals a lookup of its time alone, bit for bit.  A 5000-step
-    problem-B row takes about 4 ms and peaks at 2.8 MB traced, of which 0.34 MB are the grids.
+    holds the grids and one block's temporaries at any m, and the blocks read a cached
+    reference's file once, in ascending order.  Each value equals a lookup of its time alone,
+    bit for bit.
     """
     m, K, d = knots.shape[0] - 1, dt.shape[0], ref.d
     ref_knots, ref_int = np.empty((m + 1, d)), np.empty((K, m, d))
@@ -561,27 +548,34 @@ def _chunk_bounds(N: int, chunk_size: int, parallelism: int) -> list:
 def run_rows(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind, rows, *,
              parallelism: int = 1, subsamples_per_step: int = 8, perturb_eta: bool = False,
              chunk_size: int = 8192):
-    """The cells of table rows ``[(n, noises, N, master_seed), ...]``, yielded a row at a time.
+    """The cells of table rows ``[(n, noises, N, master_seed), ...]``, yielded a row at a time:
+    the one Monte Carlo runner.
 
-    Entry c of a row is ``run_batch(..., n, noises[c], N, master_seed,
-    ...)``'s :class:`ErrorBatch`, bit for bit, or the NumericalError,
-    ConvergenceError or DomainError that call raises.  A row's cells share
-    a master seed, so they read the same grid draws, and columns of one
-    noise kind read the same noise draws; only the delta factor differs.
-    So the columns run together, one chunk of replications at a time, as one
-    scheme run with k columns (:class:`ChunkOracle`), and each column's
-    failure is read from that run.  A column that implicit Euler refuses
-    joins no run; any other exception out of a run propagates.  Every row is
-    planned first, and then all of the rows' chunks run as one map
-    (:func:`_chunk_map`), so with ``parallelism`` > 1 one pool serves every
-    row and no row waits for the one before it.  Closing the generator
-    drops the chunks still queued; a dead worker raises :class:`WorkerError`.
+    Entry c of a row is the :class:`ErrorBatch` of column ``noises[c]``: the
+    sorted errors of N replications, bitwise those of one
+    :class:`NoisyOracle` run per replication, at any parallelism or chunk
+    partition; or the NumericalError, ConvergenceError or DomainError of its
+    lowest failing replication.  A row's cells share a master seed, so they
+    read the same grid draws, and columns of one noise kind read the same
+    noise draws; only the delta factor differs.  So the columns run
+    together, one chunk of replications at a time, as one scheme run with k
+    columns (:class:`ChunkOracle`), and each column's failure is read from
+    that run.  A column that implicit Euler refuses joins no run; any other
+    exception out of a run propagates.  Every row is planned first, and then
+    all of the rows' chunks run as one map (:func:`_chunk_map`), so with
+    ``parallelism`` > 1 one pool serves every row and no row waits for the
+    one before it; a right-hand side that cannot be pickled (a lambda or
+    closure) runs serially, with a RuntimeWarning.  A row's plan is dropped
+    as it is consumed, and its cells are the rows of one (k, N) array sorted
+    in place, so the generator keeps no row it has yielded.  Closing
+    the generator drops the chunks still queued; a dead worker raises
+    :class:`WorkerError`.
     """
     _check_counts(parallelism=parallelism, subsamples_per_step=subsamples_per_step,
                   chunk_size=chunk_size)
     if reference.d != problem.d:
         raise DomainError(f"the reference has d = {reference.d}, the problem d = {problem.d}")
-    plans, tasks = [], []
+    plans, tasks = collections.deque(), []
     for n, noises, N, master_seed in rows:
         _check_counts(n=n, N=N)
         h, knots = (problem.b - problem.a) / n, np.linspace(problem.a, problem.b, n + 1)
@@ -590,17 +584,16 @@ def run_rows(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind,
         cells = [implicit_euler_refusal(problem, noise, n)
                  if scheme is SchemeKind.IMPLICIT_EULER else None for noise in noises]
         groups = _column_groups({c: noise for c, noise in enumerate(noises) if cells[c] is None})
-        row_tasks = [(problem, scheme, n, model, master_seed, lo, hi,
-                      dt, ref_knots, ref_int, perturb_eta, [noises[c].delta for c in cols])
-                     for lo, hi in _chunk_bounds(N, chunk_size, parallelism)
-                     for model, cols in groups]
-        plans.append((n, noises, N, master_seed, cells, groups, row_tasks))
-        tasks += row_tasks
+        chunks = [(lo, hi, model, cols) for lo, hi in _chunk_bounds(N, chunk_size, parallelism)
+                  for model, cols in groups]
+        plans.append((n, noises, N, master_seed, cells, chunks))
+        tasks += [(problem, scheme, n, model, master_seed, lo, hi, dt, ref_knots, ref_int,
+                   perturb_eta, [noises[c].delta for c in cols]) for lo, hi, model, cols in chunks]
     with _chunk_map(tasks, parallelism) as (results, broken):
-        for n, noises, N, master_seed, cells, groups, row_tasks in plans:
+        while plans:
+            n, noises, N, master_seed, cells, chunks = plans.popleft()
             errors = np.empty((len(noises), N))
-            for task, (_, cols) in zip(row_tasks, itertools.cycle(groups)):
-                lo, hi = task[5:7]  # chunks in order of lo, so a column keeps its lowest failure
+            for lo, hi, _, cols in chunks:  # in order of lo, so a column keeps its lowest failure
                 try:
                     outs = next(results)
                 except broken as exc:
@@ -611,41 +604,31 @@ def run_rows(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind,
                         errors[c, lo:hi] = out
                     elif cells[c] is None:
                         cells[c] = out
+            errors.sort(axis=1)
             for c, noise in enumerate(noises):
                 if cells[c] is None:
                     cell = BatchCell(problem=problem.name or "custom", scheme=scheme, n=n,
                                      noise_kind=noise.kind, delta=noise.delta,
                                      span=problem.b - problem.a)
-                    cells[c] = ErrorBatch(cell=cell, errors=np.sort(errors[c]),
-                                          master_seed=master_seed, N=N)
+                    cells[c] = ErrorBatch(cell=cell, errors=errors[c], master_seed=master_seed,
+                                          N=N)
             yield cells
-
-
-def run_cells(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind,
-              n: int, noises, N: int, master_seed, **kwargs) -> list:
-    """The cells of one table row: :func:`run_rows` with one row, whose keywords it takes."""
-    (cells,) = run_rows(problem, reference, scheme, [(n, noises, N, master_seed)], **kwargs)
-    return cells
 
 
 def run_batch(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind,
               n: int, noise: NoiseModel, N: int, master_seed, *,
               parallelism: int = 1, subsamples_per_step: int = 8,
               perturb_eta: bool = False, chunk_size: int = 8192) -> ErrorBatch:
-    """N independent replications of the cell's sup-norm error, sorted.
+    """N independent replications of one cell's sup-norm error, sorted: :func:`run_rows` with
+    one row of one column, whose failure it raises.
 
     Replication i draws from streams keyed by (master_seed, i), so the result
     is bitwise-identical for fixed (cell, N, master_seed) at any parallelism
-    or chunk partition.  Every cell runs a chunk of replications per scheme
-    run (:class:`ChunkOracle`), whatever d and however its rhs is called;
-    the errors are bitwise those of one :class:`NoisyOracle` run per
-    replication.  With ``parallelism`` > 1 the chunks run in a pool of this call, but
-    serially, with a RuntimeWarning, for a right-hand side that cannot be pickled (a
-    lambda or closure).  This is :func:`run_cells` with one column.
+    or chunk partition.
     """
-    (batch,) = run_cells(problem, reference, scheme, n, [noise], N, master_seed,
-                         parallelism=parallelism, subsamples_per_step=subsamples_per_step,
-                         perturb_eta=perturb_eta, chunk_size=chunk_size)
+    ((batch,),) = run_rows(problem, reference, scheme, [(n, [noise], N, master_seed)],
+                           parallelism=parallelism, subsamples_per_step=subsamples_per_step,
+                           perturb_eta=perturb_eta, chunk_size=chunk_size)
     if isinstance(batch, Exception):
         raise batch
     return batch
@@ -704,6 +687,7 @@ def xi_hat(batch: ErrorBatch, epsilon: float, gamma: float) -> QuantileEstimate:
 
 def wilson_interval(count: int, n: int, z: float = _WILSON_Z):
     """95% Wilson score interval for a binomial proportion."""
+    _check_counts(n=n)
     p = count / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2.0 * n)) / denom
@@ -772,8 +756,7 @@ def confidence_band(tr: Trajectory, gamma: float, delta: float, xi_eps: float,
     """Band of half-width xi_eps * error_scale(n, b - a, gamma, delta) around the interpolant."""
     if not 0.0 <= xi_eps < math.inf:
         raise DomainError("xi must be finite and nonnegative")
-    if not isinstance(grid_points, numbers.Integral) or grid_points < 2:
-        raise DomainError(f"grid_points must be an integer >= 2, got {grid_points!r}")
+    _check_counts(2, grid_points=grid_points)
     radius = xi_eps * error_scale(tr.grid.n, tr.b - tr.a, gamma, delta)
     ts = np.linspace(tr.a, tr.b, grid_points)
     center = tr.dense(ts)
@@ -804,12 +787,15 @@ def fit_loglog_slope(ns, mean_errors) -> SlopeFit:
     means = np.asarray(mean_errors, dtype=float)
     if ns.shape != means.shape or ns.size < 2:
         raise DomainError("need matching arrays of at least two ladder points")
-    if not (np.all(ns > 0) and np.all(means > 0)):  # NaN too
-        raise DomainError("step counts and errors must be > 0 to be fit on a log scale")
+    ladder = np.stack([ns, means])
+    if not np.all((ladder > 0) & (ladder < math.inf)):  # NaN too
+        raise DomainError("step counts and errors must be > 0 and finite to be fit on a log scale")
     x = np.log(ns)
     y = np.log(means)
     xbar = x.mean()
     sxx = np.sum((x - xbar) ** 2)
+    if not sxx > 0:
+        raise DomainError(f"the step counts {ns.tolist()} are all equal: no slope fits them")
     slope = float(np.sum((x - xbar) * (y - y.mean())) / sxx)
     intercept = float(y.mean() - slope * xbar)
     dof = ns.size - 2
@@ -1055,5 +1041,5 @@ __all__ = [
     "ReferenceSolution", "SlopeFit", "TailCurve", "build_reference_B",
     "confidence_band", "convergence_slope", "default_ref_cache", "derive_cell_seed",
     "error_scale", "fit_loglog_slope", "order_statistic_index", "reference_for",
-    "run_batch", "run_cells", "run_rows", "sup_error", "tail_curve", "wilson_interval", "xi_hat",
+    "run_batch", "run_rows", "sup_error", "tail_curve", "wilson_interval", "xi_hat",
 ]

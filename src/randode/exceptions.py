@@ -1,8 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of integer counts."""
+
+import numbers
 
 
 class DomainError(ValueError):
     """An argument lies outside the domain a routine is defined on."""
+
+
+def _check_counts(least: int = 1, /, **counts) -> None:
+    """Raise a DomainError for the first count that is not an integer >= least."""
+    for name, count in counts.items():
+        if not isinstance(count, numbers.Integral) or count < least:
+            raise DomainError(f"{name} must be >= {least} and an integer: {count!r} is not an "
+                              f"integer >= {least}")
 
 
 class _RunError(Exception):

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import DomainError, NumericalError
+from .exceptions import DomainError, NumericalError, _check_counts
 
 #: Sampling radius used by the membership audit when R is infinite.
 R_CAP = 100.0
@@ -40,12 +40,13 @@ class ClassParams:
     R: float = math.inf
 
     def __post_init__(self):
-        if self.K < 0 or self.L < 0:
-            raise DomainError("K and L must be nonnegative")
-        if self.rho <= 0:
-            raise DomainError("rho must be positive")
-        if self.R < 0:
-            raise DomainError("R must be in [0, inf]")
+        # positive comparisons, so that NaN fails each
+        if not (self.K >= 0 and self.L >= 0):
+            raise DomainError(f"K and L must be nonnegative, got {self.K!r} and {self.L!r}")
+        if not self.rho > 0:
+            raise DomainError(f"rho must be positive, got {self.rho!r}")
+        if not self.R >= 0:
+            raise DomainError(f"R must be in [0, inf], got {self.R!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,8 +73,7 @@ class IvpSpec:
     def __post_init__(self):
         if not self.b > self.a:
             raise DomainError("need b > a")
-        if self.d < 1:
-            raise DomainError("need d >= 1")
+        _check_counts(d=self.d)
         eta = np.atleast_1d(np.asarray(self.eta, dtype=float))
         if eta.shape != (self.d,):
             raise DomainError(f"eta must have shape ({self.d},)")
@@ -118,7 +118,7 @@ def d_exact_solution_A(t):
 
 def radius_ee(K: float, a: float, b: float) -> float:
     """Localization radius for the explicit Euler scheme's problem class."""
-    if K < 0:
+    if not K >= 0:  # NaN too
         raise DomainError("K must be nonnegative")
     if b < a:
         raise DomainError("need b >= a")
@@ -134,7 +134,7 @@ def radius_rk(K: float, a: float, b: float) -> float:
 
     Undefined for K = 0 (the closed form contains 1/K).
     """
-    if K <= 0:
+    if not K > 0:  # NaN too
         raise DomainError("radius_rk requires K > 0")
     w = b - a
     first = K * (1.0 + w) * (1.0 + math.exp(K * w) * (1.0 + K * w))
@@ -223,8 +223,7 @@ def check_class_membership(p: IvpSpec, sample_count: int = 2000, rng_seed: int =
     Points are drawn from [a, b] x B(eta, min(R, R_CAP)).  Ratios are compared
     against the problem's K and L; a failure carries the witness point.
     """
-    if sample_count < 1:
-        raise DomainError("sample_count must be >= 1")
+    _check_counts(sample_count=sample_count)
     rng = np.random.default_rng(rng_seed)
     cp = p.class_params
     radius = min(cp.R, R_CAP)

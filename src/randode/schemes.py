@@ -27,7 +27,7 @@ import enum
 
 import numpy as np
 
-from .exceptions import ConvergenceError, DomainError, NumericalError
+from .exceptions import ConvergenceError, DomainError, NumericalError, _check_counts
 from .noise import _BLOCK_ELEMS, ChunkOracle, NoiseModel
 from .problems import IvpSpec, d_exact_solution_A, exact_solution_A
 
@@ -66,8 +66,8 @@ def gamma_of(s: SchemeKind, rho: float) -> float:
     Euler variants: min(rho + 1/2, 1).  Two-stage Runge-Kutta:
     min(rho, 1) + 1/2 (the usable time regularity saturates at 1).
     """
-    if rho <= 0:
-        raise DomainError("rho must be positive")
+    if not rho > 0:  # NaN too
+        raise DomainError(f"rho must be positive, got {rho!r}")
     if s is SchemeKind.RUNGE_KUTTA2:
         return min(rho, 1.0) + 0.5
     return min(rho + 0.5, 1.0)
@@ -148,8 +148,7 @@ class _Run:
     """
 
     def __init__(self, oracle, n: int, sink, evals_per_step: int = 1):
-        if n < 1:
-            raise DomainError("n must be >= 1")
+        _check_counts(n=n)
         a, b = oracle.base.a, oracle.base.b
         self.grid = Grid(n=n, h=(b - a) / n, knots=np.linspace(a, b, n + 1))
         self.oracle = oracle
@@ -302,8 +301,9 @@ def run_implicit_euler(oracle: ChunkOracle, n: int, tol: float = 1e-12,
     The other rows keep stepping, and each column fails with its lowest
     failing replication's error (:meth:`_Run.failures`).
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise DomainError("tol must be positive")
+    _check_counts(max_iter=max_iter)
     refusal = implicit_euler_refusal(oracle.base, oracle.model, n)
     if refusal is not None:
         raise refusal
@@ -375,8 +375,8 @@ def martingale_diagnostic(n: int, reps: int, seed, solution=exact_solution_A,
 
     Defaults to test problem A, whose solution and derivative are analytic.
     """
-    if n < 1 or reps < 2:
-        raise DomainError("need n >= 1 and reps >= 2")
+    _check_counts(n=n)
+    _check_counts(2, reps=reps)
     h, knots = (b - a) / n, np.linspace(a, b, n + 1)
     increments = np.asarray(solution(knots[1:])) - np.asarray(solution(knots[:-1]))
     rng = np.random.default_rng(seed)

@@ -29,6 +29,7 @@ from randode import (
     SchemeKind,
     WorkerError,
     build_reference_B,
+    check_class_membership,
     confidence_band,
     convergence_slope,
     derive_cell_seed,
@@ -82,7 +83,7 @@ class TestSupError:
 
     @pytest.mark.parametrize("subsamples", [0, 2.5])
     def test_subsamples_validated(self, problem_A, ref_A, subsamples):
-        # run_cells's rule: an integer >= 1
+        # run_rows's rule: an integer >= 1
         o = NoisyOracle(problem_A, exact_info(), 42, 0)
         tr = run_explicit_euler(o, 4)
         with pytest.raises(DomainError, match="must be >= 1 and an integer"):
@@ -561,7 +562,6 @@ class TestRunBatch:
         serial = run_batch(p, ref, EE, 8, noise, 20, 3, chunk_size=10)
         pooled = {
             "run_batch": lambda: run_batch(p, ref, EE, 8, noise, 20, 3, **kw),
-            "run_cells": lambda: analysis.run_cells(p, ref, EE, 8, [noise], 20, 3, **kw)[0],
             "run_rows": lambda: next(analysis.run_rows(p, ref, EE, [(8, [noise], 20, 3)],
                                                        **kw))[0],
         }
@@ -801,7 +801,7 @@ class TestRunCells:
         kw = dict(chunk_size=chunk_size, perturb_eta=perturb_eta, parallelism=parallelism)
         with mock.patch.object(schemes, "_BLOCK_STEPS", block_steps or schemes._BLOCK_STEPS), \
                 mock.patch.object(schemes, "_BLOCK_ELEMS", block_elems or schemes._BLOCK_ELEMS):
-            got = analysis.run_cells(p, ref, scheme, n, noises, 12, seed, **kw)
+            (got,) = analysis.run_rows(p, ref, scheme, [(n, noises, 12, seed)], **kw)
             want = [_cell_or_error(functools.partial(run_batch, p, ref, scheme, n, noise, 12,
                                                      seed, **kw))
                     for noise in noises]
@@ -810,7 +810,7 @@ class TestRunCells:
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_rows_equal_their_own_runs(self, problem_A, ref_A, parallelism):
         # rows of different n, N and columns (an ie-refused column, a delta 0 one)
-        # through one map: each row is its own serial run_cells, bit for bit
+        # through one map: each row is its own serial run_rows call, bit for bit
         rows = [(10, [exact_info(), NoiseModel("ee", 1e-3), NoiseModel("ie", 1e-3)], 37, 5),
                 (23, [NoiseModel("ie", 2e-3), NoiseModel("ie", 0.0)], 50, 6),
                 (7, [NoiseModel("ie", 5e-4)], 21, 9)]
@@ -818,15 +818,15 @@ class TestRunCells:
                                      chunk_size=16))
         assert len(got) == len(rows)
         for row, cells in zip(rows, got):
-            _assert_same_cells(cells, analysis.run_cells(problem_A, ref_A, IE, *row,
-                                                         chunk_size=16))
+            (alone,) = analysis.run_rows(problem_A, ref_A, IE, [row], chunk_size=16)
+            _assert_same_cells(cells, alone)
         assert type(got[0][1]) is DomainError
 
     def test_implicit_euler_row_under_fresh_noise(self, problem_A, ref_A):
         # the noisy columns are refused and join no run: the delta 0 column
         # computes, each noisy one fails with run_batch's own error
         noises = [exact_info(), NoiseModel("ee", 1e-3), NoiseModel("ee", 2e-3)]
-        got = analysis.run_cells(problem_A, ref_A, IE, 10, noises, 20, 7, chunk_size=7)
+        (got,) = analysis.run_rows(problem_A, ref_A, IE, [(10, noises, 20, 7)], chunk_size=7)
         exact = run_batch(problem_A, ref_A, IE, 10, exact_info(), 20, 7)
         assert np.array_equal(got[0].errors, exact.errors)
         for noise, cell in zip(noises[1:], got[1:]):
@@ -855,7 +855,7 @@ class TestRunCells:
                                            NumericalError, analysis.ErrorBatch]
         assert [(w.replication, w.step) for w in want[1:3]] == [(0, 4), (15, 3)]
         with mock.patch.object(analysis, "run_scheme", wraps=schemes.run_scheme) as runs:
-            got = analysis.run_cells(p, ref, EE, 4, noises, 16, 5, chunk_size=8)
+            (got,) = analysis.run_rows(p, ref, EE, [(4, noises, 16, 5)], chunk_size=8)
         assert runs.call_count == 2  # one run per row chunk
         _assert_same_cells(got, want)
 
@@ -876,7 +876,7 @@ class TestRunCells:
             lambda t: 1.0 + 1e-3 * np.asarray(t) + 0.25 * (np.asarray(t) == spike))
         noises = [exact_info(), NoiseModel("rk", 0.5), NoiseModel("rk", 1e-3)]
         with mock.patch.object(analysis, "_fold_live", wraps=analysis._fold_live) as gathered:
-            got = analysis.run_cells(p, ref, EE, n, noises, 16, 5, chunk_size=8)
+            (got,) = analysis.run_rows(p, ref, EE, [(n, noises, 16, 5)], chunk_size=8)
         assert gathered.call_count == 2  # one block in each row chunk
         want = [_cell_or_error(functools.partial(run_batch, p, ref, EE, n, noise, 16, 5,
                                                  chunk_size=8))
@@ -889,7 +889,7 @@ class TestRunCells:
     def test_contraction_margin_refuses_its_column_only(self, problem_B, ref_B):
         # problem B has L = 50, so at n = 51 delta 1 breaks h (L + delta) < 1
         noises = [exact_info(), NoiseModel("ie", 1.0)]
-        got = analysis.run_cells(problem_B, ref_B, IE, 51, noises, 20, 7, chunk_size=8)
+        (got,) = analysis.run_rows(problem_B, ref_B, IE, [(51, noises, 20, 7)], chunk_size=8)
         want = [_cell_or_error(functools.partial(run_batch, problem_B, ref_B, IE, 51, noise,
                                                  20, 7, chunk_size=8))
                 for noise in noises]
@@ -908,7 +908,7 @@ class TestRunCells:
         with pytest.raises(DomainError, match="must be >= 1"):
             run_batch(problem_A, ref_A, EE, n, exact_info(), N, 1, **kw)
         with pytest.raises(DomainError, match="must be >= 1"):
-            analysis.run_cells(problem_A, ref_A, EE, n, [exact_info()] * 2, N, 1, **kw)
+            next(analysis.run_rows(problem_A, ref_A, EE, [(n, [exact_info()] * 2, N, 1)], **kw))
 
     def test_numpy_integer_sizes_accepted(self, problem_A, ref_A):
         want = run_batch(problem_A, ref_A, EE, 10, exact_info(), 20, 1, chunk_size=8)
@@ -925,12 +925,12 @@ class TestRunCells:
                                wraps=analysis._sup_error_kernel) as sink_calls, \
                 mock.patch.object(analysis, "_step_terms",
                                   wraps=analysis._step_terms) as kernel_blocks:
-            analysis.run_cells(problem_A, ref_A, EE, 20, row, 2048, 3)
+            next(analysis.run_rows(problem_A, ref_A, EE, [(20, row, 2048, 3)]))
         assert sink_calls.call_count == 3
         assert kernel_blocks.call_count == sink_calls.call_count
 
     def test_no_columns_no_cells(self, problem_A, ref_A):
-        assert analysis.run_cells(problem_A, ref_A, EE, 10, [], 20, 1) == []
+        assert list(analysis.run_rows(problem_A, ref_A, EE, [(10, [], 20, 1)])) == [[]]
 
     def test_a_raising_rhs_propagates(self):
         # only a run's own failures become cells; anything else stops the row
@@ -941,15 +941,15 @@ class TestRunCells:
                     class_params=ClassParams(K=1.0, L=0.0, rho=1.5), name="raising",
                     rhs_vectorized=True)
         with pytest.raises(DomainError, match="field's domain"):
-            analysis.run_cells(p, ReferenceSolution.analytic(np.ones_like), EE, 4,
-                               [exact_info(), NoiseModel("ee", 1e-3)], 8, 1)
+            next(analysis.run_rows(p, ReferenceSolution.analytic(np.ones_like), EE,
+                                   [(4, [exact_info(), NoiseModel("ee", 1e-3)], 8, 1)]))
 
     @pytest.mark.parametrize("n", [100, 5000])
     def test_row_chunk_memory_is_that_of_one_cell(self, problem_A, ref_A, n):
         # the draws are shared and the nodes come in sub-blocks, so three
         # columns need little more than one
         row = [exact_info(), NoiseModel("ee", 1e-3), NoiseModel("ee", 2e-3)]
-        analysis.run_cells(problem_A, ref_A, EE, 1, row, 2, 3)  # first-call imports
+        next(analysis.run_rows(problem_A, ref_A, EE, [(1, row, 2, 3)]))  # first-call imports
 
         def traced_peak(run):
             tracemalloc.start()
@@ -959,9 +959,32 @@ class TestRunCells:
             finally:
                 tracemalloc.stop()
 
-        three = traced_peak(lambda: analysis.run_cells(problem_A, ref_A, EE, n, row, 2048, 3))
+        three = traced_peak(lambda: next(analysis.run_rows(problem_A, ref_A, EE,
+                                                           [(n, row, 2048, 3)])))
         one = traced_peak(lambda: run_batch(problem_A, ref_A, EE, n, row[2], 2048, 3))
         assert three <= 1.2 * one
+
+    def test_rows_hold_nothing_of_the_rows_yielded(self, problem_A, ref_A):
+        # the default ee columns at n = 10, each row consumed and dropped as it comes: a
+        # row's plan is dropped once it is consumed, its cells are views of its (k, N)
+        # errors sorted in place, and nothing else of it stays, so four equal rows peak as
+        # one does, within less than a row's k N doubles
+        noises = [exact_info()] + [NoiseModel("ee", delta)
+                                   for delta in (10**-1.1, 0.1, 10**-0.9, 2e-3, 1e-4)]
+        row = (10, noises, 20_000, 3)
+
+        def traced_peak(rows):
+            tracemalloc.start()
+            try:
+                rows_run = analysis.run_rows(problem_A, ref_A, EE, rows, chunk_size=4096)
+                assert list(map(len, rows_run)) == [len(noises)] * len(rows)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak([(10, noises, 20, 3)])  # first-call imports
+        one, four = traced_peak([row]), traced_peak([row] * 4)
+        assert four < one + len(noises) * 20_000 * 8
 
 
 class TestXiHat:
@@ -1052,6 +1075,24 @@ class TestTailCurve:
         path = tmp_path / "tail.csv"
         curve.write_csv(path)
         assert path.read_text().startswith("xi,prob,wilson_low,wilson_high")
+
+
+@pytest.mark.parametrize("run", [
+    lambda: schemes.run_scheme(NoisyOracle(problem_A_in(1), exact_info(), 0, 0), EE, 10.0),
+    lambda: schemes.martingale_diagnostic(10.5, 100, 0),
+    lambda: schemes.martingale_diagnostic(10, 2.5, 0),
+    lambda: check_class_membership(problem_A_in(1), 2.5),
+    lambda: run_implicit_euler(NoisyOracle(problem_A_in(1), exact_info(), 0, 0), 10,
+                               max_iter=2.5),
+    lambda: wilson_interval(1, 0),
+    lambda: IvpSpec(a=0.0, b=1.0, d=1.0, eta=np.ones(1), rhs=np.sin,
+                    class_params=ClassParams(K=2.0, L=1.0, rho=1.5)),
+], ids=["run_scheme-n", "martingale-n", "martingale-reps", "membership-samples",
+        "implicit-euler-max_iter", "wilson-n0", "ivp-d"])
+def test_a_count_that_is_not_an_integer_of_its_least_value_is_a_domain_error(run):
+    # every integer count goes through one check: a float, or a count below its least value
+    with pytest.raises(DomainError, match="and an integer"):
+        run()
 
 
 def test_wilson_interval_known_value():
@@ -1193,6 +1234,15 @@ class TestSlopes:
     def test_nan_error_or_nonpositive_n_rejected(self, ns, means):
         # a NaN mean compares false both ways and would fit slope = nan
         with pytest.raises(DomainError, match="must be > 0"):
+            fit_loglog_slope(ns, means)
+
+    @pytest.mark.parametrize("ns,means,message", [
+        ([4, 4, 4], [1.0, 0.5, 0.3], "all equal"),
+        ([10, 20, 40], [1.0, np.inf, 0.3], "finite"),
+    ], ids=["repeated-n", "inf-mean"])
+    def test_ladder_that_fits_no_slope_rejected(self, ns, means, message):
+        # no line fits equal step counts (sxx = 0), nor a mean error that is not finite
+        with pytest.raises(DomainError, match=message):
             fit_loglog_slope(ns, means)
 
     def test_ladder_validation(self, problem_A, ref_A):

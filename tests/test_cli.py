@@ -736,8 +736,8 @@ EXPORTS = {
     "analysis": ["BatchCell", "ConfidenceBand", "ErrorBatch", "QuantileEstimate",
                  "ReferenceSolution", "SlopeFit", "TailCurve", "build_reference_B",
                  "confidence_band", "convergence_slope", "derive_cell_seed",
-                 "fit_loglog_slope", "reference_for", "run_batch", "run_cells", "run_rows",
-                 "sup_error", "tail_curve", "xi_hat"],
+                 "fit_loglog_slope", "reference_for", "run_batch", "run_rows", "sup_error",
+                 "tail_curve", "xi_hat"],
     "exceptions": ["ConvergenceError", "DomainError", "NumericalError",
                    "ReferenceSolutionError", "WorkerError"],
     "noise": ["DeltaRule", "NoiseModel", "NoisyOracle", "exact_info", "parse_delta_rule",
@@ -754,7 +754,7 @@ def test_import_leaves_numpy_and_blas_threading_alone():
     # the library imports its submodules, and so numpy, on first use, and sets no BLAS
     # thread count even then
     code = ("import os, sys, randode; print('numpy' in sys.modules, randode.__version__); "
-            "randode.run_cells; print('numpy' in sys.modules, "
+            "randode.run_rows; print('numpy' in sys.modules, "
             "'OPENBLAS_NUM_THREADS' in os.environ)")
     assert run_fresh("-c", code) == f"False {randode.__version__}\nTrue False\n"
 

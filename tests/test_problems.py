@@ -52,6 +52,18 @@ class TestIvpSpec:
         with pytest.raises(DomainError):
             ClassParams(K=1.0, L=0.0, rho=1.0, R=-2.0)
 
+    @pytest.mark.parametrize("name", ["K", "L", "rho", "R"])
+    def test_nan_class_parameter_rejected(self, name):
+        # NaN fails every comparison, so each bound must be a positive one
+        params = dict(K=1.0, L=1.0, rho=1.5, R=10.0)
+        with pytest.raises(DomainError, match=name):
+            ClassParams(**{**params, name: math.nan})
+
+    @pytest.mark.parametrize("radius", [radius_ee, radius_rk])
+    def test_nan_growth_constant_has_no_radius(self, radius):
+        with pytest.raises(DomainError, match="K"):
+            radius(math.nan, 0.0, 1.0)
+
 
 class TestEvalRhs:
     def test_problem_A_values(self):

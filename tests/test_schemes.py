@@ -51,6 +51,11 @@ class TestGamma:
         with pytest.raises(DomainError):
             gamma_of(EE, 0.0)
 
+    def test_nan_rho_rejected(self):
+        for scheme in (EE, IE, RK):
+            with pytest.raises(DomainError, match="rho must be positive"):
+                gamma_of(scheme, float("nan"))
+
 
 def test_scheme_from_name():
     assert scheme_from_name("ee") is EE
