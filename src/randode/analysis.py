@@ -688,6 +688,8 @@ def xi_hat(batch: ErrorBatch, epsilon: float, gamma: float) -> QuantileEstimate:
 def wilson_interval(count: int, n: int, z: float = _WILSON_Z):
     """95% Wilson score interval for a binomial proportion."""
     _check_counts(n=n)
+    if not 0 <= count <= n:
+        raise DomainError(f"count must be in [0, {n}], got {count}")
     p = count / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2.0 * n)) / denom

@@ -20,8 +20,8 @@ Exit codes: 0 success, 1 failed checks or incomplete tables, 2 usage errors.
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
+import gc
 import hashlib
 import json
 import math
@@ -32,6 +32,12 @@ import time
 # randode makes no BLAS call, and numpy's OpenBLAS starts a pool of threads at
 # import that burns CPU for nothing; a value the user set is kept
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+# The import-time heap lives as long as the process: no cyclic collection scans
+# it while the imports run, nor later (it is frozen below), nor at exit, and
+# forked pool workers inherit it frozen.  A collector the caller disabled stays so.
+_gc_was_enabled = gc.isenabled()
+gc.disable()
 
 import numpy as np
 
@@ -62,6 +68,10 @@ from .schemes import (
     scheme_from_name,
     write_csv,
 )
+
+gc.freeze()
+if _gc_was_enabled:
+    gc.enable()
 
 EE_DELTA_RULES = "0 n^-1.1 n^-1 n^-0.9 2e-3 1e-4"
 RK_DELTA_RULES = "0 n^-1.6 n^-1.5 n^-1.4 2e-3 1e-4"
@@ -130,6 +140,8 @@ _CONFIG_ALIASES = {"master_seed": "seed", "output_dir": "out", "subsamples_per_s
 def _config_defaults(path, command: str) -> dict:
     """The [experiment] values of a config file as the command's defaults, each one
     converted with its setting's type; [DEFAULT] is the only other section it may have."""
+    import configparser  # only --config reads one
+
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keys are case-sensitive: N (replications) is not n (steps)
     try:
@@ -247,8 +259,10 @@ def cmd_table(args) -> int:
                   for n, row_noises, N in zip(ns, noises, row_Ns)]
     row_cells = run_rows(problem, reference, scheme, table_rows, parallelism=args.parallelism,
                          subsamples_per_step=args.subsamples)
+    sizes = zip(ns, row_Ns)
     with contextlib.closing(row_cells):
-        for (n, _, N, _), batches in zip(table_rows, row_cells):
+        for batches in row_cells:  # not zipped: zip's reused tuple would hold the last row
+            n, N = next(sizes)
             row = [str(n)]
             for rule, batch in zip(rules, batches):
                 reason = str(batch) if isinstance(batch, Exception) else None
@@ -261,6 +275,7 @@ def cmd_table(args) -> int:
                                        "na_reason": reason})
             rows.append(row)
             print(f"n={n:6d} done (N={N})")
+            del batches, batch  # so run_rows computes the next row without this one
 
     path = manifest.path(f"table_{scheme.value}_{problem.name}.csv")
     write_csv(path, ["n"] + [f"delta={r.label}" for r in rules], rows)
@@ -463,8 +478,12 @@ COMMANDS = {
 }
 
 
-def build_parser():
-    """The parser, and each command's subparser by name."""
+def build_parser(argv=None):
+    """The parser, and each command's subparser by name.
+
+    Only the commands that argv names get their settings, since argparse parses
+    no other; with argv None every command gets them.
+    """
     ap = argparse.ArgumentParser(prog="randode",
                                  description="Randomized ODE scheme experiments")
     ap.add_argument("--config", help="INI config file ([experiment] section)")
@@ -473,15 +492,17 @@ def build_parser():
     for command, (func, text, reads, defaults) in COMMANDS.items():
         p = parsers[command] = sub.add_parser(
             command, help=text, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-        for name in reads.split():
-            spec = {k: v for k, v in SETTINGS[name].items() if k != "valid"}
-            p.add_argument("--" + name.replace("_", "-"), **spec)
+        if argv is None or command in argv:
+            for name in reads.split():
+                spec = {k: v for k, v in SETTINGS[name].items() if k != "valid"}
+                p.add_argument("--" + name.replace("_", "-"), **spec)
         p.set_defaults(func=func, **defaults)
     return ap, parsers
 
 
 def main(argv=None) -> int:
-    ap, parsers = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    ap, parsers = build_parser(argv)
     args = ap.parse_args(argv)
     try:
         if args.config:  # its values become the command's defaults, so a flag still wins

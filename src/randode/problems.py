@@ -71,8 +71,8 @@ class IvpSpec:
     rhs_vectorized: bool = False
 
     def __post_init__(self):
-        if not self.b > self.a:
-            raise DomainError("need b > a")
+        if not -math.inf < self.a < self.b < math.inf:
+            raise DomainError("need finite a and b with b > a")
         _check_counts(d=self.d)
         eta = np.atleast_1d(np.asarray(self.eta, dtype=float))
         if eta.shape != (self.d,):

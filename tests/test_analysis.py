@@ -1103,6 +1103,13 @@ def test_wilson_interval_known_value():
     assert wilson_interval(0, 10)[0] == 0.0
 
 
+@pytest.mark.parametrize("count", [-1, 11, np.nan])
+def test_wilson_interval_count_outside_its_range_is_a_domain_error(count):
+    # sqrt of a negative p(1 - p) would raise an untyped ValueError
+    with pytest.raises(DomainError, match=r"count must be in \[0, 10\]"):
+        wilson_interval(count, 10)
+
+
 class TestConfidenceBand:
     def test_radius_arithmetic(self, problem_A):
         o = NoisyOracle(problem_A, NoiseModel("ee", 1.0 / 25.0), 3, 0)

@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -786,6 +787,66 @@ def test_cli_process_runs_one_os_thread():
     # numpy's OpenBLAS would start a thread per further CPU at import
     code = "import os, randode.cli; print(len(os.listdir('/proc/self/task')))"
     assert run_fresh("-c", code) == "1\n"
+
+
+@pytest.mark.parametrize("before, enabled", [("", True), ("gc.disable(); ", False)])
+def test_cli_import_freezes_its_heap_and_keeps_the_collector_setting(before, enabled):
+    # no cyclic collection scans the import-time heap, and the collector comes back on
+    # only if it was on before the import
+    code = (f"import gc; {before}import randode.cli; "
+            "print(gc.isenabled(), gc.get_freeze_count() > 0)")
+    assert run_fresh("-c", code) == f"{enabled} True\n"
+
+
+def test_table_run_leaves_the_config_reader_out(tmp_path):
+    code = ("import sys; from randode.cli import main; "
+            "rc = main(['table', '--n-list', '10', '--delta-rules', '0', '--N', '100', "
+            "'--out', sys.argv[1]]); print(rc, 'configparser' in sys.modules)")
+    assert run_fresh("-c", code, str(tmp_path)).splitlines()[-1] == "0 False"
+
+
+def test_help_texts_are_those_of_the_full_parser(monkeypatch):
+    # main builds only the settings of the command its arguments name
+    code = ("import contextlib, io, json, sys\n"
+            "from randode.cli import COMMANDS, main\n"
+            "texts = {}\n"
+            "for argv in [[], *[[c] for c in COMMANDS]]:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):\n"
+            "        main([*argv, '--help'])\n"
+            "    texts[' '.join(argv)] = out.getvalue()\n"
+            "print(json.dumps(texts))\n")
+    got = json.loads(run_fresh("-c", code, COLUMNS="80"))
+    monkeypatch.setenv("COLUMNS", "80")
+    ap, parsers = cli.build_parser(None)
+    assert got == {"": ap.format_help(),
+                   **{c: parsers[c].format_help() for c in cli.COMMANDS}}
+
+
+def test_config_file_named_as_another_command(tmp_path, monkeypatch):
+    # every command that an argument names gets its settings, the config path's too
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "solve").write_text("[experiment]\nn_list = 10\ndelta_rules = 0\nN = 100\n")
+    assert run_cli("--config", "solve", "table", "--seed", "7", "--out", "o") == 0
+    config = json.loads((tmp_path / "o" / "manifest.json").read_text())["config"]
+    assert (config["n_list"], config["N"], config["seed"]) == ([10], 100, 7)
+
+
+def test_table_holds_no_row_while_the_next_one_runs(tmp_path):
+    # six default ee columns at n = 10: four equal rows peak as one does, within less
+    # than a row's k N doubles
+    def traced_peak(n_list, N):
+        tracemalloc.start()
+        try:
+            assert run_cli("table", "--n-list", n_list, "--N", str(N), "--out",
+                           str(tmp_path / n_list)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak("10", 100)  # first-call imports
+    one, four = traced_peak("10", 20_000), traced_peak("10 10 10 10", 20_000)
+    assert four < one + 6 * 20_000 * 8 / 2
 
 
 def test_module_run_writes_the_pinned_table(tmp_path):

@@ -34,6 +34,13 @@ class TestIvpSpec:
             IvpSpec(a=1.0, b=0.0, d=1, eta=np.array([0.0]), rhs=lambda t, x: x,
                     class_params=ClassParams(K=1, L=1, rho=1.0))
 
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 1.0)])
+    def test_interval_must_be_finite(self, a, b):
+        # b = inf used to build, then fail at run time with a numpy warning
+        with pytest.raises(DomainError, match="finite"):
+            IvpSpec(a=a, b=b, d=1, eta=np.array([0.0]), rhs=lambda t, x: -x,
+                    class_params=ClassParams(K=1, L=1, rho=1.0))
+
     def test_eta_must_respect_growth_constant(self):
         with pytest.raises(DomainError):
             IvpSpec(a=0.0, b=1.0, d=1, eta=np.array([3.0]), rhs=lambda t, x: x,
