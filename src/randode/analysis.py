@@ -14,11 +14,9 @@ import collections
 import contextlib
 import dataclasses
 import errno
-import itertools
 import json
 import math
 import os
-import pickle
 import sys
 import warnings
 
@@ -470,63 +468,30 @@ def _caller_stacklevel() -> int:
     return level
 
 
-def _submitted_in_order(pool, tasks: list, workers: int):
-    """``_batch_task`` over the tasks through the pool, yielded in order, with at most
-    ``workers`` tasks submitted and not done: the next is submitted as one completes.
-
-    A pool moves up to ``workers + 1`` submitted tasks into its call queue, where a
-    shutdown cannot cancel them; so closing early starts no task beyond the running ones.
-    A pool broken by a dead worker raises at the first task it failed, in order.
-    """
-    import concurrent.futures.process
-
-    todo, futures = iter(tasks), collections.deque()
-    while True:
-        running = sum(not f.done() for f in futures)
-        try:
-            for task in itertools.islice(todo, workers - running):
-                futures.append(pool.submit(_batch_task, task))
-        except concurrent.futures.process.BrokenProcessPool:
-            if not futures:  # else the tasks submitted before come out first
-                raise
-        if not futures:
-            return
-        if futures[0].done():
-            yield futures.popleft().result()
-        else:
-            concurrent.futures.wait([f for f in futures if not f.done()],
-                                    return_when=concurrent.futures.FIRST_COMPLETED)
-
-
 @contextlib.contextmanager
 def _chunk_map(tasks: list, parallelism: int):
     """``_batch_task`` over the tasks, lazily and in order, and the exception a dead worker
     raises (``()``, none, when serial): the builtin map when ``parallelism`` is 1, there
-    are fewer than 2 tasks, or a task cannot be pickled (with a RuntimeWarning that names
-    the caller's line), else one process pool of ``min(parallelism, len(tasks))`` workers
-    (a forking pool starts them all at the first submit), fed one task per worker at a
-    time.  ``_batch_task`` is looked up at each submit, so forked workers run what the
-    module holds then.  Exit waits for the running tasks; none are left queued.
+    are fewer than 2 tasks, or the platform has no ``os.fork`` (with a RuntimeWarning that
+    names the caller's line), else :func:`randode.pool.forked_map` over
+    ``min(parallelism, len(tasks))`` forked workers, which run ``_batch_task`` as the
+    module holds it now.  Exit kills the running tasks and reaps every worker.
     """
     size = min(parallelism, len(tasks))
-    if size > 1:
-        try:
-            pickle.dumps(tasks[0])
-        except (pickle.PicklingError, AttributeError, TypeError) as exc:
-            warnings.warn(f"running the chunks serially: they cannot be sent to worker "
-                          f"processes ({exc})", RuntimeWarning, stacklevel=_caller_stacklevel())
-            size = 1
+    if size > 1 and not hasattr(os, "fork"):
+        warnings.warn("running the chunks serially: this platform cannot fork worker "
+                      "processes", RuntimeWarning, stacklevel=_caller_stacklevel())
+        size = 1
     if size <= 1:
         yield map(_batch_task, tasks), ()
         return
-    import concurrent.futures.process  # here, not at module level: only a pool needs it
+    from .pool import WorkerDied, forked_map  # here, not at module level: only a pool needs it
 
-    pool = concurrent.futures.ProcessPoolExecutor(size)
+    results = forked_map(_batch_task, tasks, size)
     try:
-        yield (_submitted_in_order(pool, tasks, size),
-               concurrent.futures.process.BrokenProcessPool)
+        yield results, WorkerDied
     finally:
-        pool.shutdown(cancel_futures=True)
+        results.close()
 
 
 def _chunk_bounds(N: int, chunk_size: int, parallelism: int) -> list:
@@ -563,13 +528,13 @@ def run_rows(problem: IvpSpec, reference: ReferenceSolution, scheme: SchemeKind,
     that run.  A column that implicit Euler refuses joins no run; any other
     exception out of a run propagates.  Every row is planned first, and then
     all of the rows' chunks run as one map (:func:`_chunk_map`), so with
-    ``parallelism`` > 1 one pool serves every row and no row waits for the
-    one before it; a right-hand side that cannot be pickled (a lambda or
-    closure) runs serially, with a RuntimeWarning.  A row's plan is dropped
-    as it is consumed, and its cells are the rows of one (k, N) array sorted
-    in place, so the generator keeps no row it has yielded.  Closing
-    the generator drops the chunks still queued; a dead worker raises
-    :class:`WorkerError`.
+    ``parallelism`` > 1 one pool of forked workers serves every row and no
+    row waits for the one before it; the workers inherit the tasks, so a
+    lambda or closure right-hand side runs pooled too.  A row's plan is
+    dropped as it is consumed, and its cells are the rows of one (k, N) array
+    sorted in place, so the generator keeps no row it has yielded.  Closing
+    the generator starts no further chunk and kills the running ones; a
+    dead worker raises :class:`WorkerError`.
     """
     _check_counts(parallelism=parallelism, subsamples_per_step=subsamples_per_step,
                   chunk_size=chunk_size)

@@ -418,6 +418,14 @@ def cmd_build_ref(args) -> int:
 # parser
 
 
+def _dir_or_under_one(path: str) -> bool:
+    """Whether path is a directory or os.makedirs can make one there: the first of path
+    and its parents that exists is a directory."""
+    while path and not os.path.lexists(path):
+        path = os.path.dirname(path)
+    return not path or os.path.isdir(path)
+
+
 def _at_least(low):
     return (lambda v: v >= low, f">= {low}")
 
@@ -439,7 +447,8 @@ SETTINGS = {
     "N": dict(type=int, help="Monte Carlo replications; table's None: 1e5, 1e4 from n = 1000",
               valid=_at_least(1)),
     "seed": dict(type=int, default=12345, help="master seed", valid=_at_least(0)),
-    "out": dict(default="out", help="output directory"),
+    "out": dict(default="out", help="output directory",
+                valid=(_dir_or_under_one, "a directory or a path under one")),
     "parallelism": dict(type=int, default=1, help="worker processes", valid=_at_least(1)),
     "subsamples": dict(type=int, default=8, help="interior sup-norm samples per subinterval",
                        valid=_at_least(1)),
@@ -517,7 +526,7 @@ def main(argv=None) -> int:
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (_RunError, ReferenceSolutionError) as exc:  # numerical, convergence, worker
+    except (_RunError, ReferenceSolutionError, OSError) as exc:  # numerical, worker, output
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
 

@@ -34,7 +34,8 @@ class ConvergenceError(_RunError, RuntimeError):
 
 
 class WorkerError(_RunError, RuntimeError):
-    """A process pool worker died while it ran a chunk of replications."""
+    """A pool worker died while it ran a chunk of replications, or could not send back
+    what the chunk returned or raised."""
 
 
 class ReferenceSolutionError(RuntimeError):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,23 @@ def ref_B_cache(tmp_path_factory):
 @pytest.fixture(scope="session")
 def ref_B(ref_B_cache):
     return build_reference_B(n_ref=2_000_000, cache_path=str(ref_B_cache))
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The pids of the processes forked while the test runs, through the real os.fork."""
+    pids, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def children() -> list:
+    """The pids of this process's children, zombies included (forked by its main thread)."""
+    with open(f"/proc/self/task/{os.getpid()}/children") as fh:
+        return fh.read().split()

@@ -1,4 +1,3 @@
-import concurrent.futures
 import contextlib
 import dataclasses
 import functools
@@ -9,6 +8,7 @@ import stat
 import tempfile
 import time
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -47,7 +47,8 @@ from randode import analysis, schemes
 from randode.analysis import default_ref_cache, order_statistic_index, wilson_interval
 from randode.noise import NOISE_KINDS, ChunkOracle, derive_streams
 
-from conftest import constant_field_problem, problem_A_in, ref_A_in, zero_field_problem
+from conftest import (children, constant_field_problem, problem_A_in, ref_A_in,
+                      zero_field_problem)
 
 EE = SchemeKind.EXPLICIT_EULER
 RK = SchemeKind.RUNGE_KUTTA2
@@ -293,10 +294,13 @@ def _per_replication(p, ref, scheme, n, noise, N, seed, perturb_eta):
                                                  ref_int, perturb_eta))
 
 
-def done_future(result):
-    future = concurrent.futures.Future()
-    future.set_result(result)
-    return future
+class TwoArgsError(Exception):
+    """Pickled as TwoArgsError(message), which its __init__ refuses: pickle writes it but
+    cannot read it back."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+        self.code = code
 
 
 def _logged_batch_task(log):
@@ -304,7 +308,6 @@ def _logged_batch_task(log):
     first for n != 10."""
     untraced = analysis._batch_task
 
-    @functools.wraps(untraced)  # pickled by name: the forked workers run this wrapper
     def logged(task):
         with open(log, "a") as fh:
             fh.write(f"{task[2]} {task[5]} {time.monotonic()}\n")
@@ -403,60 +406,29 @@ class TestRunBatch:
             run_batch(dataclasses.replace(problem_A, rhs_vectorized=False), ref_A, IE, 10,
                       NoiseModel("ie", 1e-3), 20, 7, chunk_size=8)
 
-    def test_pool_has_at_most_one_worker_a_chunk(self, problem_A, ref_A):
-        # a forking pool starts all of its workers at the first submit; this one runs
-        # each task as it is submitted and only records how many it was asked for
-        asked = []
-
-        class SerialPool:
-            def __init__(self, max_workers=None):
-                asked.append(max_workers)
-
-            def submit(self, fn, task):
-                return done_future(fn(task))
-
-            def shutdown(self, wait=True, *, cancel_futures=False):
-                pass
-
+    def test_pool_has_at_most_one_worker_a_chunk(self, problem_A, ref_A, forks):
         kw = dict(chunk_size=100)
-        with mock.patch("concurrent.futures.ProcessPoolExecutor", SerialPool):
-            pooled = run_batch(problem_A, ref_A, EE, 10, exact_info(), 300, 4, parallelism=64,
-                               **kw)
-        assert asked == [3]
+        pooled = run_batch(problem_A, ref_A, EE, 10, exact_info(), 300, 4, parallelism=64, **kw)
+        assert len(forks) == 3
         serial = run_batch(problem_A, ref_A, EE, 10, exact_info(), 300, 4, **kw)
         assert np.array_equal(pooled.errors, serial.errors)
 
     @pytest.mark.parametrize("Ns", [(200, 400), (400, 200)])
-    def test_one_pool_sized_once_for_all_rows(self, problem_A, ref_A, Ns):
+    def test_one_pool_sized_once_for_all_rows(self, problem_A, ref_A, Ns, forks):
         # rows of 2 and 4 chunks at parallelism 4, in either order: one run_rows call
-        # starts one pool of 4 workers and stops it once, cancelling nothing left queued
-        seen = []
-
-        class RecordingPool:
-            def __init__(self, max_workers=None):
-                self.size = max_workers
-                seen.append(("start", max_workers))
-
-            def submit(self, fn, task):
-                return done_future(fn(task))
-
-            def shutdown(self, wait=True, *, cancel_futures=False):
-                seen.append(("stop", self.size))
-
+        # forks one pool of 4 workers, all of them reaped by its end
         kw = dict(chunk_size=100)
         rows = [(10, [exact_info()], N, 4) for N in Ns]
-        with mock.patch("concurrent.futures.ProcessPoolExecutor", RecordingPool):
-            pooled = list(analysis.run_rows(problem_A, ref_A, EE, rows, parallelism=4, **kw))
-        assert seen == [("start", 4), ("stop", 4)]
+        pooled = list(analysis.run_rows(problem_A, ref_A, EE, rows, parallelism=4, **kw))
+        assert len(forks) == 4 and children() == []
         for N, (batch,) in zip(Ns, pooled):
             serial = run_batch(problem_A, ref_A, EE, 10, exact_info(), N, 4, **kw)
             assert np.array_equal(batch.errors, serial.errors)
 
     def test_closing_early_cancels_the_queued_chunks(self, problem_A, ref_A, tmp_path):
         # a real pool of 2 workers; every chunk logs its row and start time.  The first
-        # row's 2 chunks are quick and the others take 0.3 s, so the close, once both
-        # workers have started a slow one, finds at most workers + 1 = 3 chunks queued
-        # for them (none, as the pool is fed one chunk per worker); the rest never start
+        # row's 2 chunks are quick and the others take 0.3 s, so the close comes once
+        # both workers have started a slow one; it kills them, and no chunk starts after
         log = tmp_path / "chunks.log"
         logged = _logged_batch_task(log)
 
@@ -470,50 +442,49 @@ class TestRunBatch:
             closed = time.monotonic()
             cells.close()
         starts = [line.split() for line in log.read_text().splitlines()]
-        assert sum(float(t) > closed for _, _, t in starts) <= 3
-        assert len(starts) < 2 + 3 * 4
+        assert sum(float(t) > closed for _, _, t in starts) == 0
+        assert len(starts) == 4
         want = run_batch(problem_A, ref_A, EE, 10, exact_info(), 20, 1, chunk_size=10)
         assert np.array_equal(first.errors, want.errors)
 
     def test_closing_early_starts_no_chunk_beyond_the_submitted(self, problem_A, ref_A,
-                                                                 tmp_path):
-        # the rows above, with every submit recorded: at the close at most one chunk per
-        # worker is submitted and not done, the close submits nothing, and every chunk
-        # that starts was submitted before it
-        log = tmp_path / "chunks.log"
+                                                                 tmp_path, forks):
+        # the rows above through 2 forked workers: when both have started a slow chunk
+        # of the second row, the close sends no further chunk and kills the two running,
+        # so every chunk that ever starts started before the close, and none ends after
+        log, ends = tmp_path / "chunks.log", tmp_path / "ends.log"
         logged = _logged_batch_task(log)
-        submitted = []
 
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def submit(self, fn, task):
-                future = super().submit(fn, task)
-                submitted.append(((str(task[2]), str(task[5])), future))
-                return future
+        def ended(task):
+            out = logged(task)
+            with open(ends, "a") as fh:
+                fh.write(f"{task[2]} {task[5]}\n")
+            return out
 
         rows = [(10, [exact_info()], 20, 1)] + [(n, [exact_info()], 40, 1) for n in (11, 12, 13)]
-        with mock.patch.object(analysis, "_batch_task", logged), \
-                mock.patch("concurrent.futures.ProcessPoolExecutor", RecordingPool):
+        with mock.patch.object(analysis, "_batch_task", ended):
             cells = analysis.run_rows(problem_A, ref_A, EE, rows, parallelism=2, chunk_size=10)
             (first,) = next(cells)
             deadline = time.monotonic() + 60
             while len(log.read_text().splitlines()) < 4 and time.monotonic() < deadline:
                 time.sleep(0.01)
-            at_close = list(submitted)
-            assert sum(not future.done() for _, future in at_close) <= 2
+            at_close = log.read_text()
             cells.close()
-        assert submitted == at_close
-        started = [tuple(line.split()[:2]) for line in log.read_text().splitlines()]
-        assert len(started) >= 4 and set(started) <= {chunk for chunk, _ in at_close}
+        assert len(forks) == 2 and children() == []
+        started = sorted(line.rsplit(" ", 1)[0] for line in at_close.splitlines())
+        assert started == ["10 0", "10 10", "11 0", "11 10"]
+        time.sleep(0.5)  # the killed chunks would end by now
+        assert log.read_text() == at_close
+        assert sorted(ends.read_text().splitlines()) == ["10 0", "10 10"]
         want = run_batch(problem_A, ref_A, EE, 10, exact_info(), 20, 1, chunk_size=10)
         assert np.array_equal(first.errors, want.errors)
 
     def test_dead_worker_is_named_after_the_chunks_before_it(self, problem_A, ref_A):
         # the n = 11 row's second chunk kills its worker 0.3 s in, after the first one is
-        # back; the caller is away meanwhile, so the next submit finds the pool broken;
-        # the error still names the chunk that died, not the one before it
+        # back; the caller is away meanwhile, so the pool has seen the death before the
+        # caller asks; the error still names the chunk that died, not the one before it
         untraced = analysis._batch_task
 
-        @functools.wraps(untraced)  # pickled by name: the forked workers run this wrapper
         def dying(task):
             if task[2] == 11 and task[5] == 10:
                 time.sleep(0.3)
@@ -549,9 +520,9 @@ class TestRunBatch:
         assert analysis._chunk_bounds(1500, 8192, 1) == [(0, 1500)]
         assert analysis._chunk_bounds(10_000, 8192, 2) == [(0, 5000), (5000, 10_000)]
 
-    def test_closure_rhs_runs_serially_under_parallelism(self):
-        # through each entry point, with a warning that names the caller's line, here,
-        # not one inside randode.analysis
+    def test_closure_rhs_runs_pooled(self, forks):
+        # through each entry point: the forked workers inherit the tasks, so a lambda
+        # or closure rhs is never pickled and runs in the pool, with no warning
         k = 0.5
         p = IvpSpec(a=0.0, b=1.0, d=1, eta=np.ones(1), rhs=lambda t, x: -k * x,
                     class_params=ClassParams(K=1.0, L=k, rho=1.5), name="closure",
@@ -562,14 +533,112 @@ class TestRunBatch:
         serial = run_batch(p, ref, EE, 8, noise, 20, 3, chunk_size=10)
         pooled = {
             "run_batch": lambda: run_batch(p, ref, EE, 8, noise, 20, 3, **kw),
-            "run_rows": lambda: next(analysis.run_rows(p, ref, EE, [(8, [noise], 20, 3)],
-                                                       **kw))[0],
+            "run_rows": lambda: list(analysis.run_rows(p, ref, EE, [(8, [noise], 20, 3)],
+                                                       **kw))[0][0],
+        }
+        for entry, run in pooled.items():
+            del forks[:]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                batch = run()
+            assert len(forks) == 2, entry
+            assert np.array_equal(serial.errors, batch.errors), entry
+
+    def test_without_fork_the_chunks_run_serially(self, problem_A, ref_A, monkeypatch):
+        # with a warning that names the caller's line, here, not one in randode
+        kw = dict(chunk_size=10)
+        serial = run_batch(problem_A, ref_A, EE, 8, exact_info(), 40, 3, **kw)
+        monkeypatch.delattr(os, "fork")
+        pooled = {
+            "run_batch": lambda: run_batch(problem_A, ref_A, EE, 8, exact_info(), 40, 3,
+                                           parallelism=2, **kw),
+            "run_rows": lambda: list(analysis.run_rows(problem_A, ref_A, EE,
+                                                       [(8, [exact_info()], 40, 3)],
+                                                       parallelism=2, **kw))[0][0],
         }
         for entry, run in pooled.items():
             with pytest.warns(RuntimeWarning, match="serially") as record:
                 batch = run()
             assert [w.filename for w in record] == [__file__], entry
             assert np.array_equal(serial.errors, batch.errors), entry
+
+    @pytest.mark.parametrize("end", ["done", "closed", "dead worker"])
+    def test_pooled_run_leaves_no_process_or_descriptor(self, problem_A, ref_A, forks, end):
+        # however run_rows ends, every worker is reaped (no child, no zombie) and every
+        # pipe closed
+        untraced = analysis._batch_task
+
+        def dying(task):
+            if task[2] == 11 and task[5] == 10:
+                os._exit(1)
+            return untraced(task)
+
+        rows = [(10, [exact_info()], 20, 1), (11, [exact_info()], 40, 1)]
+        fds = sorted(os.listdir("/proc/self/fd"))
+        with mock.patch.object(analysis, "_batch_task", dying if end == "dead worker"
+                               else untraced):
+            cells = analysis.run_rows(problem_A, ref_A, EE, rows, parallelism=2, chunk_size=10)
+            if end == "done":
+                assert len(list(cells)) == 2
+            elif end == "closed":
+                next(cells)
+                cells.close()
+            else:
+                with pytest.raises(WorkerError, match=r"\[10, 20\) of the n = 11 row"):
+                    list(cells)
+        assert len(forks) == 2 and children() == []
+        for pid in forks:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+
+    def test_rhs_error_is_raised_pooled_as_serially(self):
+        def rhs(t, x):
+            if np.any(t > 0.5):
+                raise ValueError("rhs refuses t > 0.5")
+            return -x
+
+        p = IvpSpec(a=0.0, b=1.0, d=1, eta=np.ones(1), rhs=rhs,
+                    class_params=ClassParams(K=1.0, L=1.0, rho=1.5), name="raising",
+                    rhs_vectorized=True)
+        ref = ReferenceSolution.analytic(lambda t: np.exp(-np.asarray(t)))
+        for parallelism in (1, 2):
+            with pytest.raises(ValueError, match="rhs refuses t > 0.5"):
+                run_batch(p, ref, EE, 8, exact_info(), 40, 3, chunk_size=10,
+                          parallelism=parallelism)
+
+    @pytest.mark.parametrize("unsendable", ["local class", "no rebuild"])
+    def test_exception_that_cannot_be_sent_back_is_a_worker_error(self, unsendable):
+        # a chunk's exception that pickle cannot write, or cannot read back, comes back
+        # as WorkerError naming its type, not as a hang or a dead worker
+        class Local(Exception):
+            pass
+
+        def rhs(t, x):
+            if unsendable == "local class":
+                raise Local("unsendable")
+            raise TwoArgsError("unsendable", 3)
+
+        p = IvpSpec(a=0.0, b=1.0, d=1, eta=np.ones(1), rhs=rhs,
+                    class_params=ClassParams(K=1.0, L=1.0, rho=1.5), name="raising",
+                    rhs_vectorized=True)
+        ref = ReferenceSolution.analytic(lambda t: np.exp(-np.asarray(t)))
+        name = "Local" if unsendable == "local class" else "TwoArgsError"
+        with pytest.raises(WorkerError, match=f"could not send back the {name} it raised"):
+            run_batch(p, ref, EE, 8, exact_info(), 40, 3, chunk_size=10, parallelism=2)
+
+    def test_no_worker_waits_on_an_earlier_chunk(self, problem_A, ref_A, tmp_path):
+        # the n = 11 row's one chunk sleeps 0.3 s; meanwhile the other worker runs the
+        # n = 10 row's chunks, each of whose results (9000 errors, 72 kB) is more than
+        # a pipe holds, one after another: none waits until the slow chunk is back
+        log = tmp_path / "chunks.log"
+        rows = [(11, [exact_info()], 9000, 1), (10, [exact_info()], 36_000, 1)]
+        with mock.patch.object(analysis, "_batch_task", _logged_batch_task(log)):
+            list(analysis.run_rows(problem_A, ref_A, EE, rows, parallelism=2,
+                                   chunk_size=9000))
+        starts = {(n, lo): float(t) for n, lo, t in map(str.split, log.read_text().splitlines())}
+        assert len(starts) == 5
+        assert starts[("10", "18000")] < starts[("11", "0")] + 0.3
 
     @pytest.mark.parametrize("vectorized", [False, True])
     def test_non_finite_node_names_its_replication(self, vectorized):

@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -520,6 +519,39 @@ def test_negative_seed_rejected_before_output(tmp_path, capsys, command, args):
     assert not out.exists()
 
 
+# small runs of each command that writes files
+WRITERS = {"solve": [], "table": ["--n-list", "10", "--delta-rules", "0", "--N", "200"],
+           "band": ["--xi", "3"], "tail": ["--n", "10", "--N", "200"],
+           "diagnose": ["--N", "8", "--reps", "200"]}
+
+
+@pytest.mark.parametrize("where", ["a file", "under a file"])
+@pytest.mark.parametrize("command", list(WRITERS))
+def test_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                        command, where):
+    # found before any work: the command does not even make its problem
+    made = []
+    monkeypatch.setattr(cli, "make_problem", made.append)
+    (tmp_path / "file").write_text("kept\n")
+    out = tmp_path / "file" / ("out" if where == "under a file" else "")
+    assert run_cli(command, "--problem", "A", *WRITERS[command], "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: --out must be a directory or a path under one, got {str(out)!r}"]
+    assert captured.out == "" and made == []
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", list(WRITERS))
+def test_output_that_cannot_be_written_fails_the_run_with_one_line(tmp_path, capsys, command):
+    # a directory where the manifest goes: writing it fails, and the run says so in one line
+    out = tmp_path / "out"
+    (out / "manifest.json").mkdir(parents=True)
+    assert run_cli(command, "--problem", "A", *WRITERS[command], "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("run failed: [Errno 21] Is a directory: ")
+
+
 def test_negative_dense_rejected_before_output(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("solve", "--dense", "-3", "--out", str(out)) == 2
@@ -633,24 +665,14 @@ class TestBuildRef:
         assert calls == []
 
 
-def test_table_starts_one_pool_for_all_its_rows(tmp_path, monkeypatch):
+def test_table_starts_one_pool_for_all_its_rows(tmp_path, forks):
     # two rows of two chunks each through one pool of 2 forked workers, which
     # writes the serial table byte for byte
-    import concurrent.futures
-
-    started = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None):
-            started.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     args = ["table", "--problem", "A", "--scheme", "ee", "--n-list", "10 20", "--N", "9000"]
     assert run_cli(*args, "--parallelism", "2", "--out", str(tmp_path / "p2")) == 0
-    assert started == [2]
+    assert len(forks) == 2
     assert run_cli(*args, "--parallelism", "1", "--out", str(tmp_path / "p1")) == 0
-    assert started == [2]
+    assert len(forks) == 2
     assert ((tmp_path / "p2" / "table_ee_A.csv").read_bytes()
             == (tmp_path / "p1" / "table_ee_A.csv").read_bytes())
 
@@ -662,7 +684,6 @@ def test_dead_worker_fails_the_run_with_one_line(tmp_path, monkeypatch, capsys):
 
     untraced = analysis._batch_task
 
-    @functools.wraps(untraced)  # pickled by name: the forked workers run this wrapper
     def dying(task):
         if task[5] == 0:
             os._exit(1)
@@ -714,8 +735,22 @@ def test_serial_table_leaves_the_process_pool_out(tmp_path):
     assert out.stdout.splitlines()[-1] == "0 False"
 
 
+def test_pooled_table_imports_no_pool_library_and_leaves_no_child(tmp_path):
+    # the forked workers need neither concurrent.futures nor multiprocessing, and the
+    # command reaps every one of them before it returns
+    src = os.path.dirname(os.path.dirname(randode.__file__))
+    code = ("import os, sys; from randode.cli import main; "
+            "rc = main(['table', '--n-list', '10 20', '--N', '9000', '--parallelism', '2', "
+            "'--out', sys.argv[1]]); "
+            "print(rc, 'concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules, "
+            "open(f'/proc/self/task/{os.getpid()}/children').read().split())")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.splitlines()[-1] == "0 False False []"
+
+
 def test_import_leaves_the_process_pool_out():
-    # concurrent.futures is imported only once a run starts a process pool
+    # importing the CLI brings in no pool library
     src = os.path.dirname(os.path.dirname(randode.__file__))
     code = "import sys, randode.cli; print('concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
